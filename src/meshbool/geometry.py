@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInput, GeometryError, NotClosed, TopologyError
+from .halfedge import EdgeTable, min_labels
 
 
 def as_points(data) -> np.ndarray:
@@ -51,18 +52,6 @@ class Aabb:
     @property
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
-
-    def overlaps(self, other: "Aabb") -> bool:
-        if self.is_empty or other.is_empty:
-            return False
-        return bool((self.lo <= other.hi).all() and (other.lo <= self.hi).all())
-
-    def contains_point(self, p) -> bool:
-        p = np.asarray(p, dtype=np.float64)
-        return bool((self.lo <= p).all() and (p <= self.hi).all())
-
-    def inflated(self, margin: float) -> "Aabb":
-        return Aabb(self.lo - margin, self.hi + margin)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Aabb):
@@ -125,22 +114,10 @@ class TriMesh:
         return chain_boundary_loops(boundary_edges(self.faces))
 
 
-def directed_edges(faces: np.ndarray) -> np.ndarray:
-    """All 3m directed edges (u, v) of the face array, face-major order."""
-    faces = np.asarray(faces)
-    return np.stack(
-        [faces[:, [0, 1, 2]].ravel(), faces[:, [1, 2, 0]].ravel()], axis=1
-    )
-
-
 def boundary_edges(faces: np.ndarray) -> np.ndarray:
-    """Directed edges whose reverse does not occur (surface boundary)."""
-    if len(faces) == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    de = directed_edges(faces)
-    have = set(map(tuple, de))
-    mask = [(v, u) not in have for u, v in de]
-    return de[np.asarray(mask, dtype=bool)]
+    """Directed edges whose reverse does not occur (surface boundary), in face order."""
+    table = EdgeTable(faces)
+    return np.stack([table.u, table.v], axis=1)[table.boundary]
 
 
 def chain_boundary_loops(bedges: np.ndarray) -> list[list[int]]:
@@ -170,16 +147,8 @@ def is_closed_manifold(mesh: TriMesh) -> bool:
     """Every undirected edge shared by exactly two faces, opposite directions."""
     if mesh.num_faces == 0:
         return False
-    de = directed_edges(mesh.faces)
-    seen = {}
-    for u, v in map(tuple, de):
-        if u == v or (u, v) in seen:
-            return False
-        seen[(u, v)] = True
-    for u, v in seen:
-        if (v, u) not in seen:
-            return False
-    return True
+    table = EdgeTable(mesh.faces)
+    return not ((table.u == table.v).any() or table.duplicate.any() or table.boundary.any())
 
 
 def mesh_aabb(mesh: TriMesh) -> Aabb:
@@ -215,38 +184,25 @@ def euler_characteristic(mesh: TriMesh) -> int:
     """V - E + F counting only referenced vertices and undirected edges."""
     if mesh.num_faces == 0:
         return 0
-    verts = np.unique(mesh.faces)
-    de = directed_edges(mesh.faces)
-    und = np.unique(np.sort(de, axis=1), axis=0)
-    return int(len(verts) - len(und) + len(mesh.faces))
+    table = EdgeTable(mesh.faces)
+    # One edge per directed key; a pair seen in both directions counts from its u <= v side.
+    undirected = ~table.duplicate & ((table.u <= table.v) | table.boundary)
+    return int(len(np.unique(mesh.faces)) - int(undirected.sum()) + mesh.num_faces)
 
 
 def connected_face_components(faces: np.ndarray) -> list[np.ndarray]:
-    """Group face ids into edge-connected components."""
+    """Group face ids into edge-connected components, ordered by lowest face id."""
     if len(faces) == 0:
         return []
-    owner = {}
-    for fi, tri in enumerate(faces):
-        for k in range(3):
-            u, v = tri[k], tri[(k + 1) % 3]
-            owner.setdefault((min(u, v), max(u, v)), []).append(fi)
-    parent = list(range(len(faces)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for fids in owner.values():
-        for other in fids[1:]:
-            ra, rb = find(fids[0]), find(other)
-            if ra != rb:
-                parent[rb] = ra
-    groups = {}
-    for fi in range(len(faces)):
-        groups.setdefault(find(fi), []).append(fi)
-    return [np.asarray(g, dtype=np.int64) for g in sorted(groups.values(), key=lambda g: g[0])]
+    table = EdgeTable(faces)
+    # Faces sharing an edge in either direction meet via first (same key) or twin.
+    edges = np.arange(len(table.u))
+    paired = edges[~table.boundary]
+    a = np.concatenate([edges, paired]) // 3
+    b = np.concatenate([table.first, table.twin[paired]]) // 3
+    label = min_labels(len(table.faces), a, b)
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.nonzero(np.diff(label[order]))[0] + 1)
 
 
 def compact_submesh(vertices: np.ndarray, faces: np.ndarray, source="A", name="") -> TriMesh:

@@ -1,31 +1,97 @@
-"""Directed-edge adjacency for one surface of the merged mesh.
+"""Directed-edge table of one triangle surface.
 
-Provides the region flood (advancing-front growth that never crosses
-intersection edges) and boundary-cycle walking used by loop completion and
-sub-surface construction. Faces are triangles over global vertex ids; on a
-manifold surface each directed edge belongs to exactly one face.
+Edge e = 3*f + k of a face array is the directed edge (faces[f, k],
+faces[f, (k + 1) % 3]) and belongs to face e // 3. EdgeTable sorts the int64
+keys u*n + v once (n = largest vertex id + 1, so each directed pair has its
+own key while n*n fits in int64) and reads adjacency off the sorted keys:
+
+- first[e]: the lowest edge id with the same key as e (the sort is stable).
+- duplicate: first[e] != e, every occurrence of a key after its first. It is
+  empty on a surface whose faces agree on winding; a set bit means two faces
+  traverse one edge in the same direction.
+- twin[e]: the lowest edge id with key v*n + u, -1 when there is none.
+  Without duplicates the twin is unique and twin[twin[e]] == e.
+- boundary: twin < 0, the directed edges whose reverse does not occur.
+
+SurfaceTopology requires an empty duplicate mask and adds what loop
+completion and sub-surface construction need: region floods (components
+over twin pairs that are not walls, labelled by hook-and-compress so region
+ids follow the lowest face id), region boundaries, and the boundary-cycle
+walk, the only Python loop, which visits boundary edges only.
 """
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
 from .errors import TopologyError
 
 
-class SurfaceTopology:
+def min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smallest node id in each node's component of the graph with edges (a[i], b[i]).
+
+    Hook and compress: each round hooks the larger root of every edge whose
+    ends still differ onto the smaller one, then pointer-jumps every node to
+    its root. Labels only decrease, so the hooks never form a cycle.
+    """
+    label = np.arange(n, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    while len(a):
+        la, lb = label[a], label[b]
+        cross = la != lb
+        a, b, la, lb = a[cross], b[cross], la[cross], lb[cross]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    return label
+
+
+class EdgeTable:
     def __init__(self, faces: np.ndarray):
-        self.faces = np.asarray(faces, dtype=np.int64)
-        self.edge_face: dict[tuple[int, int], int] = {}
-        for fi, (a, b, c) in enumerate(map(tuple, self.faces)):
-            for u, v in ((a, b), (b, c), (c, a)):
-                if (u, v) in self.edge_face:
-                    raise TopologyError(f"directed edge {(u, v)} used twice")
-                self.edge_face[(u, v)] = fi
+        self.faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+        self.u = self.faces.ravel()
+        self.v = self.faces[:, [1, 2, 0]].ravel()
+        self.n = int(self.faces.max()) + 1 if len(self.faces) else 0
+        key = self.u * self.n + self.v
+        self.order = np.argsort(key, kind="stable")
+        self.keys = key[self.order]
+        run_start = np.ones(len(key), dtype=bool)
+        run_start[1:] = self.keys[1:] != self.keys[:-1]
+        self.first = np.empty_like(self.order)
+        self.first[self.order] = self.order[run_start][np.cumsum(run_start) - 1]
+        reverse = self.v * self.n + self.u
+        pos = np.minimum(self.keys.searchsorted(reverse), len(key) - 1)
+        self.twin = np.where(self.keys[pos] == reverse, self.order[pos], -1)
+        self.boundary = self.twin < 0
+        self.duplicate = self.first != np.arange(len(key))
 
     def face_of(self, u: int, v: int) -> int | None:
-        return self.edge_face.get((u, v))
+        """Face holding the directed edge (u, v), None when there is none."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return None
+        key = u * self.n + v
+        pos = int(self.keys.searchsorted(key))
+        if pos == len(self.keys) or self.keys[pos] != key:
+            return None
+        return int(self.order[pos]) // 3
+
+    def faces_on(self, u: int, v: int) -> np.ndarray:
+        """Faces using the edge {u, v} in either direction, once per use, in face order."""
+        keys = sorted({u * self.n + v, v * self.n + u})
+        lo = self.keys.searchsorted(keys)
+        hi = self.keys.searchsorted(keys, side="right")
+        return np.sort(np.concatenate([self.order[s:e] for s, e in zip(lo, hi)])) // 3
+
+
+class SurfaceTopology(EdgeTable):
+    def __init__(self, faces: np.ndarray):
+        super().__init__(faces)
+        if self.duplicate.any():
+            e = int(np.argmax(self.duplicate))
+            raise TopologyError(f"directed edge {(int(self.u[e]), int(self.v[e]))} used twice")
 
     def third(self, fi: int, u: int, v: int) -> int:
         a, b, c = self.faces[fi]
@@ -34,74 +100,44 @@ class SurfaceTopology:
                 return int(x)
         raise TopologyError(f"face {fi} is degenerate")
 
-    def flood_regions(self, walls: set[tuple[int, int]]) -> np.ndarray:
+    def _region_roots(self, walls) -> np.ndarray:
+        """Lowest face id of each face's region; regions never cross walls."""
+        e = np.nonzero(~self.boundary)[0]
+        w = np.asarray(list(walls), dtype=np.int64).reshape(-1, 2)
+        w = w[(w.min(axis=1) >= 0) & (w.max(axis=1) < self.n)]
+        if len(w):
+            u, v = self.u[e], self.v[e]
+            crossed = np.minimum(u, v) * self.n + np.maximum(u, v)
+            e = e[~np.isin(crossed, w[:, 0] * self.n + w[:, 1])]
+        return min_labels(len(self.faces), e // 3, self.twin[e] // 3)
+
+    def flood_regions(self, walls) -> np.ndarray:
         """Label faces by flooding across shared edges not listed in walls.
 
         walls holds undirected vertex pairs as (min, max) tuples. Every face
         gets a label; label order follows the lowest face id per region.
         """
-        n = len(self.faces)
-        labels = np.full(n, -1, dtype=np.int64)
-        current = 0
-        for seed in range(n):
-            if labels[seed] >= 0:
-                continue
-            labels[seed] = current
-            queue = deque([seed])
-            while queue:
-                fi = queue.popleft()
-                a, b, c = self.faces[fi]
-                for u, v in ((a, b), (b, c), (c, a)):
-                    key = (u, v) if u < v else (v, u)
-                    if key in walls:
-                        continue
-                    g = self.edge_face.get((v, u))
-                    if g is not None and labels[g] < 0:
-                        labels[g] = current
-                        queue.append(g)
-            current += 1
-        return labels
+        return np.unique(self._region_roots(walls), return_inverse=True)[1]
 
-    def flood_from(self, seeds, walls: set[tuple[int, int]]) -> np.ndarray:
+    def flood_from(self, seeds, walls) -> np.ndarray:
         """Faces reachable from the seed faces without crossing walls."""
-        visited = set()
-        queue = deque()
-        for s in seeds:
-            if s not in visited:
-                visited.add(int(s))
-                queue.append(int(s))
-        while queue:
-            fi = queue.popleft()
-            a, b, c = self.faces[fi]
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                if key in walls:
-                    continue
-                g = self.edge_face.get((v, u))
-                if g is not None and g not in visited:
-                    visited.add(g)
-                    queue.append(g)
-        return np.asarray(sorted(visited), dtype=np.int64)
+        roots = self._region_roots(walls)
+        return np.nonzero(np.isin(roots, roots[np.asarray(seeds, dtype=np.int64)]))[0]
 
     def region_boundary(self, member: np.ndarray) -> list[tuple[int, int]]:
         """Directed edges of member faces whose twin lies outside the set."""
         flags = np.zeros(len(self.faces), dtype=bool)
         flags[np.asarray(member, dtype=np.int64)] = True
-        out = []
-        for fi in np.nonzero(flags)[0]:
-            a, b, c = self.faces[int(fi)]
-            for u, v in ((a, b), (b, c), (c, a)):
-                g = self.edge_face.get((v, u))
-                if g is None or not flags[g]:
-                    out.append((int(u), int(v)))
-        return out
+        across = np.where(self.boundary, False, flags[self.twin // 3])
+        mask = np.repeat(flags, 3) & ~across
+        return list(zip(self.u[mask].tolist(), self.v[mask].tolist()))
 
     def next_boundary_edge(self, u: int, v: int, in_region) -> tuple[int, int]:
         """Fan-walk around v inside the region to the successor boundary edge."""
-        fi = self.edge_face[(u, v)]
+        fi = self.face_of(u, v)
         w = self.third(fi, u, v)
         while True:
-            g = self.edge_face.get((w, v))
+            g = self.face_of(w, v)
             if g is None or not in_region(g):
                 return (v, w)
             w = self.third(g, w, v)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import logging
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +18,6 @@ from .geometry import TriMesh, triangle_normals
 log = logging.getLogger(__name__)
 
 DEBUG_SCHEMA_VERSION = 1
-
-
-@dataclass
-class MeshFile:
-    path: str
-    format: str  # stl_ascii | stl_binary | obj
 
 
 def sniff_format(path) -> str:
@@ -146,10 +139,7 @@ def _load_obj(path, source) -> TriMesh:
 
 
 def load_mesh(path, source: str = "A", format: str | None = None) -> TriMesh:
-    """Load an STL or OBJ file (or MeshFile record) into an indexed TriMesh."""
-    if isinstance(path, MeshFile):
-        format = format or path.format
-        path = path.path
+    """Load an STL or OBJ file into an indexed TriMesh."""
     try:
         fmt = format or sniff_format(path)
         if fmt == "stl_binary":
@@ -165,9 +155,6 @@ def load_mesh(path, source: str = "A", format: str | None = None) -> TriMesh:
 
 def save_mesh(mesh: TriMesh, path, format: str | None = None) -> None:
     """Write a mesh; format inferred from the extension unless given."""
-    if isinstance(path, MeshFile):
-        format = format or path.format
-        path = path.path
     fmt = format
     if fmt is None:
         ext = Path(path).suffix.lower()

@@ -188,11 +188,10 @@ def close_open_loops_on_boundary(
     an endpoint away from the boundary are reported as dangling and excluded.
     """
     topo = SurfaceTopology(surface.faces)
-    boundary_verts = {u for (u, v) in topo.edge_face if (v, u) not in topo.edge_face}
+    boundary_verts = set(topo.u[topo.boundary].tolist())
 
     dangling: list[DanglingLoop] = []
-    walls: set[tuple[int, int]] = set()
-    mesh_pairs = {(min(u, v), max(u, v)) for (u, v) in topo.edge_face}
+    walls: list[tuple[int, int]] = []
     for lp in loops:
         if lp.kind == OPEN:
             ends = (lp.verts[0], lp.verts[-1])
@@ -200,17 +199,14 @@ def close_open_loops_on_boundary(
                 dangling.append(DanglingLoop(lp.id, ends))
                 log.warning("loop %d dangles at %s; excluded from completion", lp.id, ends)
                 continue
-        for u, v in lp.vertex_pairs:
-            key = (u, v) if u < v else (v, u)
-            if key in mesh_pairs:
-                walls.add(key)
+        walls.extend((u, v) if u < v else (v, u) for u, v in lp.vertex_pairs)
 
     labels = topo.flood_regions(walls)
     completed: list[OrientedLoop] = []
     for rid in range(int(labels.max()) + 1 if len(labels) else 0):
         member = np.nonzero(labels == rid)[0]
         for cyc in topo.boundary_cycles(member):
-            if any((v, u) not in topo.edge_face for (u, v) in cyc):
+            if any(topo.face_of(v, u) is None for (u, v) in cyc):
                 verts = [u for (u, _) in cyc]
                 completed.append(OrientedLoop(next_id + len(completed), verts, COMPLETED))
     return completed, dangling

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import TopologyError
 from .geometry import TriMesh, is_closed_manifold, triangle_areas
+from .halfedge import EdgeTable
 
 log = logging.getLogger(__name__)
 
@@ -28,7 +29,7 @@ class MergedState:
     vertices: np.ndarray
     faces: np.ndarray          # (m, 3) indices into vertices
     face_source: np.ndarray    # (m,) 0 for A, 1 for B
-    face_parent: np.ndarray    # (m,) original triangle id, -1 when untouched... see build
+    face_parent: np.ndarray    # (m,) parent triangle id of a re-triangulated child, -1 for an untouched face
     edges: np.ndarray          # (e, 2) unique undirected intersection edges
     edge_tri_pairs: list       # one (tri_a, tri_b) witness per edge
     tol: float
@@ -90,13 +91,8 @@ def merge_vertices(raw: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
     return raw[keep].copy(), remap
 
 
-def compute_extrema(vertices) -> np.ndarray:
-    """Per-axis argmin/argmax vertex indices, ties to the lowest index.
-
-    Accepts the merged vertex array or a whole MergedState.
-    """
-    if isinstance(vertices, MergedState):
-        vertices = vertices.vertices
+def compute_extrema(vertices: np.ndarray) -> np.ndarray:
+    """Per-axis argmin/argmax vertex indices, ties to the lowest index."""
     out = np.empty(6, dtype=np.int64)
     for axis in range(3):
         out[2 * axis] = int(np.argmin(vertices[:, axis]))
@@ -105,15 +101,12 @@ def compute_extrema(vertices) -> np.ndarray:
 
 
 def _directed_edge_duplicates(faces: np.ndarray) -> dict[tuple[int, int], list[int]]:
+    """Repeated directed edges -> ids of the faces using them, in face order."""
+    table = EdgeTable(faces)
     bad: dict[tuple[int, int], list[int]] = {}
-    seen: dict[tuple[int, int], int] = {}
-    for fi, tri in enumerate(faces):
-        for k in range(3):
-            e = (int(tri[k]), int(tri[(k + 1) % 3]))
-            if e in seen:
-                bad.setdefault(e, [seen[e]]).append(fi)
-            else:
-                seen[e] = fi
+    for e in np.nonzero(table.duplicate)[0].tolist():
+        edge = (int(table.u[e]), int(table.v[e]))
+        bad.setdefault(edge, [int(table.first[e]) // 3]).append(e // 3)
     return bad
 
 

@@ -18,6 +18,7 @@ from . import loops as lps
 from . import subsurfaces as ssf
 from .errors import CoincidentInput, GeometryError, NotClosed, TopologyError
 from .geometry import TriMesh, mesh_aabb, signed_volume
+from .halfedge import EdgeTable
 from .intersect import intersect_all
 from .merge import build_merged_state
 from .octree import OctreeConfig, build_octree, candidate_pairs, clip_to_shared_region, triangle_boxes
@@ -75,12 +76,7 @@ class PipelineState:
 def _propagate_edge_points(mesh: TriMesh, per_face: dict, tol: float) -> dict:
     """Points every face must embed because a neighbour subdivides the shared
     edge there (keeps the re-triangulated surface free of T-junctions)."""
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for fid, tri in enumerate(mesh.faces):
-        for k in range(3):
-            u, v = int(tri[k]), int(tri[(k + 1) % 3])
-            edge_faces.setdefault((min(u, v), max(u, v)), []).append(fid)
-
+    table = EdgeTable(mesh.faces)
     extra: dict[int, list] = {}
     for fid, segs in per_face.items():
         tri_idx = mesh.faces[fid]
@@ -99,7 +95,7 @@ def _propagate_edge_points(mesh: TriMesh, per_face: dict, tol: float) -> dict:
                     continue
                 if float(np.linalg.norm(p - (va + t * ab))) >= tol:
                     continue
-                for nb in edge_faces[(min(u, v), max(u, v))]:
+                for nb in table.faces_on(u, v).tolist():
                     if nb != fid:
                         extra.setdefault(nb, []).append(p)
     return extra

@@ -654,8 +654,6 @@ def split_triangle(
             area += shoelace(np.asarray([nodes2[i] for i in h]))
         total += area
         poly = SplitPolygon(ring3, parent_tri, normal, holes3)
-        poly.ring_nodes = list(outer_cycle)
-        poly.hole_nodes = [list(h) for h in hole_cycles]
         poly.ring2d = np.asarray([nodes2[i] for i in outer_cycle])
         poly.holes2d = [np.asarray([nodes2[i] for i in h]) for h in hole_cycles]
         polys.append(poly)

@@ -34,7 +34,6 @@ class SubSurface:
     cycles: int = 0                          # connected boundary cycles
     has_boundary_loop: bool = False
     is_public: bool = False
-    boundary_cycle_verts: list = field(default_factory=list)
 
     @property
     def key(self) -> frozenset:
@@ -49,8 +48,7 @@ class _SurfaceData:
         self.tag = "A" if source == 0 else "B"
         self.face_ids = state.surface_face_ids(source)
         self.topo = SurfaceTopology(state.faces[self.face_ids])
-        mesh_pairs = {(min(u, v), max(u, v)) for (u, v) in self.topo.edge_face}
-        self.walls = {key for key in edge_map if key in mesh_pairs}
+        self.walls = list(edge_map)
         self.edge_map = edge_map
 
 
@@ -59,11 +57,9 @@ def _region_subsurface(data: _SurfaceData, member_local, ss_id, loops) -> SubSur
     cycles = data.topo.boundary_cycles(member_local)
     owners: dict[tuple[int, int], int] = {}
     has_boundary = False
-    cycle_verts = []
     for cyc in cycles:
-        cycle_verts.append([u for (u, _) in cyc])
         for u, v in cyc:
-            if (v, u) not in data.topo.edge_face:
+            if data.topo.face_of(v, u) is None:
                 has_boundary = True
                 continue
             key = (u, v) if u < v else (v, u)
@@ -84,11 +80,10 @@ def _region_subsurface(data: _SurfaceData, member_local, ss_id, loops) -> SubSur
     ss = SubSurface(
         id=ss_id,
         source=data.tag,
-        triangles=data.face_ids[np.asarray(sorted(member_local), dtype=np.int64)],
+        triangles=data.face_ids[np.sort(np.asarray(member_local, dtype=np.int64))],
         owners=sorted(owners),
         cycles=len(cycles),
         has_boundary_loop=has_boundary,
-        boundary_cycle_verts=cycle_verts,
     )
     return ss
 

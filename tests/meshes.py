@@ -3,10 +3,16 @@
 Oracles here deliberately avoid the library's own code paths: volumes are
 summed per tetrahedron in a plain loop, containment uses its own axis-ray
 parity counter, and candidate-pair ground truth is the O(n*m) box test.
+The edge-adjacency oracles are the dict and set implementations that the
+numpy edge table in meshbool.halfedge replaced, kept to test it against.
 """
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
+
+from meshbool.errors import TopologyError
 
 from meshbool.geometry import TriMesh
 
@@ -431,3 +437,231 @@ def random_simple_polygon(rng, n=10, spikiness=0.45):
             break
     radii = rng.uniform(1 - spikiness, 1 + spikiness, size=n)
     return np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Edge-adjacency oracles: one Python dict or set entry per directed edge
+# ---------------------------------------------------------------------------
+
+
+def _oracle_directed_edges(faces) -> np.ndarray:
+    faces = np.asarray(faces)
+    return np.stack([faces[:, [0, 1, 2]].ravel(), faces[:, [1, 2, 0]].ravel()], axis=1)
+
+
+def oracle_boundary_edges(faces) -> np.ndarray:
+    if len(faces) == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    de = _oracle_directed_edges(faces)
+    have = set(map(tuple, de))
+    mask = [(v, u) not in have for u, v in de]
+    return de[np.asarray(mask, dtype=bool)]
+
+
+def oracle_is_closed_manifold(mesh: TriMesh) -> bool:
+    if mesh.num_faces == 0:
+        return False
+    seen = {}
+    for u, v in map(tuple, _oracle_directed_edges(mesh.faces)):
+        if u == v or (u, v) in seen:
+            return False
+        seen[(u, v)] = True
+    for u, v in seen:
+        if (v, u) not in seen:
+            return False
+    return True
+
+
+def oracle_euler_characteristic(mesh: TriMesh) -> int:
+    if mesh.num_faces == 0:
+        return 0
+    verts = np.unique(mesh.faces)
+    und = np.unique(np.sort(_oracle_directed_edges(mesh.faces), axis=1), axis=0)
+    return int(len(verts) - len(und) + len(mesh.faces))
+
+
+def oracle_connected_face_components(faces) -> list[np.ndarray]:
+    if len(faces) == 0:
+        return []
+    owner = {}
+    for fi, tri in enumerate(faces):
+        for k in range(3):
+            u, v = tri[k], tri[(k + 1) % 3]
+            owner.setdefault((min(u, v), max(u, v)), []).append(fi)
+    parent = list(range(len(faces)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for fids in owner.values():
+        for other in fids[1:]:
+            ra, rb = find(fids[0]), find(other)
+            if ra != rb:
+                parent[rb] = ra
+    groups = {}
+    for fi in range(len(faces)):
+        groups.setdefault(find(fi), []).append(fi)
+    return [np.asarray(g, dtype=np.int64) for g in sorted(groups.values(), key=lambda g: g[0])]
+
+
+def oracle_directed_edge_duplicates(faces) -> dict[tuple[int, int], list[int]]:
+    bad: dict[tuple[int, int], list[int]] = {}
+    seen: dict[tuple[int, int], int] = {}
+    for fi, tri in enumerate(faces):
+        for k in range(3):
+            e = (int(tri[k]), int(tri[(k + 1) % 3]))
+            if e in seen:
+                bad.setdefault(e, [seen[e]]).append(fi)
+            else:
+                seen[e] = fi
+    return bad
+
+
+def oracle_propagate_edge_points(mesh: TriMesh, per_face: dict, tol: float) -> dict:
+    edge_faces: dict[tuple[int, int], list[int]] = {}
+    for fid, tri in enumerate(mesh.faces):
+        for k in range(3):
+            u, v = int(tri[k]), int(tri[(k + 1) % 3])
+            edge_faces.setdefault((min(u, v), max(u, v)), []).append(fid)
+
+    extra: dict[int, list] = {}
+    for fid, segs in per_face.items():
+        tri_idx = mesh.faces[fid]
+        for p in {tuple(q) for pq in segs for q in pq}:
+            p = np.asarray(p)
+            for k in range(3):
+                u, v = int(tri_idx[k]), int(tri_idx[(k + 1) % 3])
+                va, vb = mesh.vertices[u], mesh.vertices[v]
+                ab = vb - va
+                length2 = float(ab @ ab)
+                if length2 == 0.0:
+                    continue
+                t = float((p - va) @ ab) / length2
+                length = length2 ** 0.5
+                if not (tol < t * length < length - tol):
+                    continue
+                if float(np.linalg.norm(p - (va + t * ab))) >= tol:
+                    continue
+                for nb in edge_faces[(min(u, v), max(u, v))]:
+                    if nb != fid:
+                        extra.setdefault(nb, []).append(p)
+    return extra
+
+
+class OracleSurfaceTopology:
+    """Directed edge -> face dict with breadth-first floods and fan walks."""
+
+    def __init__(self, faces):
+        self.faces = np.asarray(faces, dtype=np.int64)
+        self.edge_face: dict[tuple[int, int], int] = {}
+        for fi, (a, b, c) in enumerate(map(tuple, self.faces)):
+            for u, v in ((a, b), (b, c), (c, a)):
+                if (u, v) in self.edge_face:
+                    raise TopologyError(f"directed edge {(u, v)} used twice")
+                self.edge_face[(u, v)] = fi
+
+    def face_of(self, u, v):
+        return self.edge_face.get((u, v))
+
+    def third(self, fi, u, v):
+        a, b, c = self.faces[fi]
+        for x in (a, b, c):
+            if x != u and x != v:
+                return int(x)
+        raise TopologyError(f"face {fi} is degenerate")
+
+    def flood_regions(self, walls) -> np.ndarray:
+        n = len(self.faces)
+        labels = np.full(n, -1, dtype=np.int64)
+        current = 0
+        for seed in range(n):
+            if labels[seed] >= 0:
+                continue
+            labels[seed] = current
+            queue = deque([seed])
+            while queue:
+                fi = queue.popleft()
+                a, b, c = self.faces[fi]
+                for u, v in ((a, b), (b, c), (c, a)):
+                    key = (u, v) if u < v else (v, u)
+                    if key in walls:
+                        continue
+                    g = self.edge_face.get((v, u))
+                    if g is not None and labels[g] < 0:
+                        labels[g] = current
+                        queue.append(g)
+            current += 1
+        return labels
+
+    def flood_from(self, seeds, walls) -> np.ndarray:
+        visited = set()
+        queue = deque()
+        for s in seeds:
+            if s not in visited:
+                visited.add(int(s))
+                queue.append(int(s))
+        while queue:
+            fi = queue.popleft()
+            a, b, c = self.faces[fi]
+            for u, v in ((a, b), (b, c), (c, a)):
+                key = (u, v) if u < v else (v, u)
+                if key in walls:
+                    continue
+                g = self.edge_face.get((v, u))
+                if g is not None and g not in visited:
+                    visited.add(g)
+                    queue.append(g)
+        return np.asarray(sorted(visited), dtype=np.int64)
+
+    def region_boundary(self, member) -> list[tuple[int, int]]:
+        flags = np.zeros(len(self.faces), dtype=bool)
+        flags[np.asarray(member, dtype=np.int64)] = True
+        out = []
+        for fi in np.nonzero(flags)[0]:
+            a, b, c = self.faces[int(fi)]
+            for u, v in ((a, b), (b, c), (c, a)):
+                g = self.edge_face.get((v, u))
+                if g is None or not flags[g]:
+                    out.append((int(u), int(v)))
+        return out
+
+    def next_boundary_edge(self, u, v, in_region) -> tuple[int, int]:
+        fi = self.edge_face[(u, v)]
+        w = self.third(fi, u, v)
+        while True:
+            g = self.edge_face.get((w, v))
+            if g is None or not in_region(g):
+                return (v, w)
+            w = self.third(g, w, v)
+
+    def boundary_cycles(self, member) -> list[list[tuple[int, int]]]:
+        flags = np.zeros(len(self.faces), dtype=bool)
+        flags[member] = True
+
+        def in_region(g):
+            return bool(flags[g])
+
+        edges = sorted(self.region_boundary(np.asarray(member)))
+        unused = set(edges)
+        cycles = []
+        for start in edges:
+            if start not in unused:
+                continue
+            cyc = [start]
+            unused.discard(start)
+            cur = self.next_boundary_edge(start[0], start[1], in_region)
+            guard = 0
+            while cur != start:
+                if cur not in unused:
+                    raise TopologyError(f"boundary walk left the region at edge {cur}")
+                cyc.append(cur)
+                unused.discard(cur)
+                cur = self.next_boundary_edge(cur[0], cur[1], in_region)
+                guard += 1
+                if guard > 4 * len(self.faces) + 16:
+                    raise TopologyError("boundary walk did not close")
+            cycles.append(cyc)
+        return cycles

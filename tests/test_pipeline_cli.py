@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pytest
 
@@ -5,7 +6,7 @@ from meshbool.cli import RunConfig, main, run
 from meshbool.geometry import signed_volume
 from meshbool.io import load_mesh, save_mesh
 from meshbool.pipeline import STAGES, run_pipeline
-from meshes import cube, tangent_cylinders, torus_pair, vw_pair
+from meshes import cube, icosphere, tangent_cylinders, torus_pair, vw_pair
 
 
 def write_pair(tmp_path, a, b, ext=".stl"):
@@ -92,6 +93,50 @@ def test_byte_identical_outputs_across_runs_and_threads(tmp_path):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+# SHA-256 of every file `all` writes, recorded with the dict-based edge
+# adjacency that the numpy edge table replaced. A rewrite of any stage must
+# leave these bytes unchanged; change a digest only with a deliberate change
+# of output.
+RECORDED_OUTPUTS = {
+    "cube_sphere": (
+        lambda: (cube((-1, -1, -1), 2.0, "A"), icosphere(1.3, subdivisions=3, source="B")),
+        {
+            "a_minus_b.stl": "42fa7d87663ad18a18ba34defdee441ff478a839719110a71597fbe42a20d49e",
+            "b_minus_a_0.stl": "8e7029a43af0c808d2bbc2c15c7e7c0bde365bfd4ef658a4a67f5dcccf4fd504",
+            "b_minus_a_1.stl": "8cba7605a5c020a09dbf96aed00515db77ea88ded36acc46fbe16e11b7f611c7",
+            "b_minus_a_2.stl": "ed3b89d7bc90eece4a8bef91bf23a94c00ffae91a6368f7c3cdb53b82a244c50",
+            "b_minus_a_3.stl": "b9a3f47814044ff4330c7bf134d6c2eeca36aa7452059177aba0dc9bbb8aeed6",
+            "b_minus_a_4.stl": "85814c820ed2cec397c5f6ae8e03fabae3ea4be1e1faec7fccd880ddd1c8ce69",
+            "b_minus_a_5.stl": "605861f1474fe9769cfe7bf9dc99f37381f7f6742914b3fbf4c9079b19af3143",
+            "intersection.stl": "2e9a329215eaed830510eb46442dde13f3b4f5d5d57eeecfc25fc95b67644d4e",
+            "union.stl": "04a21d935e08f7f34337d5dc2b4974190a4d436b51fdbc381d7e0ad320ea0429",
+        },
+    ),
+    "torus_pair": (
+        lambda: torus_pair(1.0, 0.35, n_major=24, n_minor=12),
+        {
+            "a_minus_b_0.stl": "b1db4efd4c112b270075a00b0b63ea13a638e00371a0b4f6a279fa2b36eec99e",
+            "a_minus_b_1.stl": "60ec569bef89b713872b1e596c108fec93b4c32676fbaf9e7a94176efccebf1d",
+            "b_minus_a_0.stl": "1c8b36cd80e31b233ec9fd3d907ffcf9934f746470d7c2de4998f4de3e64a191",
+            "b_minus_a_1.stl": "a55972399dd69d37d2c0d81928b89b9e778dfbf86553594a62d34aafe67a04f1",
+            "intersection_0.stl": "50329451686e24a738fec75409d2eb7d9346e107f7e81e9310408f72a3e5d452",
+            "intersection_1.stl": "450a076de183324b931f319f59771257c709ef7e20c0ae5b821ded88900fd248",
+            "union.stl": "b0b1b57ec68a0f62b734a6098d888c58a71a08a1170fff32c1c752a9b66c10d6",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_OUTPUTS))
+def test_all_outputs_match_recorded_digests(tmp_path, name):
+    make, digests = RECORDED_OUTPUTS[name]
+    pa, pb = write_pair(tmp_path, *make())
+    outdir = tmp_path / "out"
+    assert main(["all", pa, pb, "-o", str(outdir)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outdir.iterdir()}
+    assert got == digests
 
 
 def test_env_var_threads_fallback(tmp_path, monkeypatch):
