@@ -234,6 +234,7 @@ def classify_subtractions(
 def _validated(mesh: TriMesh) -> TriMesh:
     if not is_closed_manifold(mesh):
         raise ClassificationError(f"output mesh {mesh.name!r} is not a closed manifold")
+    mesh._closed = True  # a closed manifold has faces and no boundary edge
     if signed_volume(mesh) <= 0:
         raise ClassificationError(f"output mesh {mesh.name!r} is not outward-oriented")
     return mesh
@@ -257,6 +258,13 @@ def combine_meshes(meshes) -> TriMesh:
 
 def meshes_coincident(a: TriMesh, b: TriMesh, tol: float) -> bool:
     if a.num_vertices != b.num_vertices or a.num_faces != b.num_faces:
+        return False
+    # Weld clusters lie within tol of their first point, so coincident
+    # meshes have boxes of referenced vertices less than 2 tol apart.
+    corners = [m.vertices[m.faces.ravel()] for m in (a, b)]
+    lo_a, lo_b = (p.min(axis=0, initial=np.inf) for p in corners)
+    hi_a, hi_b = (p.max(axis=0, initial=-np.inf) for p in corners)
+    if (np.abs(lo_a - lo_b) > 2 * tol).any() or (np.abs(hi_a - hi_b) > 2 * tol).any():
         return False
     raw = np.concatenate([a.vertices, b.vertices])
     merged, remap = merge_vertices(raw, tol)

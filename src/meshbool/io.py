@@ -46,8 +46,14 @@ def _index_soup(tris: np.ndarray, source: str, name: str) -> TriMesh:
     if len(tris) == 0:
         raise EmptyInput(f"{name}: no facets")
     flat = tris.reshape(-1, 3)
-    verts, inverse = np.unique(flat, axis=0, return_inverse=True)
-    faces = inverse.reshape(-1, 3)
+    # Equal rows form runs in a stable lexicographic sort, so the first of
+    # them (say -0.0 before 0.0) becomes the vertex.
+    order = np.lexsort(flat.T[::-1])
+    rows = flat[order]
+    new = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
+    faces = np.empty(len(flat), dtype=np.int64)
+    faces[order] = np.cumsum(new) - 1
+    verts, faces = rows[new], faces.reshape(-1, 3)
     degen = (faces[:, 0] == faces[:, 1]) | (faces[:, 1] == faces[:, 2]) | (faces[:, 2] == faces[:, 0])
     if degen.any():
         log.warning("%s: dropped %d degenerate facet(s)", name, int(degen.sum()))

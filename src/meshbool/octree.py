@@ -6,7 +6,7 @@ cube. Boxes for all clipped triangles are computed once up front.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,17 +27,19 @@ class OctreeConfig:
 
 
 @dataclass
-class OctreeNode:
+class Octree:
+    """The leaves as flat arrays: boxes lo, hi (L, 3) and depth (L,); per side,
+    (leaf ids, triangle ids) memberships grouped by leaf, triangles ascending."""
+
     lo: np.ndarray
     hi: np.ndarray
-    depth: int
-    tris_a: np.ndarray
-    tris_b: np.ndarray
-    children: list = field(default_factory=list)
+    depth: np.ndarray
+    a: tuple[np.ndarray, np.ndarray]
+    b: tuple[np.ndarray, np.ndarray]
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
+
+# Octant o takes the upper half of axis k when bit k of o is set.
+_OCTANT_BITS = ((np.arange(8)[:, None] >> np.arange(3)) & 1).astype(bool)
 
 
 def triangle_boxes(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -91,58 +93,75 @@ def build_octree(
     boxes_b: tuple[np.ndarray, np.ndarray],
     root: Aabb,
     cfg: OctreeConfig | None = None,
-) -> OctreeNode:
-    """Recursive eight-way subdivision of the root cube.
+) -> Octree:
+    """Eight-way subdivision of the root cube, one depth level at a time.
 
     A node is a leaf when it reaches max depth, when both triangle counts
-    are within the capacity, or when either count is zero.
+    are within the capacity, or when either count is zero. A split node gets
+    eight children, and each of its triangles joins every child its box
+    touches (closed test).
     """
     cfg = cfg or OctreeConfig()
-    lo_a, hi_a = boxes_a
-    lo_b, hi_b = boxes_b
-
-    def make(lo, hi, depth, ia, ib):
-        node = OctreeNode(lo, hi, depth, ia, ib)
-        if (
-            depth >= cfg.max_depth
-            or (len(ia) <= cfg.leaf_capacity and len(ib) <= cfg.leaf_capacity)
-            or len(ia) == 0
-            or len(ib) == 0
-        ):
-            return node
+    lo, hi = (np.asarray(corner, float).reshape(1, 3) for corner in (root.lo, root.hi))
+    # Per side: (node, triangle) memberships of the current level, by node.
+    members = [(np.zeros(len(ids), np.int64), np.asarray(ids, np.int64)) for ids in (ids_a, ids_b)]
+    leaves, found, n_leaves, cap = [], ([], []), 0, cfg.leaf_capacity
+    for depth in range(cfg.max_depth + 1):
+        ca, cb = (np.bincount(node, minlength=len(lo)) for node, _ in members)
+        leaf = (depth >= cfg.max_depth) | ((ca <= cap) & (cb <= cap)) | (ca == 0) | (cb == 0)
+        leaf_id = n_leaves + np.cumsum(leaf) - 1
+        leaves.append((lo[leaf], hi[leaf], np.full(int(leaf.sum()), depth)))
+        n_leaves += len(leaves[-1][2])
+        for out, (node, tri) in zip(found, members):
+            done = leaf[node]
+            out.append((leaf_id[node[done]], tri[done]))
+        if leaf.all():
+            break
+        split = ~leaf
+        child_base = 8 * (np.cumsum(split) - 1)
         mid = 0.5 * (lo + hi)
-        for oct_index in range(8):
-            sel = np.array([oct_index & 1, (oct_index >> 1) & 1, (oct_index >> 2) & 1])
-            clo = np.where(sel == 0, lo, mid)
-            chi = np.where(sel == 0, mid, hi)
-            sub_a = ia[((lo_a[ia] <= chi) & (hi_a[ia] >= clo)).all(axis=1)]
-            sub_b = ib[((lo_b[ib] <= chi) & (hi_b[ib] >= clo)).all(axis=1)]
-            node.children.append(make(clo, chi, depth + 1, sub_a, sub_b))
-        return node
+        for side, ((node, tri), (t_lo, t_hi)) in enumerate(zip(members, (boxes_a, boxes_b))):
+            keep = split[node]
+            node, tri = node[keep], tri[keep]
+            m_lo, m_hi = t_lo[tri], t_hi[tri]
+            # Per axis, whether the box touches the lower and the upper half;
+            # touch[z, y, x] flattens to octant 4z + 2y + x, as in _OCTANT_BITS.
+            x, y, z = np.stack([
+                (m_lo <= mid[node]) & (m_hi >= lo[node]),
+                (m_lo <= hi[node]) & (m_hi >= mid[node]),
+            ]).transpose(2, 0, 1)
+            touch = z[:, None, None] & y[None, :, None] & x[None, None, :]
+            octant, row = np.nonzero(touch.reshape(8, -1))
+            child = child_base[node[row]] + octant
+            # Octant-major rows are eight runs sorted by child; a stable merge
+            # groups them by child and keeps triangle ids ascending.
+            order = np.argsort(child, kind="stable")
+            members[side] = (child[order], tri[row[order]])
+        plo, phi, pmid = lo[split][:, None], hi[split][:, None], mid[split][:, None]
+        lo = np.where(_OCTANT_BITS, pmid, plo).reshape(-1, 3)
+        hi = np.where(_OCTANT_BITS, phi, pmid).reshape(-1, 3)
+    lo, hi, depth = (np.concatenate(col) for col in zip(*leaves))
+    side_a, side_b = (tuple(np.concatenate(col) for col in zip(*parts)) for parts in found)
+    return Octree(lo, hi, depth, side_a, side_b)
 
-    ids_a = np.asarray(ids_a, dtype=np.int64)
-    ids_b = np.asarray(ids_b, dtype=np.int64)
-    return make(np.asarray(root.lo, float), np.asarray(root.hi, float), 0, ids_a, ids_b)
 
-
-def candidate_pairs(tree: OctreeNode) -> np.ndarray:
-    """Union over leaves of tris_a x tris_b, deduplicated and sorted."""
-    chunks = []
-
-    def walk(node):
-        if node.is_leaf:
-            if len(node.tris_a) and len(node.tris_b):
-                ga, gb = np.meshgrid(node.tris_a, node.tris_b, indexing="ij")
-                chunks.append(np.stack([ga.ravel(), gb.ravel()], axis=1))
-            return
-        for child in node.children:
-            walk(child)
-
-    walk(tree)
-    if not chunks:
+def candidate_pairs(tree: Octree) -> np.ndarray:
+    """Union over leaves of the A x B members, deduplicated and sorted."""
+    (leaf_a, tri_a), (leaf_b, tri_b) = tree.a, tree.b
+    count_b = np.bincount(leaf_b, minlength=len(tree.depth))
+    reps = count_b[leaf_a]
+    total = int(reps.sum())
+    if total == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    pairs = np.concatenate(chunks, axis=0)
-    return np.unique(pairs, axis=0)
+    # Each A membership meets every B membership of its leaf: row r of the
+    # cross product reads B membership start_b + (r - first) of that leaf.
+    start_b = np.cumsum(count_b) - count_b
+    first = np.cumsum(reps) - reps
+    rows = np.arange(total) - np.repeat(first - start_b[leaf_a], reps)
+    n_b = int(tri_b.max()) + 1
+    keys = np.sort(np.repeat(tri_a, reps) * n_b + tri_b[rows])
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return np.stack([keys // n_b, keys % n_b], axis=1)
 
 
 def find_candidates(a: TriMesh, b: TriMesh, cfg: OctreeConfig | None = None) -> np.ndarray:

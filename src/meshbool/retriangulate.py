@@ -33,10 +33,6 @@ class LocalFrame:
         rel = np.asarray(pts, dtype=np.float64) - self.origin
         return np.stack([rel @ self.u, rel @ self.v], axis=-1)
 
-    def to_3d(self, pts2: np.ndarray) -> np.ndarray:
-        pts2 = np.asarray(pts2, dtype=np.float64)
-        return self.origin + pts2[..., :1] * self.u + pts2[..., 1:2] * self.v
-
 
 @dataclass
 class SplitPolygon:

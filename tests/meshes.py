@@ -4,17 +4,23 @@ Oracles here deliberately avoid the library's own code paths: volumes are
 summed per tetrahedron in a plain loop, containment uses its own axis-ray
 parity counter, and candidate-pair ground truth is the O(n*m) box test.
 The edge-adjacency oracles are the dict and set implementations that the
-numpy edge table in meshbool.halfedge replaced, kept to test it against.
+numpy edge table in meshbool.halfedge replaced, kept to test it against; the
+octree oracles are the recursive node tree that the level-synchronous
+meshbool.octree replaced, and the coincidence oracle is the weld-only test
+that now sits behind a bounding-box reject.
 """
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from meshbool.errors import TopologyError
 
 from meshbool.geometry import TriMesh
+from meshbool.merge import merge_vertices
+from meshbool.octree import OctreeConfig
 
 
 # ---------------------------------------------------------------------------
@@ -665,3 +671,92 @@ class OracleSurfaceTopology:
                     raise TopologyError("boundary walk did not close")
             cycles.append(cyc)
         return cycles
+
+
+# ---------------------------------------------------------------------------
+# Broad-phase oracles: the recursive octree, one Python call per node
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class OracleOctreeNode:
+    lo: np.ndarray
+    hi: np.ndarray
+    depth: int
+    tris_a: np.ndarray
+    tris_b: np.ndarray
+    children: list = field(default_factory=list)
+
+    @property
+    def is_leaf(self) -> bool:
+        return not self.children
+
+
+def oracle_build_octree(ids_a, ids_b, boxes_a, boxes_b, root, cfg=None) -> OracleOctreeNode:
+    cfg = cfg or OctreeConfig()
+    lo_a, hi_a = boxes_a
+    lo_b, hi_b = boxes_b
+
+    def make(lo, hi, depth, ia, ib):
+        node = OracleOctreeNode(lo, hi, depth, ia, ib)
+        if (
+            depth >= cfg.max_depth
+            or (len(ia) <= cfg.leaf_capacity and len(ib) <= cfg.leaf_capacity)
+            or len(ia) == 0
+            or len(ib) == 0
+        ):
+            return node
+        mid = 0.5 * (lo + hi)
+        for oct_index in range(8):
+            sel = np.array([oct_index & 1, (oct_index >> 1) & 1, (oct_index >> 2) & 1])
+            clo = np.where(sel == 0, lo, mid)
+            chi = np.where(sel == 0, mid, hi)
+            sub_a = ia[((lo_a[ia] <= chi) & (hi_a[ia] >= clo)).all(axis=1)]
+            sub_b = ib[((lo_b[ib] <= chi) & (hi_b[ib] >= clo)).all(axis=1)]
+            node.children.append(make(clo, chi, depth + 1, sub_a, sub_b))
+        return node
+
+    ids_a = np.asarray(ids_a, dtype=np.int64)
+    ids_b = np.asarray(ids_b, dtype=np.int64)
+    return make(np.asarray(root.lo, float), np.asarray(root.hi, float), 0, ids_a, ids_b)
+
+
+def oracle_leaves(tree: OracleOctreeNode) -> list[OracleOctreeNode]:
+    if tree.is_leaf:
+        return [tree]
+    return [leaf for child in tree.children for leaf in oracle_leaves(child)]
+
+
+def oracle_candidate_pairs(tree: OracleOctreeNode) -> np.ndarray:
+    chunks = []
+    for node in oracle_leaves(tree):
+        if len(node.tris_a) and len(node.tris_b):
+            ga, gb = np.meshgrid(node.tris_a, node.tris_b, indexing="ij")
+            chunks.append(np.stack([ga.ravel(), gb.ravel()], axis=1))
+    if not chunks:
+        return np.zeros((0, 2), dtype=np.int64)
+    return np.unique(np.concatenate(chunks, axis=0), axis=0)
+
+
+# ---------------------------------------------------------------------------
+# Coincidence oracle: the full weld, with no cheap reject in front
+# ---------------------------------------------------------------------------
+
+
+def oracle_meshes_coincident(a: TriMesh, b: TriMesh, tol: float) -> bool:
+    if a.num_vertices != b.num_vertices or a.num_faces != b.num_faces:
+        return False
+    raw = np.concatenate([a.vertices, b.vertices])
+    merged, remap = merge_vertices(raw, tol)
+    if len(merged) != a.num_vertices:
+        return False
+
+    def canon(faces, offset):
+        out = set()
+        for tri in faces:
+            t = [int(remap[v + offset]) for v in tri]
+            k = int(np.argmin(t))
+            out.add((t[k], t[(k + 1) % 3], t[(k + 2) % 3]))
+        return out
+
+    return canon(a.faces, 0) == canon(b.faces, a.num_vertices)

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import meshbool.blocks as blocks
+import meshbool.geometry as geometry
 from meshbool.blocks import (
     CASE_OPPOSITE,
     CASE_SAME,
@@ -14,10 +19,10 @@ from meshbool.blocks import (
     preprocess_trivial_cases,
     trivial_from_no_crossing,
 )
-from meshbool.errors import CoincidentInput
-from meshbool.geometry import is_closed_manifold, signed_volume
+from meshbool.errors import ClassificationError, CoincidentInput
+from meshbool.geometry import TriMesh, is_closed_manifold, signed_volume
 from meshbool.pipeline import run_pipeline
-from meshes import cube, icosphere, oracle_point_in_mesh, oracle_volume
+from meshes import cube, icosphere, oracle_meshes_coincident, oracle_point_in_mesh, oracle_volume
 
 
 def cube_cube_state():
@@ -134,6 +139,89 @@ def test_trivial_coincident_rejected():
         preprocess_trivial_cases(a, cube((0, 0, 0), 1.0, "B"))
     assert meshes_coincident(a, cube((0, 0, 0), 1.0, "B"), 1e-9)
     assert not meshes_coincident(a, cube((0.1, 0, 0), 1.0, "B"), 1e-9)
+
+
+COINCIDENT_TOL = 1e-3
+
+
+def _jittered(mesh, factor, seed=0):
+    """Each vertex moved by factor * tol in its own random direction."""
+    d = np.random.default_rng(seed).normal(size=mesh.vertices.shape)
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return TriMesh(mesh.vertices + factor * COINCIDENT_TOL * d, mesh.faces, source="B")
+
+
+def _permuted(mesh, seed=0):
+    perm = np.random.default_rng(seed).permutation(mesh.num_vertices)
+    inverse = np.argsort(perm)
+    return TriMesh(mesh.vertices[perm], inverse[mesh.faces], source="B")
+
+
+def _coincidence_cases():
+    a = icosphere(1.0, subdivisions=1)
+    far = TriMesh(np.vstack([cube().vertices, [[50.0, 50.0, 50.0]]]), cube().faces)
+    dup = TriMesh(np.vstack([cube().vertices, cube().vertices[:1]]), cube().faces, source="B")
+    return {
+        "identical": (a, TriMesh(a.vertices.copy(), a.faces.copy(), source="B")),
+        "permuted": (a, _permuted(a)),
+        "jitter_0.4": (a, _jittered(a, 0.4)),
+        "jitter_1.5": (a, _jittered(a, 1.5)),
+        "jitter_3": (a, _jittered(a, 3.0)),
+        "shift_3": (a, TriMesh(a.vertices + [3 * COINCIDENT_TOL, 0, 0], a.faces, source="B")),
+        "far_unreferenced_vertex": (far, dup),
+        "other_mesh": (a, TriMesh(a.vertices[::-1].copy(), a.faces, source="B")),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_coincidence_cases()))
+def test_meshes_coincident_matches_oracle(case):
+    a, b = _coincidence_cases()[case]
+    got = meshes_coincident(a, b, COINCIDENT_TOL)
+    assert got == oracle_meshes_coincident(a, b, COINCIDENT_TOL)
+    assert got == (case in ("identical", "permuted", "jitter_0.4", "far_unreferenced_vertex"))
+
+
+def test_meshes_coincident_box_reject_skips_weld(monkeypatch):
+    a = icosphere(1.0, subdivisions=1)
+    b = TriMesh(a.vertices + [0, 0, 2.5 * COINCIDENT_TOL], a.faces, source="B")
+
+    def no_weld(*args):
+        raise AssertionError("weld reached although the boxes rule coincidence out")
+
+    monkeypatch.setattr(blocks, "merge_vertices", no_weld)
+    assert not meshes_coincident(a, b, COINCIDENT_TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.2, 3.0), st.integers(0, 2**16), st.booleans(), st.booleans())
+def test_meshes_coincident_jitter_property(factor, seed, permute, translate):
+    a = icosphere(1.0, subdivisions=1)
+    if translate:  # every vertex moved by the same vector
+        d = np.random.default_rng(seed).normal(size=3)
+        shift = factor * COINCIDENT_TOL * d / np.linalg.norm(d)
+        b = TriMesh(a.vertices + shift, a.faces, source="B")
+    else:
+        b = _jittered(a, factor, seed)
+    if permute:
+        b = _permuted(b, seed)
+    assert meshes_coincident(a, b, COINCIDENT_TOL) == oracle_meshes_coincident(a, b, COINCIDENT_TOL)
+
+
+def test_validated_records_closed_verdict(monkeypatch):
+    mesh = cube()
+    assert mesh._closed is None
+
+    def no_rebuild(faces):
+        raise AssertionError("closed verdict recomputed after the manifold check")
+
+    with monkeypatch.context() as m:  # signed_volume must reuse the verdict
+        m.setattr(geometry, "boundary_edges", no_rebuild)
+        assert blocks._validated(mesh) is mesh and mesh._closed is True
+    assert TriMesh(mesh.vertices, mesh.faces).closed
+    open_mesh = TriMesh(mesh.vertices, mesh.faces[1:])
+    with pytest.raises(ClassificationError):
+        blocks._validated(open_mesh)
+    assert open_mesh._closed is None
 
 
 def test_crossing_meshes_return_none():

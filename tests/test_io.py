@@ -6,7 +6,7 @@ import pytest
 
 from meshbool.errors import EmptyInput, ParseError
 from meshbool.geometry import signed_volume
-from meshbool.io import dump_debug, load_mesh, save_mesh, sniff_format
+from meshbool.io import _index_soup, dump_debug, load_mesh, save_mesh, sniff_format
 from meshbool.pipeline import run_pipeline
 from meshes import cube, tangent_cylinders
 
@@ -140,3 +140,21 @@ def test_dump_debug_cube_cube_blocks(tmp_path):
         "a_minus_b", "b_minus_a", "intersection", "union",
     ]
     assert all(len(e) == 4 for e in doc["edges"])
+
+
+def test_index_soup_matches_row_unique_with_signed_zeros():
+    corners = np.array(
+        [[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0], [1.0, -0.0, 0.0], [1.0, 0.0, -0.0],
+         [0.0, 1.0, 0.0], [0.0, 1.0, -0.0], [0.0, 0.0, 1.0], [-0.0, -0.0, 1.0]]
+    )
+    rng = np.random.default_rng(5)
+    tris = corners[np.array([[0, 2, 4], [1, 4, 6], [3, 5, 7], [0, 6, 2], [1, 3, 5], [2, 4, 7]])]
+    tris = np.concatenate([tris, tris[rng.permutation(len(tris))]])  # repeated corners
+    flat = tris.reshape(-1, 3)
+    mesh = _index_soup(tris, "A", "soup")
+    verts, inverse = np.unique(flat, axis=0, return_inverse=True)
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.faces, inverse.reshape(-1, 3))
+    # The first row seen of each equal group represents it, sign of zero included.
+    first = flat[[int(np.argmax(inverse == k)) for k in range(len(verts))]]
+    assert np.array_equal(np.signbit(mesh.vertices), np.signbit(first))

@@ -1,8 +1,18 @@
+"""The level-synchronous octree against the recursive one it replaced.
+
+Leaves (box, depth, A and B members in order) and candidate pairs must be
+identical to the oracle's on the fixtures, on random soups, across the
+depth x capacity grid and on dyadic soups whose boxes end exactly on the
+mid-planes, where the closed overlap test decides ties.
+"""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from meshbool.geometry import TriMesh
+from meshbool.geometry import Aabb, TriMesh
 from meshbool.octree import (
+    Octree,
     OctreeConfig,
     build_octree,
     candidate_pairs,
@@ -10,7 +20,24 @@ from meshbool.octree import (
     find_candidates,
     triangle_boxes,
 )
-from meshes import cube, icosphere, oracle_aabb_pairs, tangent_cylinders
+from meshes import (
+    blob_and_plane,
+    closed_cylinder,
+    cube,
+    grid_plane,
+    icosphere,
+    lobed_blob,
+    oracle_aabb_pairs,
+    oracle_build_octree,
+    oracle_candidate_pairs,
+    oracle_leaves,
+    random_convex_pair,
+    strip_surface,
+    tangent_cylinders,
+    torus,
+    torus_pair,
+    vw_pair,
+)
 
 
 def random_soup(rng, n, offset=(0, 0, 0), scale=1.0):
@@ -47,16 +74,60 @@ def test_offset_cube_clip_matches_box_oracle():
     assert set(ids_a.tolist()) == expect
 
 
+def _leaf_key(lo, hi, depth, tris_a, tris_b) -> tuple:
+    return (tuple(lo.tolist()), tuple(hi.tolist()), int(depth), tuple(tris_a.tolist()),
+            tuple(tris_b.tolist()))
+
+
+def leaf_set(tree: Octree) -> list[tuple]:
+    """(lo, hi, depth, A ids, B ids) per leaf, members in stored order."""
+    members_a, members_b = (
+        np.split(tri, np.cumsum(np.bincount(leaf, minlength=len(tree.depth)))[:-1])
+        for leaf, tri in (tree.a, tree.b)
+    )
+    return sorted(map(_leaf_key, tree.lo, tree.hi, tree.depth, members_a, members_b))
+
+
+def oracle_leaf_set(tree) -> list[tuple]:
+    return sorted(_leaf_key(n.lo, n.hi, n.depth, n.tris_a, n.tris_b) for n in oracle_leaves(tree))
+
+
+def assert_flat_tree_invariants(tree: Octree, cfg: OctreeConfig, root: Aabb, boxes_a, boxes_b):
+    """Every leaf obeys the leaf rule and holds only triangles touching it.
+
+    Leaf sides are the root side over 2**depth, the boxes are distinct, and
+    the 8**-depth sum is exactly 1: the leaves tile the root cube, which they
+    do only when every split node has exactly eight children.
+    """
+    count_a, count_b = (np.bincount(leaf, minlength=len(tree.depth))
+                        for leaf, _ in (tree.a, tree.b))
+    cap = cfg.leaf_capacity
+    assert (
+        (tree.depth >= cfg.max_depth)
+        | ((count_a <= cap) & (count_b <= cap))
+        | (count_a == 0)
+        | (count_b == 0)
+    ).all()
+    for (leaf, tri), (t_lo, t_hi) in ((tree.a, boxes_a), (tree.b, boxes_b)):
+        assert (np.diff(leaf) >= 0).all()
+        assert ((t_lo[tri] <= tree.hi[leaf]) & (t_hi[tri] >= tree.lo[leaf])).all()
+    assert (tree.depth <= cfg.max_depth).all()
+    assert float(np.sum(8.0 ** -tree.depth.astype(float))) == 1.0
+    side = (root.hi - root.lo) / 2.0 ** tree.depth[:, None]
+    assert np.allclose(tree.hi - tree.lo, side, rtol=1e-9, atol=0)
+    assert len(np.unique(np.hstack([tree.lo, tree.hi]), axis=0)) == len(tree.depth)
+
+
 def test_leaf_rules_trivial():
     a = cube()
     b = cube((0.5, 0.5, 0.5))
     ids_a, ids_b, root = clip_to_shared_region(a, b)
     tree = build_octree(np.array([], dtype=np.int64), ids_b, triangle_boxes(a),
                         triangle_boxes(b), root, OctreeConfig())
-    assert tree.is_leaf  # one side empty
+    assert tree.depth.tolist() == [0]  # one side empty: the root alone is a leaf
     tree = build_octree(ids_a[:1], ids_b[:1], triangle_boxes(a), triangle_boxes(b),
                         root, OctreeConfig(leaf_capacity=8))
-    assert tree.is_leaf  # both under capacity
+    assert tree.depth.tolist() == [0]  # both under capacity
 
 
 def test_leaf_invariant_walk_cube_sphere():
@@ -65,21 +136,8 @@ def test_leaf_invariant_walk_cube_sphere():
     cfg = OctreeConfig(max_depth=6, leaf_capacity=32)
     ids_a, ids_b, root = clip_to_shared_region(a, b)
     tree = build_octree(ids_a, ids_b, triangle_boxes(a), triangle_boxes(b), root, cfg)
-
-    def walk(node):
-        if node.is_leaf:
-            assert (
-                node.depth >= cfg.max_depth
-                or (len(node.tris_a) <= cfg.leaf_capacity and len(node.tris_b) <= cfg.leaf_capacity)
-                or len(node.tris_a) == 0
-                or len(node.tris_b) == 0
-            )
-        else:
-            assert len(node.children) == 8
-            for ch in node.children:
-                walk(ch)
-
-    walk(tree)
+    assert len(tree.depth) > 1
+    assert_flat_tree_invariants(tree, cfg, root, triangle_boxes(a), triangle_boxes(b))
 
 
 def test_candidates_single_leaf_cross_product():
@@ -129,3 +187,121 @@ def test_capacity_monotonicity_keeps_true_pairs():
                 truth.add((i, j))
     for cap, got in sets.items():
         assert truth <= got, f"capacity {cap} lost a truly intersecting pair"
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the recursive oracle
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_oracle(ids_a, ids_b, boxes_a, boxes_b, root, cfg=None):
+    tree = build_octree(ids_a, ids_b, boxes_a, boxes_b, root, cfg)
+    want = oracle_build_octree(ids_a, ids_b, boxes_a, boxes_b, root, cfg)
+    assert leaf_set(tree) == oracle_leaf_set(want)
+    pairs = candidate_pairs(tree)
+    expect = oracle_candidate_pairs(want)
+    assert pairs.dtype == expect.dtype and np.array_equal(pairs, expect)
+    assert_flat_tree_invariants(tree, cfg or OctreeConfig(), root, boxes_a, boxes_b)
+    return pairs
+
+
+def assert_meshes_match_oracle(a, b, cfg=None):
+    ids_a, ids_b, root = clip_to_shared_region(a, b)
+    if len(ids_a) and len(ids_b):
+        pairs = assert_matches_oracle(ids_a, ids_b, triangle_boxes(a), triangle_boxes(b), root, cfg)
+        assert np.array_equal(find_candidates(a, b, cfg), pairs)
+
+
+def _shifted(mesh, offset=(0.21, -0.13, 0.08)):
+    return TriMesh(mesh.vertices + np.asarray(offset), mesh.faces, source="B")
+
+
+FIXTURE_PAIRS = {
+    "cube_cube": lambda: (cube(), cube((0.5, 0.5, 0.5))),
+    "cube_sphere": lambda: (cube((-1, -1, -1), 2.0), icosphere(1.3, subdivisions=3)),
+    "icosphere3_pair": lambda: (
+        icosphere(1.0, subdivisions=3),
+        icosphere(1.0, center=(0.5, 0.31, 0.17), subdivisions=3),
+    ),
+    "tangent_cylinders": tangent_cylinders,
+    "torus_pair": torus_pair,
+    "vw": vw_pair,
+    "blob_and_plane": blob_and_plane,
+    "convex": lambda: random_convex_pair(np.random.default_rng(7)),
+    "cylinder_shifted": lambda: (closed_cylinder(), _shifted(closed_cylinder())),
+    "torus_shifted": lambda: (
+        torus(n_major=24, n_minor=12),
+        _shifted(torus(n_major=24, n_minor=12)),
+    ),
+    "strip_shifted": lambda: (
+        strip_surface([(0, 0), (1, 1), (2, 0)]),
+        _shifted(strip_surface([(0, 0), (1, 1), (2, 0)])),
+    ),
+    "blob_shifted": lambda: (lobed_blob(subdivisions=2), _shifted(lobed_blob(subdivisions=2))),
+    "plane_shifted": lambda: (grid_plane(n=8), _shifted(grid_plane(n=8))),
+    "identical_cubes": lambda: (cube(), cube()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_PAIRS))
+def test_fixture_pairs_match_oracle(name):
+    assert_meshes_match_oracle(*FIXTURE_PAIRS[name]())
+
+
+def test_random_soups_match_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        a = random_soup(rng, rng.integers(1, 40))
+        b = random_soup(rng, rng.integers(1, 40), offset=rng.uniform(-0.5, 0.5, 3))
+        # Large overlapping triangles split nearly every node, so keep trees shallow.
+        cfg = OctreeConfig(int(rng.integers(1, 5)), int(rng.integers(4, 17)))
+        assert_meshes_match_oracle(a, b, cfg)
+        assert_meshes_match_oracle(a, b)
+
+
+def _sparse_soup(rng, n, size, source):
+    """n small triangles scattered over the unit cube: deep trees stay small
+    even at capacity 1, since few boxes of both sides overlap."""
+    tris = rng.uniform(0, 1, (n, 1, 3)) + rng.uniform(-size, size, (n, 3, 3))
+    return TriMesh(tris.reshape(-1, 3), np.arange(3 * n).reshape(n, 3), source=source)
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_depth_capacity_grid_matches_oracle(depth):
+    rng = np.random.default_rng(depth)
+    soups = (_sparse_soup(rng, 24, 0.15, "A"), _sparse_soup(rng, 24, 0.15, "B"))
+    spheres = (cube((-1, -1, -1), 2.0), icosphere(1.3, subdivisions=1))
+    for cap in (1, 2, 3, 4, 8, 16, 32, 64):
+        assert_meshes_match_oracle(*soups, OctreeConfig(depth, cap))
+        if cap >= 4:  # below 4 the cube faces keep every sphere node splitting
+            assert_meshes_match_oracle(*spheres, OctreeConfig(depth, cap))
+
+
+# Coordinates on the 1/16 grid put box faces exactly on the mid-planes of the
+# unit root down to depth 4, so the closed test's ties decide membership.
+_dyadic = st.integers(0, 16).map(lambda i: i / 16.0)
+_point = st.tuples(_dyadic, _dyadic, _dyadic)
+_triangle = st.one_of(
+    st.tuples(_point, _point, _point),
+    _point.map(lambda p: (p, p, p)),  # zero-extent box
+    st.tuples(_point, _dyadic).map(lambda t: (t[0], (t[1], *t[0][1:]), t[0])),  # flat on two axes
+)
+
+
+@st.composite
+def _dyadic_soup(draw, min_size):
+    tris = draw(st.lists(_triangle, min_size=min_size, max_size=24))
+    if tris:
+        tris += draw(st.lists(st.sampled_from(tris), max_size=6))  # duplicated triangles
+    return np.asarray(tris, dtype=np.float64).reshape(-1, 3, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dyadic_soup(1), _dyadic_soup(0), st.integers(1, 4), st.integers(1, 6), st.booleans())
+def test_dyadic_ties_match_oracle(tris_a, tris_b, depth, cap, swap):
+    if swap:
+        tris_a, tris_b = tris_b, tris_a
+    root = Aabb(np.zeros(3), np.ones(3))
+    boxes = [(t.min(axis=1), t.max(axis=1)) for t in (tris_a, tris_b)]
+    ids = [np.arange(len(t), dtype=np.int64) for t in (tris_a, tris_b)]
+    assert_matches_oracle(*ids, *boxes, root, OctreeConfig(depth, cap))
