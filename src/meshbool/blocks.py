@@ -375,7 +375,7 @@ def preprocess_trivial_cases(a: TriMesh, b: TriMesh, merge_tol: float | None = N
         return None
     pairs = find_candidates(a, b)
     if len(pairs):
-        segs, _ = intersect_all(pairs, a, b, plane_tol=1e-12 * scale, threads=1)
+        segs, _ = intersect_all(pairs, a, b, plane_tol=1e-12 * scale)
         if segs:
             return None
     return trivial_from_no_crossing(a, b)

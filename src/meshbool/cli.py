@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +34,6 @@ class RunConfig:
     merge_tol: float | None = None
     octree_depth: int = 8
     octree_capacity: int = 32
-    threads: int = 0
     strict: bool = False
     debug_json: str | None = None
 
@@ -73,7 +71,6 @@ def run(config: RunConfig) -> int:
     options = PipelineOptions(
         merge_tol=config.merge_tol,
         octree=OctreeConfig(config.octree_depth, config.octree_capacity),
-        threads=config.threads,
         strict=config.strict,
         classify=config.op not in ("split-surfaces", "intersect-open"),
     )
@@ -131,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--octree-depth", type=int, default=8)
     p.add_argument("--octree-capacity", type=int, default=32)
     p.add_argument("--threads", type=int, default=None,
-                   help="narrow-phase threads, 0 = hardware default (env MESHBOOL_THREADS)")
+                   help="accepted for compatibility and ignored: the narrow phase is serial")
     p.add_argument("--strict", action="store_true",
                    help="abort on overlapping coplanar triangle pairs")
     p.add_argument("--debug-json", default=None, help="dump pipeline entities to this JSON file")
@@ -144,9 +141,6 @@ def main(argv=None) -> int:
     if args.op_pos and args.op_flag and args.op_pos != args.op_flag:
         print(f"error: conflicting operations {args.op_pos!r} and {args.op_flag!r}", file=sys.stderr)
         return 2
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("MESHBOOL_THREADS", "0") or 0)
     config = RunConfig(
         op=args.op_pos or args.op_flag or "all",
         input_a=args.input_a,
@@ -155,7 +149,6 @@ def main(argv=None) -> int:
         merge_tol=args.merge_tol,
         octree_depth=args.octree_depth,
         octree_capacity=args.octree_capacity,
-        threads=threads,
         strict=args.strict,
         debug_json=args.debug_json,
     )

@@ -2,22 +2,25 @@
 
 Per pair this is the classic two-plane interval test: signed distances of
 each triangle's vertices to the other's plane (zero-snapped near the plane),
-then the overlap of the two clipped chords along the common line. The pair
-loop is an embarrassingly parallel map; results are canonically sorted so
-the output is independent of chunking and thread count.
+then the overlap of the two clipped chords along the common line. Pairs are
+taken in fixed chunks: a box test on the per-triangle boxes computed once per
+call drops the pairs whose boxes miss (most of the broad phase's output),
+two vectorized plane tests drop pairs with one triangle strictly on one side
+of the other's plane, and only the survivors reach the scalar test. The loop
+is serial; segments are sorted by (tri_a, tri_b).
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CoplanarPairError, DegenerateTriangle
 from .geometry import TriMesh
+from .octree import triangle_boxes
 
 COPLANAR = "coplanar"
+CHUNK = 4096  # pairs gathered at once; bounds the per-call coordinate arrays
 
 
 @dataclass
@@ -157,45 +160,15 @@ def tri_tri_intersect(pa: np.ndarray, pb: np.ndarray, plane_tol: float):
     return IntersectionSegment(lo.copy(), hi.copy(), -1, -1, degenerate=False)
 
 
-def _prefilter(pairs, pa, pb, tol):
-    """Vectorized rejection: AABB miss or all vertices strictly one side."""
-    keep = np.ones(len(pairs), dtype=bool)
-    keep &= (pa.min(axis=1) <= pb.max(axis=1)).all(axis=1)
-    keep &= (pb.min(axis=1) <= pa.max(axis=1)).all(axis=1)
-
-    def plane_reject(p, q):
-        n = np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
-        norm = np.linalg.norm(n, axis=1, keepdims=True)
-        norm[norm == 0] = 1.0
-        n = n / norm
-        d = np.einsum("kij,kj->ki", p - q[:, None, 0], n)
-        d[np.abs(d) < tol] = 0.0
-        return (d > 0).all(axis=1) | (d < 0).all(axis=1)
-
-    keep &= ~plane_reject(pa, pb)
-    keep[keep] &= ~plane_reject(pb[keep], pa[keep])
-    return keep
-
-
-def _run_chunk(pairs, verts_a, faces_a, verts_b, faces_b, tol):
-    if len(pairs) == 0:
-        return [], []
-    pa = verts_a[faces_a[pairs[:, 0]]]
-    pb = verts_b[faces_b[pairs[:, 1]]]
-    keep = _prefilter(pairs, pa, pb, tol)
-    segs = []
-    coplanar = []
-    for idx in np.nonzero(keep)[0]:
-        res = tri_tri_intersect(pa[idx], pb[idx], tol)
-        if res is None:
-            continue
-        ta, tb = int(pairs[idx, 0]), int(pairs[idx, 1])
-        if res is COPLANAR:
-            coplanar.append((ta, tb))
-            continue
-        res.tri_a, res.tri_b = ta, tb
-        segs.append(res)
-    return segs, coplanar
+def _plane_reject(p, q, tol):
+    """Pairs whose p vertices all lie strictly on one side of q's plane."""
+    n = np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
+    norm = np.linalg.norm(n, axis=1, keepdims=True)
+    norm[norm == 0] = 1.0
+    n = n / norm
+    d = np.einsum("kij,kj->ki", p - q[:, None, 0], n)
+    d[np.abs(d) < tol] = 0.0
+    return (d > 0).all(axis=1) | (d < 0).all(axis=1)
 
 
 def intersect_all(
@@ -203,7 +176,6 @@ def intersect_all(
     a: TriMesh,
     b: TriMesh,
     plane_tol: float,
-    threads: int = 0,
     strict: bool = False,
 ) -> tuple[list[IntersectionSegment], NarrowPhaseReport]:
     """Segments for every actually intersecting candidate pair.
@@ -216,25 +188,29 @@ def intersect_all(
     if len(pairs) == 0:
         return [], report
 
-    if threads <= 0:
-        threads = os.cpu_count() or 1
-    chunk = 4096
-    chunks = [pairs[i : i + chunk] for i in range(0, len(pairs), chunk)]
-    args = (a.vertices, a.faces, b.vertices, b.faces, plane_tol)
-    if threads == 1 or len(chunks) == 1:
-        results = [_run_chunk(c, *args) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: _run_chunk(c, *args), chunks))
-
+    lo_a, hi_a = triangle_boxes(a)
+    lo_b, hi_b = triangle_boxes(b)
     segs: list[IntersectionSegment] = []
-    for got, cop in results:
-        report.coplanar_pairs.extend(cop)
-        for s in got:
-            if s.degenerate:
+    for start in range(0, len(pairs), CHUNK):
+        chunk = pairs[start : start + CHUNK]
+        ia, ib = chunk[:, 0], chunk[:, 1]
+        chunk = chunk[(lo_a[ia] <= hi_b[ib]).all(axis=1) & (lo_b[ib] <= hi_a[ia]).all(axis=1)]
+        pa = a.vertices[a.faces[chunk[:, 0]]]
+        pb = b.vertices[b.faces[chunk[:, 1]]]
+        keep = ~_plane_reject(pa, pb, plane_tol)
+        keep[keep] &= ~_plane_reject(pb[keep], pa[keep], plane_tol)
+        for idx in np.nonzero(keep)[0]:
+            res = tri_tri_intersect(pa[idx], pb[idx], plane_tol)
+            if res is None:
+                continue
+            ta, tb = int(chunk[idx, 0]), int(chunk[idx, 1])
+            if res is COPLANAR:
+                report.coplanar_pairs.append((ta, tb))
+            elif res.degenerate:
                 report.point_contacts += 1
             else:
-                segs.append(s)
+                res.tri_a, res.tri_b = ta, tb
+                segs.append(res)
     if strict and report.coplanar_pairs:
         raise CoplanarPairError(
             f"{len(report.coplanar_pairs)} overlapping coplanar triangle pair(s), "

@@ -29,14 +29,6 @@ COMPLETED = "completed"
 
 
 @dataclass
-class DirectedEdge:
-    head: int
-    tail: int
-    tri_a: int = -1
-    tri_b: int = -1
-
-
-@dataclass
 class OrientedLoop:
     id: int
     verts: list[int]

@@ -14,6 +14,7 @@ from .errors import GeometryError
 from .geometry import Aabb, TriMesh, aabb_intersection, mesh_aabb
 
 CUBE_INFLATE = 1e-9
+PAIR_CHUNK = 1 << 16  # cross-product rows expanded at once in candidate_pairs
 
 
 @dataclass
@@ -146,22 +147,44 @@ def build_octree(
 
 
 def candidate_pairs(tree: Octree) -> np.ndarray:
-    """Union over leaves of the A x B members, deduplicated and sorted."""
+    """Union over leaves of the A x B members, deduplicated and sorted.
+
+    A memberships are taken by triangle, in runs of whole triangles that
+    expand to about PAIR_CHUNK cross-product rows. Every copy of a pair has
+    the same A triangle, so each run is deduplicated on its own and the runs'
+    keys are disjoint and ascending: the transient arrays are bounded by the
+    run, not by the whole cross product.
+    """
     (leaf_a, tri_a), (leaf_b, tri_b) = tree.a, tree.b
     count_b = np.bincount(leaf_b, minlength=len(tree.depth))
+    order = np.argsort(tri_a, kind="stable")
+    leaf_a, tri_a = leaf_a[order], tri_a[order]
     reps = count_b[leaf_a]
-    total = int(reps.sum())
-    if total == 0:
+    if not reps.any():
         return np.zeros((0, 2), dtype=np.int64)
     # Each A membership meets every B membership of its leaf: row r of the
     # cross product reads B membership start_b + (r - first) of that leaf.
-    start_b = np.cumsum(count_b) - count_b
-    first = np.cumsum(reps) - reps
-    rows = np.arange(total) - np.repeat(first - start_b[leaf_a], reps)
+    start_b = (np.cumsum(count_b) - count_b)[leaf_a]
     n_b = int(tri_b.max()) + 1
-    keys = np.sort(np.repeat(tri_a, reps) * n_b + tri_b[rows])
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    return np.stack([keys // n_b, keys % n_b], axis=1)
+    heads = np.flatnonzero(np.concatenate(([True], tri_a[1:] != tri_a[:-1])))
+    bucket = (np.cumsum(reps) - reps)[heads] // PAIR_CHUNK
+    cuts = [*heads[np.concatenate(([True], bucket[1:] != bucket[:-1]))], len(tri_a)]
+    runs = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        r = reps[lo:hi]
+        total = int(r.sum())
+        if total == 0:
+            continue
+        rows = np.arange(total) - np.repeat(np.cumsum(r) - r - start_b[lo:hi], r)
+        keys = np.repeat(tri_a[lo:hi], r) * n_b + tri_b[rows]
+        keys.sort()
+        runs.append(keys[np.concatenate(([True], keys[1:] != keys[:-1]))])
+    out = np.empty((sum(len(k) for k in runs), 2), dtype=np.int64)
+    at = 0
+    for keys in runs:
+        np.divmod(keys, n_b, out=(out[at : at + len(keys), 0], out[at : at + len(keys), 1]))
+        at += len(keys)
+    return out
 
 
 def find_candidates(a: TriMesh, b: TriMesh, cfg: OctreeConfig | None = None) -> np.ndarray:

@@ -8,6 +8,7 @@ purely on vertex indices.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -43,9 +44,13 @@ MERGE_TOL_REL = 1e-9
 class PipelineOptions:
     merge_tol: float | None = None
     octree: OctreeConfig = field(default_factory=OctreeConfig)
-    threads: int = 0
+    threads: int = 0  # accepted for compatibility and ignored: the narrow phase is serial
     strict: bool = False
     classify: bool = True  # distinguish blocks (closed-closed only)
+
+    def __post_init__(self):
+        if self.merge_tol is not None and not (math.isfinite(self.merge_tol) and self.merge_tol > 0):
+            raise GeometryError(f"merge tolerance must be finite and > 0, got {self.merge_tol!r}")
 
 
 @dataclass
@@ -125,7 +130,8 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
                 "windings must point outward"
             )
     scale0 = _scene_scale(a, b, None)
-    if blk.meshes_coincident(a, b, options.merge_tol or MERGE_TOL_REL * scale0):
+    tol0 = options.merge_tol if options.merge_tol is not None else MERGE_TOL_REL * scale0
+    if blk.meshes_coincident(a, b, tol0):
         raise CoincidentInput("input meshes are coincident; handled in pre-process by design")
 
     t0 = time.perf_counter()
@@ -142,9 +148,7 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
     merge_tol = options.merge_tol if options.merge_tol is not None else MERGE_TOL_REL * scale
 
     t0 = time.perf_counter()
-    state.segments, state.narrow_report = intersect_all(
-        state.pairs, a, b, plane_tol, threads=options.threads, strict=options.strict
-    )
+    state.segments, state.narrow_report = intersect_all(state.pairs, a, b, plane_tol, strict=options.strict)
     state.timings.append((STAGES[1], time.perf_counter() - t0))
 
     if not state.segments:

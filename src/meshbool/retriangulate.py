@@ -36,12 +36,15 @@ class LocalFrame:
 
 @dataclass
 class SplitPolygon:
-    """One face of a split triangle: 3D outer ring plus optional hole rings."""
+    """One face of a split triangle: 3D outer ring plus optional hole rings,
+    and the same rings in the parent triangle's CCW local frame."""
 
     vertices: np.ndarray
     parent_tri: int = -1
     normal: np.ndarray | None = None
     holes: list = field(default_factory=list)
+    ring2d: np.ndarray | None = None
+    holes2d: list = field(default_factory=list)
 
 
 def newell_normal(ring: np.ndarray) -> np.ndarray:
@@ -76,27 +79,6 @@ def make_frame(ring: np.ndarray) -> LocalFrame:
         raise DegeneratePolygon("degenerate longest edge")
     u = u / un
     return LocalFrame(ring[0].copy(), u, np.cross(n, u), n)
-
-
-def to_local_ccw(poly: SplitPolygon):
-    """Project a polygon into its local frame and force CCW orientation.
-
-    The frame normal follows poly.normal when given (the parent plane side),
-    otherwise the Newell normal of the ring itself. Returns
-    (frame, ring2d, reversed_flag); the flag records whether the vertex
-    order was flipped so callers can restore the original winding.
-    """
-    frame = make_frame(poly.vertices)
-    if poly.normal is not None and frame.n @ poly.normal < 0:
-        frame = LocalFrame(frame.origin, frame.u, -frame.v, -frame.n)
-    ring2d = frame.to_2d(poly.vertices)
-    area = shoelace(ring2d)
-    scale = float(np.abs(ring2d).max()) + 1.0
-    if abs(area) < 1e-14 * scale * scale:
-        raise DegeneratePolygon("polygon area below tolerance")
-    if area < 0:
-        return frame, ring2d[::-1].copy(), True
-    return frame, ring2d, False
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +631,11 @@ def split_triangle(
         for h in hole_cycles:
             area += shoelace(np.asarray([nodes2[i] for i in h]))
         total += area
-        poly = SplitPolygon(ring3, parent_tri, normal, holes3)
-        poly.ring2d = np.asarray([nodes2[i] for i in outer_cycle])
-        poly.holes2d = [np.asarray([nodes2[i] for i in h]) for h in hole_cycles]
-        polys.append(poly)
+        polys.append(SplitPolygon(
+            ring3, parent_tri, normal, holes3,
+            ring2d=np.asarray([nodes2[i] for i in outer_cycle]),
+            holes2d=[np.asarray([nodes2[i] for i in h]) for h in hole_cycles],
+        ))
     if abs(total - area_tri) > 1e-6 * abs(area_tri):
         raise GeometryError(
             f"split faces cover {total:.3e} of triangle area {area_tri:.3e} (tri {parent_tri})"
@@ -727,24 +710,10 @@ def _extract_faces(nodes2, edges):
 
 
 def triangulate_polygon(poly: SplitPolygon) -> np.ndarray:
-    """Ear-clip one split face back into 3D triangles, (k, 3, 3)."""
-    if hasattr(poly, "ring2d"):
-        ring2d, holes2d = poly.ring2d, poly.holes2d
-        verts3 = poly.vertices
-        holes3 = list(poly.holes)
-    else:
-        frame = make_frame(poly.vertices)
-        if poly.normal is not None and frame.n @ poly.normal < 0:
-            frame = LocalFrame(frame.origin, frame.u, -frame.v, -frame.n)
-        ring2d = frame.to_2d(poly.vertices)
-        verts3 = poly.vertices
-        if shoelace(ring2d) < 0:
-            ring2d = ring2d[::-1].copy()
-            verts3 = poly.vertices[::-1].copy()
-        holes3 = list(poly.holes)
-        holes2d = [frame.to_2d(h) for h in holes3]
-    pts3 = np.concatenate([verts3] + holes3, axis=0) if holes3 else np.asarray(verts3)
-    tris = ear_clip(ring2d, holes2d, validate=False)
+    """Ear-clip one split face, as made by split_triangle, back into 3D
+    triangles, (k, 3, 3)."""
+    pts3 = np.concatenate([poly.vertices, *poly.holes], axis=0)
+    tris = ear_clip(poly.ring2d, poly.holes2d, validate=False)
     return np.asarray([[pts3[i], pts3[j], pts3[k]] for i, j, k in tris]).reshape(-1, 3, 3)
 
 

@@ -6,19 +6,22 @@ parity counter, and candidate-pair ground truth is the O(n*m) box test.
 The edge-adjacency oracles are the dict and set implementations that the
 numpy edge table in meshbool.halfedge replaced, kept to test it against; the
 octree oracles are the recursive node tree that the level-synchronous
-meshbool.octree replaced, and the coincidence oracle is the weld-only test
-that now sits behind a bounding-box reject.
+meshbool.octree replaced, the coincidence oracle is the weld-only test
+that now sits behind a bounding-box reject, and the narrow-phase oracle is
+the thread-pooled intersect_all that the serial box-first loop replaced.
 """
 from __future__ import annotations
 
+import os
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from meshbool.errors import TopologyError
-
+from meshbool.errors import CoplanarPairError, TopologyError
 from meshbool.geometry import TriMesh
+from meshbool.intersect import COPLANAR, NarrowPhaseReport, tri_tri_intersect
 from meshbool.merge import merge_vertices
 from meshbool.octree import OctreeConfig
 
@@ -760,3 +763,83 @@ def oracle_meshes_coincident(a: TriMesh, b: TriMesh, tol: float) -> bool:
         return out
 
     return canon(a.faces, 0) == canon(b.faces, a.num_vertices)
+
+
+# ---------------------------------------------------------------------------
+# Narrow-phase oracle: per-pair boxes rebuilt from gathered coordinates, a
+# thread pool over fixed chunks, results concatenated in chunk order
+# ---------------------------------------------------------------------------
+
+
+def _oracle_prefilter(pairs, pa, pb, tol):
+    keep = np.ones(len(pairs), dtype=bool)
+    keep &= (pa.min(axis=1) <= pb.max(axis=1)).all(axis=1)
+    keep &= (pb.min(axis=1) <= pa.max(axis=1)).all(axis=1)
+
+    def plane_reject(p, q):
+        n = np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
+        norm = np.linalg.norm(n, axis=1, keepdims=True)
+        norm[norm == 0] = 1.0
+        n = n / norm
+        d = np.einsum("kij,kj->ki", p - q[:, None, 0], n)
+        d[np.abs(d) < tol] = 0.0
+        return (d > 0).all(axis=1) | (d < 0).all(axis=1)
+
+    keep &= ~plane_reject(pa, pb)
+    keep[keep] &= ~plane_reject(pb[keep], pa[keep])
+    return keep
+
+
+def _oracle_run_chunk(pairs, verts_a, faces_a, verts_b, faces_b, tol):
+    if len(pairs) == 0:
+        return [], []
+    pa = verts_a[faces_a[pairs[:, 0]]]
+    pb = verts_b[faces_b[pairs[:, 1]]]
+    keep = _oracle_prefilter(pairs, pa, pb, tol)
+    segs = []
+    coplanar = []
+    for idx in np.nonzero(keep)[0]:
+        res = tri_tri_intersect(pa[idx], pb[idx], tol)
+        if res is None:
+            continue
+        ta, tb = int(pairs[idx, 0]), int(pairs[idx, 1])
+        if res is COPLANAR:
+            coplanar.append((ta, tb))
+            continue
+        res.tri_a, res.tri_b = ta, tb
+        segs.append(res)
+    return segs, coplanar
+
+
+def oracle_intersect_all(pairs, a: TriMesh, b: TriMesh, plane_tol, threads=0, strict=False,
+                         chunk=4096):
+    report = NarrowPhaseReport()
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if len(pairs) == 0:
+        return [], report
+
+    if threads <= 0:
+        threads = os.cpu_count() or 1
+    chunks = [pairs[i : i + chunk] for i in range(0, len(pairs), chunk)]
+    args = (a.vertices, a.faces, b.vertices, b.faces, plane_tol)
+    if threads == 1 or len(chunks) == 1:
+        results = [_oracle_run_chunk(c, *args) for c in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(lambda c: _oracle_run_chunk(c, *args), chunks))
+
+    segs = []
+    for got, cop in results:
+        report.coplanar_pairs.extend(cop)
+        for s in got:
+            if s.degenerate:
+                report.point_contacts += 1
+            else:
+                segs.append(s)
+    if strict and report.coplanar_pairs:
+        raise CoplanarPairError(
+            f"{len(report.coplanar_pairs)} overlapping coplanar triangle pair(s), "
+            f"first {report.coplanar_pairs[0]}"
+        )
+    segs.sort(key=lambda s: (s.tri_a, s.tri_b))
+    return segs, report

@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
 
-from meshbool.errors import CoplanarPairError, DegenerateTriangle
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import meshbool.intersect as intersect_mod
+from meshbool.errors import CoplanarPairError, DegenerateTriangle, GeometryError
 from meshbool.geometry import TriMesh
 from meshbool.intersect import COPLANAR, intersect_all, tri_tri_intersect
 from meshbool.octree import find_candidates
-from meshes import torus_pair
+from meshes import (
+    blob_and_plane,
+    cube,
+    icosphere,
+    oracle_intersect_all,
+    tangent_cylinders,
+    torus_pair,
+    vw_pair,
+)
 
 
 def seg_points(seg):
@@ -114,10 +126,10 @@ def test_coplanar_overlap_reported_and_strict_aborts():
     a = TriMesh(ta, [[0, 1, 2]], source="A")
     b = TriMesh(tb, [[0, 1, 2]], source="B")
     pairs = np.array([[0, 0]])
-    segs, report = intersect_all(pairs, a, b, 1e-12, threads=1)
+    segs, report = intersect_all(pairs, a, b, 1e-12)
     assert segs == [] and report.coplanar_pairs == [(0, 0)]
     with pytest.raises(CoplanarPairError):
-        intersect_all(pairs, a, b, 1e-12, threads=1, strict=True)
+        intersect_all(pairs, a, b, 1e-12, strict=True)
 
 
 def test_empty_pair_set():
@@ -126,12 +138,121 @@ def test_empty_pair_set():
     assert segs == []
 
 
+def narrow_outcome(fn, *args, **kw):
+    """Everything a narrow-phase call returns, exact to the byte, or the
+    class and message of the error it raises."""
+    try:
+        segs, report = fn(*args, **kw)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    return (
+        [(s.tri_a, s.tri_b, s.degenerate, s.p0.tobytes(), s.p1.tobytes()) for s in segs],
+        list(report.coplanar_pairs),
+        report.point_contacts,
+    )
+
+
+def assert_matches_oracle(pairs, a, b, tol, threads=(1, 4), **oracle_kw):
+    """Compare with and without strict; returns the non-strict outcome."""
+    outcomes = []
+    for strict in (False, True):
+        got = narrow_outcome(intersect_all, pairs, a, b, tol, strict=strict)
+        for n in threads:
+            expect = narrow_outcome(oracle_intersect_all, pairs, a, b, tol,
+                                    threads=n, strict=strict, **oracle_kw)
+            assert got == expect, (strict, n)
+        outcomes.append(got)
+    return outcomes[0]
+
+
 def test_thread_count_invariance_on_torus_fixture():
+    """The serial narrow phase equals the thread-pooled oracle at 1 and 4
+    threads; the small oracle chunk makes the pool really run."""
     a, b = torus_pair(1.0, 0.35, n_major=24, n_minor=12)
     pairs = find_candidates(a, b)
-    segs1, _ = intersect_all(pairs, a, b, 1e-12 * 3.0, threads=1)
-    segs4, _ = intersect_all(pairs, a, b, 1e-12 * 3.0, threads=4)
-    assert len(segs1) == len(segs4) > 0
-    for s1, s4 in zip(segs1, segs4):
-        assert (s1.tri_a, s1.tri_b) == (s4.tri_a, s4.tri_b)
-        assert np.array_equal(s1.p0, s4.p0) and np.array_equal(s1.p1, s4.p1)
+    segs, _, _ = assert_matches_oracle(pairs, a, b, 1e-12 * 3.0, chunk=64)
+    assert len(segs) > 0 and len(pairs) > 4 * 64
+
+
+def _coplanar_cubes():
+    return cube((0, 0, 0), 1.0, "A"), cube((0.5, 0.5, 0), 1.0, "B")
+
+
+NARROW_FIXTURES = {
+    "cube_sphere": lambda: (cube((-1, -1, -1), 2.0, "A"), icosphere(1.3, subdivisions=3, source="B")),
+    "torus_pair": lambda: torus_pair(1.0, 0.35, n_major=24, n_minor=12),
+    "blob_and_plane": blob_and_plane,
+    "vw_pair": vw_pair,
+    "tangent_cylinders": lambda: tangent_cylinders(1.0, n_theta=24, n_rings=9),
+    "coplanar_cubes": _coplanar_cubes,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NARROW_FIXTURES))
+def test_matches_pooled_oracle_on_fixtures(name, monkeypatch):
+    a, b = NARROW_FIXTURES[name]()
+    pairs = find_candidates(a, b)
+    tol = 1e-12 * float(np.ptp(np.concatenate([a.vertices, b.vertices]), axis=0).max())
+    got = assert_matches_oracle(pairs, a, b, tol)
+    # chunk boundaries move nothing: a tiny chunk on both sides
+    monkeypatch.setattr(intersect_mod, "CHUNK", 5)
+    assert assert_matches_oracle(pairs, a, b, tol, chunk=37) == got
+    segs, coplanar, _ = got
+    assert coplanar if name == "coplanar_cubes" else segs
+
+
+def test_segments_sorted_for_unsorted_pairs():
+    a, b = torus_pair(1.0, 0.35, n_major=24, n_minor=12)
+    pairs = find_candidates(a, b)[::-1].copy()
+    assert_matches_oracle(pairs, a, b, 1e-12 * 3.0, threads=(1,))
+
+
+# Dyadic grid: box faces meet exactly (the <= ties), corners are shared
+# between A and B, edges lie in the other triangle's plane, and triangles
+# on one grid plane overlap exactly coplanar.
+GRID = st.integers(0, 4).map(lambda k: k * 0.25)
+
+
+@st.composite
+def triangle_soup_pair(draw):
+    pool = draw(st.lists(st.tuples(GRID, GRID, GRID), min_size=4, max_size=9, unique=True))
+    pool = np.asarray(pool, dtype=np.float64)
+    if draw(st.booleans()):  # half the pool on one plane: coplanar overlaps
+        pool[: len(pool) // 2 + 1, 2] = 0.5
+
+    def side():
+        tris = []
+        for _ in range(draw(st.integers(1, 6))):
+            i, j, k = draw(st.lists(st.integers(0, len(pool) - 1), min_size=3, max_size=3, unique=True))
+            tri = pool[[i, j, k]].copy()
+            if draw(st.booleans()):  # sliver: the apex near the opposite edge
+                eps = 2.0 ** -draw(st.integers(4, 30))
+                tri[2] = 0.5 * (tri[0] + tri[1]) + eps * (tri[2] - 0.5 * (tri[0] + tri[1]))
+            if np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0])) > 0:
+                tris.append(tri)
+        return tris
+
+    ta, tb = side(), side()
+    assume(ta and tb)
+    mesh = lambda tris: TriMesh(np.concatenate(tris), np.arange(3 * len(tris)).reshape(-1, 3))
+    return mesh(ta), mesh(tb)
+
+
+@settings(max_examples=150, deadline=None)
+@given(triangle_soup_pair())
+def test_matches_pooled_oracle_on_dyadic_soups(soups):
+    a, b = soups
+    ga, gb = np.meshgrid(np.arange(a.num_faces), np.arange(b.num_faces), indexing="ij")
+    pairs = np.stack([ga.ravel(), gb.ravel()], axis=1)
+    assert_matches_oracle(pairs, a, b, 1e-12, chunk=4)
+
+
+def test_degenerate_triangle_raises_only_when_its_box_overlaps():
+    line = TriMesh([[0, 0, 0.5], [1, 0, 0.5], [2, 0, 0.5]], [[0, 1, 2]], source="A")
+    far = TriMesh([[5, 5, 5], [6, 5, 5], [5, 6, 5]], [[0, 1, 2]], source="B")
+    near = TriMesh([[0.5, -1, 0], [0.5, 1, 0], [0.5, 0, 1]], [[0, 1, 2]], source="B")
+    pairs = np.array([[0, 0]])
+    assert narrow_outcome(intersect_all, pairs, line, far, 1e-12) == ([], [], 0)
+    assert_matches_oracle(pairs, line, far, 1e-12)
+    got = assert_matches_oracle(pairs, line, near, 1e-12)
+    assert got[0] is DegenerateTriangle

@@ -44,7 +44,7 @@ def test_cube_cube_endpoints_all_shared():
     a = cube((0, 0, 0), 1.0, "A")
     b = cube((0.5, 0.5, 0.5), 1.0, "B")
     pairs = find_candidates(a, b)
-    segs, _ = intersect_all(pairs, a, b, 1e-12, threads=1)
+    segs, _ = intersect_all(pairs, a, b, 1e-12)
     counts = {}
     for s in segs:
         for p in (s.p0, s.p1):

@@ -5,11 +5,14 @@ identical to the oracle's on the fixtures, on random soups, across the
 depth x capacity grid and on dyadic soups whose boxes end exactly on the
 mid-planes, where the closed overlap test decides ties.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meshbool.octree as octree_mod
 from meshbool.geometry import Aabb, TriMesh
 from meshbool.octree import (
     Octree,
@@ -297,11 +300,25 @@ def _dyadic_soup(draw, min_size):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_dyadic_soup(1), _dyadic_soup(0), st.integers(1, 4), st.integers(1, 6), st.booleans())
-def test_dyadic_ties_match_oracle(tris_a, tris_b, depth, cap, swap):
+@given(
+    _dyadic_soup(1), _dyadic_soup(0), st.integers(1, 4), st.integers(1, 6), st.booleans(),
+    st.sampled_from([1, 2, 7, 1 << 16]),
+)
+def test_dyadic_ties_match_oracle(tris_a, tris_b, depth, cap, swap, pair_chunk):
     if swap:
         tris_a, tris_b = tris_b, tris_a
     root = Aabb(np.zeros(3), np.ones(3))
     boxes = [(t.min(axis=1), t.max(axis=1)) for t in (tris_a, tris_b)]
     ids = [np.arange(len(t), dtype=np.int64) for t in (tris_a, tris_b)]
-    assert_matches_oracle(*ids, *boxes, root, OctreeConfig(depth, cap))
+    with mock.patch.object(octree_mod, "PAIR_CHUNK", pair_chunk):
+        assert_matches_oracle(*ids, *boxes, root, OctreeConfig(depth, cap))
+
+
+@pytest.mark.parametrize("pair_chunk", [1, 5, 64, 1000])
+@pytest.mark.parametrize("name", ["cube_sphere", "icosphere3_pair", "torus_pair", "identical_cubes"])
+def test_pair_runs_match_oracle(name, pair_chunk, monkeypatch):
+    """candidate_pairs expands the cross product in runs of whole A
+    triangles; runs of every size, down to one triangle each, give the
+    oracle's pairs. A triangle can expand to more rows than a run holds."""
+    monkeypatch.setattr(octree_mod, "PAIR_CHUNK", pair_chunk)
+    assert_meshes_match_oracle(*FIXTURE_PAIRS[name]())

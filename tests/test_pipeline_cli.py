@@ -3,9 +3,10 @@ import json
 import pytest
 
 from meshbool.cli import RunConfig, main, run
+from meshbool.errors import GeometryError
 from meshbool.geometry import signed_volume
 from meshbool.io import load_mesh, save_mesh
-from meshbool.pipeline import STAGES, run_pipeline
+from meshbool.pipeline import STAGES, PipelineOptions, run_pipeline
 from meshes import cube, icosphere, tangent_cylinders, torus_pair, vw_pair
 
 
@@ -145,6 +146,27 @@ def test_env_var_threads_fallback(tmp_path, monkeypatch):
     out = tmp_path / "env.stl"
     assert main(["union", pa, pb, "-o", str(out)]) == 0
     assert signed_volume(load_mesh(out)) == pytest.approx(1.875, rel=1e-9)
+
+
+def test_threads_env_var_is_not_read(tmp_path, monkeypatch):
+    pa, pb = write_pair(tmp_path, cube(), cube((0.5, 0.5, 0.5), 1.0))
+    monkeypatch.setenv("MESHBOOL_THREADS", "two")
+    out = tmp_path / "env.stl"
+    assert main(["union", pa, pb, "-o", str(out)]) == 0
+    assert signed_volume(load_mesh(out)) == pytest.approx(1.875, rel=1e-9)
+
+
+@pytest.mark.parametrize("tol", ["0", "nan", "-1.0", "inf"])
+def test_bad_merge_tol_is_a_geometry_error(tmp_path, tol, capsys):
+    pa, pb = write_pair(tmp_path, cube(), cube((0.5, 0.5, 0.5), 1.0))
+    assert main(["union", pa, pb, "-o", str(tmp_path / "u.stl"), "--merge-tol", tol]) == 3
+    assert "merge tolerance" in capsys.readouterr().err
+
+
+def test_pipeline_options_reject_bad_merge_tol():
+    with pytest.raises(GeometryError):
+        PipelineOptions(merge_tol=-1.0)
+    assert PipelineOptions(merge_tol=1e-9).merge_tol == 1e-9
 
 
 def test_debug_json_flag(tmp_path):

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
-from meshbool.errors import DegeneratePolygon, GeometryError, NotSimple
+from meshbool.errors import GeometryError, NotSimple
 from meshbool.retriangulate import (
-    SplitPolygon,
     ear_clip,
-    shoelace,
     split_and_triangulate,
     split_triangle,
-    to_local_ccw,
-    triangulate_polygon,
 )
 from meshes import oracle_shoelace, random_simple_polygon
 
@@ -92,45 +88,6 @@ def test_junction_star_splits_into_sectors():
     assert total == pytest.approx(2.0, rel=1e-12)
 
 
-# --- to_local_ccw ---------------------------------------------------------
-
-
-def test_to_local_ccw_square_unchanged():
-    sq = SplitPolygon(np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float))
-    frame, ring2d, reversed_ = to_local_ccw(sq)
-    assert not reversed_
-    assert shoelace(ring2d) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_to_local_ccw_reverses_cw_square():
-    # listed clockwise with respect to the parent plane's +z side
-    sq = SplitPolygon(
-        np.array([[0, 0, 0], [0, 1, 0], [1, 1, 0], [1, 0, 0]], dtype=float),
-        normal=np.array([0.0, 0.0, 1.0]),
-    )
-    frame, ring2d, reversed_ = to_local_ccw(sq)
-    assert reversed_
-    assert shoelace(ring2d) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_to_local_ccw_skewed_pentagon_area_equality():
-    rng = np.random.default_rng(9)
-    ring2 = random_simple_polygon(rng, 5)
-    origin = np.array([0.3, -0.2, 1.7])
-    u = np.array([1.0, 2.0, 2.0]) / 3.0
-    w = np.array([2.0, 1.0, -2.0]) / 3.0
-    ring3 = origin + ring2[:, :1] * u + ring2[:, 1:] * w
-    poly = SplitPolygon(ring3)
-    _, ring2d, _ = to_local_ccw(poly)
-    assert shoelace(ring2d) == pytest.approx(poly_area3d(ring3), rel=1e-10)
-
-
-def test_to_local_ccw_zero_area_raises():
-    line = SplitPolygon(np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float))
-    with pytest.raises(DegeneratePolygon):
-        to_local_ccw(line)
-
-
 # --- ear_clip -------------------------------------------------------------
 
 
@@ -202,10 +159,3 @@ def test_winding_preserved_through_split():
     for t in tris:
         n = np.cross(t[1] - t[0], t[2] - t[0])
         assert n @ parent_n > 0
-
-
-def test_triangulate_polygon_standalone_path():
-    poly = SplitPolygon(np.array([[0, 0, 1], [2, 0, 1], [2, 2, 1], [0, 2, 1]], dtype=float))
-    tris = triangulate_polygon(poly)
-    assert tris.shape == (2, 3, 3)
-    assert sum(poly_area3d(t) for t in tris) == pytest.approx(4.0, rel=1e-12)
