@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssemblyError, ClassificationError, CoincidentInput, TopologyError
-from .geometry import TriMesh, is_closed_manifold, signed_volume
+from .geometry import MERGE_TOL_REL, PLANE_TOL_REL, TriMesh, is_closed_manifold, scene_scale, signed_volume
 from .merge import MergedState, merge_vertices
 
 log = logging.getLogger(__name__)
@@ -170,12 +170,13 @@ def pick_union(candidates, state: MergedState, surfs) -> tuple[SubBlock, list[Su
     """Select the union among case-1 blocks via the stored extreme vertices."""
     if not candidates:
         raise ClassificationError("no union/intersection candidate block")
-    extrema = state.extrema
-    attaining = []
-    for blk in candidates:
-        ids = block_vertex_ids(blk, state, surfs)
-        if all(int(e) in ids for e in extrema):
-            attaining.append(blk)
+    by_id = {s.id: s for s in surfs}
+
+    def attains(blk):
+        faces = np.concatenate([state.faces[by_id[sid].triangles] for sid in blk.surfaces])
+        return bool(np.isin(state.extrema, faces).all())
+
+    attaining = [blk for blk in candidates if attains(blk)]
     if len(attaining) == 1:
         union = attaining[0]
     elif not attaining:
@@ -353,29 +354,30 @@ def trivial_from_no_crossing(a: TriMesh, b: TriMesh) -> BooleanResult:
     return res
 
 
-def preprocess_trivial_cases(a: TriMesh, b: TriMesh, merge_tol: float | None = None):
+def preprocess_trivial_cases(
+    a: TriMesh, b: TriMesh, merge_tol: float | None = None, plane_tol: float | None = None
+):
     """Return a BooleanResult for coincident/disjoint/contained inputs.
 
     Returns None when the surfaces genuinely cross and the full pipeline is
     needed. Raises CoincidentInput for equal solids, which the distinguishing
-    step cannot handle by design.
+    step cannot handle by design. Omitted tolerances follow the pipeline's
+    rule: a fixed fraction of the scene scale.
     """
     from .intersect import intersect_all
-    from .octree import find_candidates
+    from .octree import clip_to_shared_region, find_candidates
 
-    scale = max(
-        float(np.abs(a.vertices).max(initial=0.0)),
-        float(np.abs(b.vertices).max(initial=0.0)),
-        1.0,
-    )
-    tol = merge_tol if merge_tol is not None else 1e-9 * scale
-    if meshes_coincident(a, b, tol):
+    if merge_tol is None:
+        merge_tol = MERGE_TOL_REL * scene_scale(a, b)
+    if meshes_coincident(a, b, merge_tol):
         raise CoincidentInput("input meshes are coincident; Booleans are the mesh itself")
     if not (a.closed and b.closed):
         return None
     pairs = find_candidates(a, b)
     if len(pairs):
-        segs, _ = intersect_all(pairs, a, b, plane_tol=1e-12 * scale)
+        if plane_tol is None:
+            plane_tol = PLANE_TOL_REL * scene_scale(a, b, clip_to_shared_region(a, b)[2])
+        segs, _ = intersect_all(pairs, a, b, plane_tol=plane_tol)
         if segs:
             return None
     return trivial_from_no_crossing(a, b)

@@ -158,6 +158,21 @@ def mesh_aabb(mesh: TriMesh) -> Aabb:
     return Aabb.of_points(mesh.vertices)
 
 
+# Tolerances are these fractions of the scene scale.
+PLANE_TOL_REL = 1e-12
+MERGE_TOL_REL = 1e-9
+
+
+def scene_scale(a: TriMesh, b: TriMesh, cube: Aabb | None = None) -> float:
+    """Characteristic length for tolerances: the root cube side when the
+    broad phase produced one, otherwise the combined bounding extent."""
+    if cube is not None and not cube.is_empty:
+        return float(cube.extent.max())
+    lo = np.minimum(mesh_aabb(a).lo, mesh_aabb(b).lo)
+    hi = np.maximum(mesh_aabb(a).hi, mesh_aabb(b).hi)
+    return max(float((hi - lo).max()), 1e-30)
+
+
 def triangle_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Non-unit face normals (cross products), (m, 3)."""
     p = vertices[faces]

@@ -18,7 +18,7 @@ from . import blocks as blk
 from . import loops as lps
 from . import subsurfaces as ssf
 from .errors import CoincidentInput, GeometryError, NotClosed, TopologyError
-from .geometry import TriMesh, mesh_aabb, signed_volume
+from .geometry import MERGE_TOL_REL, PLANE_TOL_REL, TriMesh, scene_scale, signed_volume
 from .halfedge import EdgeTable
 from .intersect import intersect_all
 from .merge import build_merged_state
@@ -35,10 +35,6 @@ STAGES = (
     "5 create sub-surfaces",
     "6 assemble blocks",
 )
-
-PLANE_TOL_REL = 1e-12
-MERGE_TOL_REL = 1e-9
-
 
 @dataclass
 class PipelineOptions:
@@ -78,42 +74,47 @@ class PipelineState:
                                source=ss.source, name=f"{ss.source}_sub_{ss.id}")
 
 
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products over the last axis. Stacked 1x3 @ 3x1 products
+    run numpy's vector dot on each row, the same as 1-D `@` on that row."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def _propagate_edge_points(mesh: TriMesh, per_face: dict, tol: float) -> dict:
     """Points every face must embed because a neighbour subdivides the shared
     edge there (keeps the re-triangulated surface free of T-junctions)."""
-    table = EdgeTable(mesh.faces)
-    extra: dict[int, list] = {}
+    owner, pts = [], []
     for fid, segs in per_face.items():
-        tri_idx = mesh.faces[fid]
         for p in {tuple(q) for pq in segs for q in pq}:
-            p = np.asarray(p)
-            for k in range(3):
-                u, v = int(tri_idx[k]), int(tri_idx[(k + 1) % 3])
-                va, vb = mesh.vertices[u], mesh.vertices[v]
-                ab = vb - va
-                length2 = float(ab @ ab)
-                if length2 == 0.0:
-                    continue
-                t = float((p - va) @ ab) / length2
-                length = length2 ** 0.5
-                if not (tol < t * length < length - tol):
-                    continue
-                if float(np.linalg.norm(p - (va + t * ab))) >= tol:
-                    continue
-                for nb in table.faces_on(u, v).tolist():
-                    if nb != fid:
-                        extra.setdefault(nb, []).append(p)
+            owner.append(fid)
+            pts.append(p)
+    if not pts:
+        return {}
+    # Project every (point, edge of its face) pair at once.
+    tri = mesh.faces[owner]
+    va = mesh.vertices[tri]
+    ab = mesh.vertices[tri[:, [1, 2, 0]]] - va
+    p = np.asarray(pts, dtype=np.float64)
+    length2 = _dots(ab, ab)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _dots(p[:, None, :] - va, ab) / length2
+        # pow() as the reference's scalar ** 0.5; np.sqrt may differ by an ulp.
+        length = np.float_power(length2, 0.5)
+        off = p[:, None, :] - (va + t[..., None] * ab)
+        hit = (tol < t * length) & (t * length < length - tol) & (np.sqrt(_dots(off, off)) < tol)
+    rows, ks = np.nonzero(hit & (length2 != 0.0))
+    u, v = tri[rows, ks], tri[rows, (ks + 1) % 3]
+    # Neighbours come from an edge table over the faces holding two hit ends.
+    ends = np.zeros(len(mesh.vertices), dtype=bool)
+    ends[u] = ends[v] = True
+    near = np.nonzero(ends[mesh.faces].sum(axis=1) >= 2)[0]
+    table = EdgeTable(mesh.faces[near])
+    extra: dict[int, list] = {}
+    for i, a, b in zip(rows.tolist(), u.tolist(), v.tolist()):
+        for nb in near[table.faces_on(a, b)].tolist():
+            if nb != owner[i]:
+                extra.setdefault(nb, []).append(p[i])
     return extra
-
-
-def _scene_scale(a: TriMesh, b: TriMesh, cube) -> float:
-    """Characteristic length for tolerances: the root cube side when the
-    broad phase produced one, otherwise the combined bounding extent."""
-    if cube is not None and not cube.is_empty:
-        return float(cube.extent.max())
-    lo = np.minimum(mesh_aabb(a).lo, mesh_aabb(b).lo)
-    hi = np.maximum(mesh_aabb(a).hi, mesh_aabb(b).hi)
-    return max(float((hi - lo).max()), 1e-30)
 
 
 def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | None = None) -> PipelineState:
@@ -129,7 +130,7 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
                 f"closed input {m.name!r} is inward-oriented (negative volume); "
                 "windings must point outward"
             )
-    scale0 = _scene_scale(a, b, None)
+    scale0 = scene_scale(a, b)
     tol0 = options.merge_tol if options.merge_tol is not None else MERGE_TOL_REL * scale0
     if blk.meshes_coincident(a, b, tol0):
         raise CoincidentInput("input meshes are coincident; handled in pre-process by design")
@@ -143,7 +144,7 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
         state.pairs = np.zeros((0, 2), dtype=np.int64)
     state.timings.append((STAGES[0], time.perf_counter() - t0))
 
-    scale = _scene_scale(a, b, cube if len(ids_a) and len(ids_b) else None)
+    scale = scene_scale(a, b, cube)
     plane_tol = PLANE_TOL_REL * scale
     merge_tol = options.merge_tol if options.merge_tol is not None else MERGE_TOL_REL * scale
 
@@ -156,7 +157,7 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
         for stage in STAGES[2:]:
             state.timings.append((stage, 0.0))
         if both_closed and options.classify:
-            state.result = blk.preprocess_trivial_cases(a, b, merge_tol)
+            state.result = blk.preprocess_trivial_cases(a, b, merge_tol, plane_tol)
         return state
 
     t0 = time.perf_counter()

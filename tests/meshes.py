@@ -9,6 +9,9 @@ octree oracles are the recursive node tree that the level-synchronous
 meshbool.octree replaced, the coincidence oracle is the weld-only test
 that now sits behind a bounding-box reject, and the narrow-phase oracle is
 the thread-pooled intersect_all that the serial box-first loop replaced.
+The weld oracle is the per-point first-fit scan that the cell-hash weld in
+meshbool.merge replaced, and the assembly oracle is the per-face loop that
+built the merged arrays before they were built from masks and repeats.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import numpy as np
 from meshbool.errors import CoplanarPairError, TopologyError
 from meshbool.geometry import TriMesh
 from meshbool.intersect import COPLANAR, NarrowPhaseReport, tri_tri_intersect
-from meshbool.merge import merge_vertices
+from meshbool.merge import MergedState, clear_topology
 from meshbool.octree import OctreeConfig
 
 
@@ -742,6 +745,139 @@ def oracle_candidate_pairs(tree: OracleOctreeNode) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Stage-3 oracles: the per-point weld scan and the per-face assembly loop
+# ---------------------------------------------------------------------------
+
+
+def oracle_merge_vertices(raw: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    raw = np.asarray(raw, dtype=np.float64)
+    if tol <= 0:
+        raise ValueError("merge tolerance must be positive")
+    n = len(raw)
+    remap = np.empty(n, dtype=np.int64)
+    cells = np.floor(raw / tol).astype(np.int64)
+    grid: dict[tuple[int, int, int], list[int]] = {}
+    keep: list[int] = []
+    tol2 = tol * tol
+    for i in range(n):
+        cx, cy, cz = cells[i]
+        p = raw[i]
+        found = -1
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dz in (-1, 0, 1):
+                    bucket = grid.get((cx + dx, cy + dy, cz + dz))
+                    if not bucket:
+                        continue
+                    for j in bucket:
+                        q = raw[keep[j]]
+                        if (
+                            (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2
+                            < tol2
+                        ):
+                            found = j
+                            break
+                    if found >= 0:
+                        break
+                if found >= 0:
+                    break
+            if found >= 0:
+                break
+        if found < 0:
+            found = len(keep)
+            keep.append(i)
+            grid.setdefault((cx, cy, cz), []).append(found)
+        remap[i] = found
+    return raw[keep].copy(), remap
+
+
+def oracle_build_merged_state(a: TriMesh, b: TriMesh, replacements: dict, segments, tol: float):
+    raw_chunks = [a.vertices, b.vertices]
+    offset_b = len(a.vertices)
+    cursor = offset_b + len(b.vertices)
+
+    face_rows = []
+    parent_rows = []
+    source_rows = []
+    child_parent_normals = []
+
+    for surf, mesh, offset in ((0, a, 0), (1, b, offset_b)):
+        tag = "A" if surf == 0 else "B"
+        replaced = {fid for (t, fid) in replacements if t == tag}
+        for fid in range(mesh.num_faces):
+            if fid not in replaced:
+                face_rows.append(mesh.faces[fid] + offset)
+                parent_rows.append(-1)
+                source_rows.append(surf)
+        for fid in sorted(replaced):
+            children = replacements[(tag, fid)]
+            k = len(children)
+            raw_chunks.append(np.asarray(children, dtype=np.float64).reshape(-1, 3))
+            idx = np.arange(cursor, cursor + 3 * k).reshape(k, 3)
+            cursor += 3 * k
+            tri = mesh.face_coords(fid)
+            pn = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+            for row in idx:
+                face_rows.append(row)
+                parent_rows.append(fid)
+                source_rows.append(surf)
+                child_parent_normals.append(pn)
+
+    seg_base = cursor
+    seg_pts = []
+    for s in segments:
+        seg_pts.append(s.p0)
+        seg_pts.append(s.p1)
+    if seg_pts:
+        raw_chunks.append(np.asarray(seg_pts, dtype=np.float64))
+
+    raw = np.concatenate(raw_chunks, axis=0) if raw_chunks else np.zeros((0, 3))
+    vertices, remap = oracle_merge_vertices(raw, tol)
+
+    faces = remap[np.asarray(face_rows, dtype=np.int64)]
+    source = np.asarray(source_rows, dtype=np.int8)
+    parent = np.asarray(parent_rows, dtype=np.int64)
+
+    child_mask = parent >= 0
+    if child_mask.any():
+        p = vertices[faces[child_mask]]
+        normals = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        pn = np.asarray(child_parent_normals)
+        dots = np.einsum("ij,ij->i", normals, pn)
+        n_len = np.linalg.norm(normals, axis=1)
+        p_len = np.linalg.norm(pn, axis=1)
+        flip = (dots < -0.5 * n_len * p_len) & (n_len > 1e-9 * p_len)
+        if flip.any():
+            rows = np.nonzero(child_mask)[0][flip]
+            faces[rows] = faces[rows][:, ::-1]
+
+    edge_rows = []
+    edge_pairs = []
+    for si, s in enumerate(segments):
+        h = int(remap[seg_base + 2 * si])
+        t = int(remap[seg_base + 2 * si + 1])
+        if h == t:
+            continue
+        edge_rows.append((min(h, t), max(h, t)))
+        edge_pairs.append((s.tri_a, s.tri_b))
+    if edge_rows:
+        earr = np.asarray(edge_rows, dtype=np.int64)
+        uniq, first = np.unique(earr, axis=0, return_index=True)
+        order = np.argsort(first)
+        edges = uniq[order]
+        pairs = [edge_pairs[first[i]] for i in order]
+    else:
+        edges = np.zeros((0, 2), dtype=np.int64)
+        pairs = []
+
+    state = MergedState(
+        vertices, faces, source, parent, edges, pairs, tol,
+        a_closed=a.closed, b_closed=b.closed,
+    )
+    return clear_topology(state)
+
+
+# ---------------------------------------------------------------------------
 # Coincidence oracle: the full weld, with no cheap reject in front
 # ---------------------------------------------------------------------------
 
@@ -750,7 +886,7 @@ def oracle_meshes_coincident(a: TriMesh, b: TriMesh, tol: float) -> bool:
     if a.num_vertices != b.num_vertices or a.num_faces != b.num_faces:
         return False
     raw = np.concatenate([a.vertices, b.vertices])
-    merged, remap = merge_vertices(raw, tol)
+    merged, remap = oracle_merge_vertices(raw, tol)
     if len(merged) != a.num_vertices:
         return False
 

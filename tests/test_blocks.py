@@ -230,6 +230,36 @@ def test_crossing_meshes_return_none():
     assert preprocess_trivial_cases(a, b) is None
 
 
+def _record_plane_tols(monkeypatch):
+    """Wrap both intersect_all bindings; returns the (caller, plane_tol) log."""
+    import meshbool.intersect as intersect
+    import meshbool.pipeline as pipeline
+
+    seen = []
+    for mod, where in ((pipeline, "pipeline"), (intersect, "trivial")):
+        def recorded(pairs, a, b, plane_tol, *args, _fn=mod.intersect_all, _where=where, **kw):
+            seen.append((_where, plane_tol))
+            return _fn(pairs, a, b, plane_tol, *args, **kw)
+
+        monkeypatch.setattr(mod, "intersect_all", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("shift", [0.0, 1000.0])
+def test_trivial_path_repeat_uses_the_pipeline_plane_tol(monkeypatch, shift):
+    """Nested spheres: the trivial path repeats the narrow phase with the
+    pipeline's plane tolerance, and public callers get the same rule."""
+    seen = _record_plane_tols(monkeypatch)
+    a = icosphere(1.0, center=(shift, 0, 0), subdivisions=2, source="A")
+    b = icosphere(0.97, center=(shift, 0, 0), subdivisions=2, source="B")
+    state = run_pipeline(a, b)
+    assert state.trivial and len(state.result.intersection) == 1
+    assert preprocess_trivial_cases(a, b) is not None
+    assert [w for w, _ in seen] == ["pipeline", "trivial", "trivial"]
+    assert seen[0][1] == seen[1][1] == seen[2][1]
+    assert seen[0][1] == pytest.approx(2e-12, rel=1e-6)  # 1e-12 x the root cube side
+
+
 def test_point_in_closed_mesh_agrees_with_oracle():
     rng = np.random.default_rng(17)
     sphere = icosphere(1.0, subdivisions=2)

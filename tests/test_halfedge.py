@@ -179,6 +179,31 @@ def test_propagated_edge_points_on_an_edge_of_three_faces():
     assert _points(got) == _points(oracle_propagate_edge_points(mesh, per_face, 1e-9))
 
 
+PROPAGATION_MESH = icosphere(1.0, subdivisions=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, PROPAGATION_MESH.num_faces - 1), st.integers(0, 2),
+                          st.sampled_from([0.5, 0.99, 1.0, 1.01, 3.0, -0.99, -1.0, -1.01]),
+                          st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, -1.0])),
+                min_size=1, max_size=12))
+def test_propagated_points_at_the_tolerances_match_oracle(picks):
+    """Points tol-fractions from an edge's ends (negative: from the far end)
+    and from its line, where each of the three tests flips."""
+    mesh, tol = PROPAGATION_MESH, 1e-6
+    per_face = {}
+    for fid, k, along, off in picks:
+        tri = mesh.vertices[mesh.faces[fid]]
+        va, ab = tri[k], tri[(k + 1) % 3] - tri[k]
+        length = float(np.linalg.norm(ab))
+        t = along * tol / length if along > 0 else 1 + along * tol / length
+        side = np.cross(np.cross(tri[1] - tri[0], tri[2] - tri[0]), ab)
+        p = va + t * ab + off * tol * side / np.linalg.norm(side)
+        per_face.setdefault(fid, []).append((p, tri.mean(axis=0)))
+    got = _propagate_edge_points(mesh, per_face, tol)
+    assert _points(got) == _points(oracle_propagate_edge_points(mesh, per_face, tol))
+
+
 def test_table_invariants_on_open_and_repeated_edges():
     table = EdgeTable([[0, 1, 2], [0, 1, 3], [2, 1, 0]])
     assert table.duplicate.tolist() == [False, False, False, True] + [False] * 5

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from meshbool import merge, pipeline
 from meshbool.errors import TopologyError
 from meshbool.geometry import TriMesh, is_closed_manifold
 from meshbool.intersect import intersect_all
@@ -13,7 +18,16 @@ from meshbool.merge import (
 )
 from meshbool.octree import find_candidates
 from meshbool.pipeline import run_pipeline
-from meshes import cube, tangent_cylinders
+from meshes import (
+    blob_and_plane,
+    cube,
+    icosphere,
+    oracle_build_merged_state,
+    oracle_merge_vertices,
+    tangent_cylinders,
+    torus_pair,
+    vw_pair,
+)
 
 
 def test_merge_exact_duplicate():
@@ -158,3 +172,133 @@ def test_clearing_convergence_error_reported():
     state = _state_from_faces(verts, faces)
     with pytest.raises(TopologyError):
         clear_topology(state)
+
+
+# ---------------------------------------------------------------------------
+# The cell-hash weld and the array-built merged state against the seed loops
+# ---------------------------------------------------------------------------
+
+
+def assert_same_weld(raw, tol):
+    verts, remap = merge_vertices(raw, tol)
+    want_verts, want_remap = oracle_merge_vertices(raw, tol)
+    assert np.array_equal(remap, want_remap)
+    assert np.array_equal(verts, want_verts)
+    assert verts.dtype == want_verts.dtype and remap.dtype == want_remap.dtype
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_merge_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        merge_vertices(np.zeros((2, 3)), tol)
+
+
+def test_merge_chain_follows_the_first_fit_scan():
+    tol = 1e-6
+    # 0.6 tol steps: the third point is 1.2 tol from the first and is kept
+    chain = np.array([[0, 0, 0], [0.6 * tol, 0, 0], [1.2 * tol, 0, 0]])
+    assert merge_vertices(chain, tol)[1].tolist() == [0, 0, 1]
+    # the middle point touches both kept points and joins the one whose cell
+    # the scan visits first (dx = -1), not the lowest index
+    bridge = np.array([[0, 0, 0], [-1.2 * tol, 0, 0], [-0.6 * tol, 0, 0]])
+    assert merge_vertices(bridge, tol)[1].tolist() == [0, 1, 1]
+    assert_same_weld(chain, tol)
+    assert_same_weld(bridge, tol)
+
+
+def test_merge_squares_like_the_scan_at_exactly_tol():
+    """The scan squares with pow(), which can land one ulp below x * x: a pair
+    exactly tol apart then welds. Find such a tol and check both agree."""
+    tols = (1e-6 * (1 + k * 2.0**-30) for k in range(1, 20000))
+    tol = next((t for t in tols if np.float64(t) ** 2 < t * t), None)
+    if tol is None:
+        pytest.skip("pow(x, 2) == x * x for every candidate on this platform")
+    pair = np.array([[0.0, 0.0, 0.0], [tol, 0.0, 0.0]])
+    assert merge_vertices(pair, tol)[1].tolist() == [0, 0]
+    assert_same_weld(pair, tol)
+
+
+STAGE3_RUNS = {
+    "cube_cube": lambda: (cube((0, 0, 0), 1.0, "A"), cube((0.5, 0.5, 0.5), 1.0, "B")),
+    "cube_sphere": lambda: (cube((-1, -1, -1), 2.0, "A"), icosphere(1.3, subdivisions=3, source="B")),
+    "torus_pair": lambda: torus_pair(1.0, 0.35, n_major=24, n_minor=12),
+    "blob_and_plane": blob_and_plane,
+    "vw": vw_pair,
+    "tangent_cylinders": tangent_cylinders,
+}
+
+
+def _recorder(fn, into, key):
+    def recorded(*args):
+        into[key] = args
+        return fn(*args)
+
+    return recorded
+
+
+@pytest.fixture(scope="module")
+def stage3_inputs():
+    """The weld and assembly arguments of one pipeline run per fixture pair."""
+    out = {}
+    for name, make in STAGE3_RUNS.items():
+        rec = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(merge, "merge_vertices", _recorder(merge.merge_vertices, rec, "weld"))
+            mp.setattr(pipeline, "build_merged_state", _recorder(pipeline.build_merged_state, rec, "assembly"))
+            run_pipeline(*make())
+        out[name] = rec
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(STAGE3_RUNS))
+def test_weld_matches_oracle_on_fixture_runs(stage3_inputs, name):
+    raw, tol = stage3_inputs[name]["weld"]
+    assert_same_weld(raw, tol)
+    # the same input far from the origin and at millimetre scale
+    assert_same_weld(raw + 1e3, tol)
+    assert_same_weld(raw * 1e-3, tol * 1e-3)
+
+
+@pytest.mark.parametrize("name", ["cube_sphere", "torus_pair", "blob_and_plane", "vw"])
+def test_assembly_matches_oracle(stage3_inputs, name):
+    args = stage3_inputs[name]["assembly"]
+    got, want = build_merged_state(*args), oracle_build_merged_state(*args)
+    for field in ("vertices", "faces", "face_source", "face_parent", "edges"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert got.edge_tri_pairs == want.edge_tri_pairs
+
+
+DIRECTIONS = [
+    np.asarray(d, dtype=float) / np.linalg.norm(d)
+    for d in ((1, 0, 0), (0, 1, 0), (0, 0, -1), (1, 1, 0), (1, 1, 1), (-1, 0.5, 0.25))
+]
+
+
+@st.composite
+def weld_clouds(draw):
+    """Clusters around cell-border centres k*tol (or one ulp below): members
+    at 0, 0.3, 0.6, 0.99 and 1.01 tol, chains of 0.6 tol steps that make
+    components the scan must resolve, and exact duplicates, in drawn order."""
+    tol = draw(st.sampled_from([1e-9, 1e-6, 0.25]))
+    k0 = round(draw(st.sampled_from([0.0, 1e-3, -1e-3, 1e3, -1e3])) / tol)
+    pts = []
+    for _ in range(draw(st.integers(1, 5))):
+        centre = (np.asarray(draw(st.tuples(*[st.integers(-2, 2)] * 3))) + k0) * tol
+        if draw(st.booleans()):
+            centre = np.nextafter(centre, -np.inf)
+        pts.append(centre)
+        for f, d in draw(st.lists(st.tuples(st.sampled_from([0.0, 0.3, 0.6, 0.99, 1.01]),
+                                            st.sampled_from(DIRECTIONS)), max_size=4)):
+            pts.append(centre + f * tol * d)
+        d = draw(st.sampled_from(DIRECTIONS))
+        pts += [centre + 0.6 * step * tol * d for step in range(1, draw(st.integers(0, 4)) + 1)]
+    pts = np.asarray(pts)
+    pts = np.concatenate([pts, pts[draw(st.lists(st.integers(0, len(pts) - 1), max_size=4))]])
+    return pts[draw(st.permutations(range(len(pts))))], tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(weld_clouds())
+def test_weld_matches_oracle_on_generated_clusters(cloud):
+    assert_same_weld(*cloud)
