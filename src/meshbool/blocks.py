@@ -318,7 +318,8 @@ def point_in_closed_mesh(point, mesh: TriMesh, max_retries: int = 32) -> bool:
     """Ray-parity containment with perturbation retries on grazing hits."""
     point = np.asarray(point, dtype=np.float64)
     tris = mesh.vertices[mesh.faces]
-    scale = float(np.abs(mesh.vertices).max()) + 1.0
+    # The bounding extent, as for the pipeline's tolerances: no change under translation.
+    scale = max(float(np.ptp(c)) for c in mesh.vertices.T)
     rng = np.random.default_rng(20240811)
     for attempt in range(max_retries):
         if attempt < len(_RAY_DIRS):
@@ -334,8 +335,9 @@ def point_in_closed_mesh(point, mesh: TriMesh, max_retries: int = 32) -> bool:
 
 def trivial_from_no_crossing(a: TriMesh, b: TriMesh) -> BooleanResult:
     """Results when the surfaces provably do not intersect (closed inputs)."""
-    a_in_b = point_in_closed_mesh(a.vertices[0], b)
-    b_in_a = point_in_closed_mesh(b.vertices[0], a)
+    # Probe a face corner: a mesh read from STL can hold vertices no face uses.
+    a_in_b = point_in_closed_mesh(a.vertices[a.faces[0, 0]], b)
+    b_in_a = point_in_closed_mesh(b.vertices[b.faces[0, 0]], a)
     res = BooleanResult()
     if a_in_b and b_in_a:
         raise ClassificationError("mutual containment without intersection")

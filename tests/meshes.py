@@ -12,6 +12,8 @@ the thread-pooled intersect_all that the serial box-first loop replaced.
 The weld oracle is the per-point first-fit scan that the cell-hash weld in
 meshbool.merge replaced, and the assembly oracle is the per-face loop that
 built the merged arrays before they were built from masks and repeats.
+The splitter's oracle, the old module with earcut's fallback passes, is
+tests/oracle_retriangulate.py.
 """
 from __future__ import annotations
 

@@ -311,3 +311,54 @@ def test_combine_meshes_concatenates():
     pair = combine_meshes([cube((0, 0, 0), 1.0), cube((5, 5, 5), 1.0)])
     assert pair.num_faces == 24 and is_closed_manifold(pair)
     assert signed_volume(pair) == pytest.approx(2.0, rel=1e-12)
+
+
+def assert_nested_result(r, a, b, shift=0.0):
+    """One shell inside the other: the outer is the union, the inner the
+    intersection, the cavity the outer minus the inner, and the volume
+    identities hold, measured back at the origin."""
+
+    def vol(m):
+        return signed_volume(TriMesh(m.vertices - shift, m.faces))
+
+    va, vb = vol(a), vol(b)
+    a_outer = va > vb
+    counts = (len(r.union), len(r.intersection), len(r.a_minus_b), len(r.b_minus_a))
+    assert counts == ((1, 1, 1, 0) if a_outer else (1, 1, 0, 1))
+    vu, vi = vol(r.union[0]), vol(r.intersection[0])
+    cavity = vol((r.a_minus_b if a_outer else r.b_minus_a)[0])
+    assert vu + vi == pytest.approx(va + vb, rel=1e-9)
+    assert cavity == pytest.approx(max(va, vb) - vi, rel=1e-9)
+    assert vi == pytest.approx(min(va, vb), rel=1e-9)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3, 1e6])
+def test_nested_shells_classify_alike_far_from_the_origin(shift):
+    off = np.array([shift, 0.0, 0.0])
+    a = icosphere(1.0, subdivisions=5, source="A")
+    b = icosphere(0.5, subdivisions=5, source="B")
+    a, b = TriMesh(a.vertices + off, a.faces, "A"), TriMesh(b.vertices + off, b.faces, "B")
+    state = run_pipeline(a, b)
+    assert state.trivial
+    assert_nested_result(state.result, a, b, off)
+
+
+@pytest.mark.parametrize("inner_side", ["A", "B"])
+def test_containment_probe_skips_vertices_no_face_uses(tmp_path, inner_side):
+    from meshbool.io import load_mesh, save_mesh
+
+    outer = icosphere(1.0, subdivisions=3)
+    inner = icosphere(0.5, subdivisions=3)
+    # One degenerate facet whose repeated corner sorts first: the reader drops
+    # the facet but keeps (-5, 0, 0) as vertex 0, which no face references.
+    stray = TriMesh(
+        np.vstack([inner.vertices, [[-5.0, 0.0, 0.0]]]),
+        np.vstack([inner.faces, [[len(inner.vertices)] * 2 + [0]]]),
+    )
+    pair = (stray, outer) if inner_side == "A" else (outer, stray)
+    save_mesh(pair[0], tmp_path / "a.stl")
+    save_mesh(pair[1], tmp_path / "b.stl")
+    a, b = load_mesh(tmp_path / "a.stl", "A"), load_mesh(tmp_path / "b.stl", "B")
+    loaded = a if inner_side == "A" else b
+    assert loaded.vertices[0].tolist() == [-5.0, 0.0, 0.0] and 0 not in loaded.faces
+    assert_nested_result(run_pipeline(a, b).result, a, b)

@@ -7,7 +7,7 @@ from meshbool.errors import GeometryError
 from meshbool.geometry import signed_volume
 from meshbool.io import load_mesh, save_mesh
 from meshbool.pipeline import STAGES, PipelineOptions, run_pipeline
-from meshes import cube, icosphere, tangent_cylinders, torus_pair, vw_pair
+from meshes import cube, icosphere, lobed_blob, tangent_cylinders, torus_pair, vw_pair
 
 
 def write_pair(tmp_path, a, b, ext=".stl"):
@@ -97,9 +97,10 @@ def test_byte_identical_outputs_across_runs_and_threads(tmp_path):
 
 
 # SHA-256 of every file `all` writes, recorded with the dict-based edge
-# adjacency that the numpy edge table replaced. A rewrite of any stage must
-# leave these bytes unchanged; change a digest only with a deliberate change
-# of output.
+# adjacency that the numpy edge table replaced (the nested pair and the blob,
+# before the ear clipper lost its fallback passes). A rewrite of any stage
+# must leave these bytes unchanged; change a digest only with a deliberate
+# change of output.
 RECORDED_OUTPUTS = {
     "cube_sphere": (
         lambda: (cube((-1, -1, -1), 2.0, "A"), icosphere(1.3, subdivisions=3, source="B")),
@@ -125,6 +126,26 @@ RECORDED_OUTPUTS = {
             "intersection_0.stl": "50329451686e24a738fec75409d2eb7d9346e107f7e81e9310408f72a3e5d452",
             "intersection_1.stl": "450a076de183324b931f319f59771257c709ef7e20c0ae5b821ded88900fd248",
             "union.stl": "b0b1b57ec68a0f62b734a6098d888c58a71a08a1170fff32c1c752a9b66c10d6",
+        },
+    ),
+    "nested_icospheres": (  # the trivial path: no crossing, B inside A
+        lambda: (icosphere(1.0, subdivisions=3, source="A"),
+                 icosphere(0.6, center=(0.05, 0.02, -0.03), subdivisions=2, source="B")),
+        {
+            "a_minus_b.stl": "42233f75ce109f88514be4ebcdbc36a57b2bf7c2d5ca10a81f3b7d1e9e5a8276",
+            "intersection.stl": "c810a9ddb06c2f078f619ee6fe248d39f1170a4f6bee5537f6df14274b1a1423",
+            "union.stl": "1430cf3a363a0f3c5808e1aa008cb7731992442fc88a4b5837c1c1026696e181",
+        },
+    ),
+    "blob_sphere": (  # heavy splitting: the lobes cross the sphere in several loops
+        lambda: (lobed_blob(source="A"),
+                 icosphere(1.2, center=(0.3, -0.2, 0.4), subdivisions=3, source="B")),
+        {
+            "a_minus_b_0.stl": "26f2d657fe4e1b680aa9962ebe30bb1d2b03fc9e1490d2711491f1de5340568f",
+            "a_minus_b_1.stl": "bf9829c2c309efbf558c7c3248564fb02a0fffa856503f765759cba798935d1e",
+            "b_minus_a.stl": "c13defa5e7bd464b172357d3714a5669c196d4cd3105ab59a775077a4737d8d9",
+            "intersection.stl": "7c7c56cc64c5eb46cbac126adefc73117e8de1f118d7339d0d37b56834543756",
+            "union.stl": "a388733ce9cb5c48807c0a422c4021662cf57882534771911d169a1d91c3ffdd",
         },
     ),
 }

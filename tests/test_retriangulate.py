@@ -1,13 +1,32 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from meshbool.errors import GeometryError, NotSimple
+import oracle_retriangulate as oracle
+from meshbool import pipeline, retriangulate
+from meshbool.errors import DegeneratePolygon, GeometryError, NotSimple
+from meshbool.pipeline import run_pipeline
 from meshbool.retriangulate import (
+    SplitPolygon,
     ear_clip,
     split_and_triangulate,
     split_triangle,
+    triangulate_polygon,
 )
-from meshes import oracle_shoelace, random_simple_polygon
+from meshes import (
+    blob_and_plane,
+    cube,
+    icosphere,
+    lobed_blob,
+    oracle_shoelace,
+    random_simple_polygon,
+    tangent_cylinders,
+    torus_pair,
+    vw_pair,
+)
 
 TRI = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
 
@@ -159,3 +178,316 @@ def test_winding_preserved_through_split():
     for t in tris:
         n = np.cross(t[1] - t[0], t[2] - t[0])
         assert n @ parent_n > 0
+
+
+# --- no ear: a raise, not a triangulation that loses area -----------------
+
+BOWTIE = np.array([[0, 0], [2, 2], [2, 0], [0, 2]], dtype=float)
+COLLINEAR = np.array([[0, 0], [1, 0], [2, 0], [1, 0]], dtype=float)
+
+
+@pytest.mark.parametrize("ring", [BOWTIE, COLLINEAR], ids=["bowtie", "collinear"])
+def test_ear_clip_without_an_ear_raises(ring):
+    with pytest.raises(DegeneratePolygon, match="no ear"):
+        ear_clip(ring, validate=False)
+    # the fallback passes returned one triangle and none
+    assert len(oracle.ear_clip(ring, validate=False)) == (1 if ring is BOWTIE else 0)
+
+
+def test_triangulate_polygon_names_the_parent_triangle():
+    poly = SplitPolygon(np.c_[BOWTIE, np.zeros(4)], parent_tri=17, ring2d=BOWTIE)
+    with pytest.raises(DegeneratePolygon, match=r"no ear .*\(tri 17\)"):
+        triangulate_polygon(poly)
+
+
+def test_split_and_triangulate_names_the_parent_triangle(monkeypatch):
+    monkeypatch.setattr(retriangulate, "_is_ear", lambda *args: False)
+    segs = [(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))]
+    with pytest.raises(DegeneratePolygon, match=r"\(tri 42\)") as info:
+        split_and_triangulate(TRI, segs, 1e-9, parent_tri=42)
+    assert info.value.exit_code == 3
+
+
+# --- differential tests against the splitter with fallbacks ----------------
+
+
+SPLIT_RUNS = {
+    "cube_cube": lambda: (cube((0, 0, 0), 1.0, "A"), cube((0.5, 0.5, 0.5), 1.0, "B")),
+    "cube_sphere": lambda: (cube((-1, -1, -1), 2.0, "A"), icosphere(1.3, subdivisions=3, source="B")),
+    "torus_pair": lambda: torus_pair(1.0, 0.35, n_major=24, n_minor=12),
+    "blob_and_plane": blob_and_plane,
+    "blob_sphere": lambda: (lobed_blob(source="A"),
+                            icosphere(1.2, center=(0.3, -0.2, 0.4), subdivisions=3, source="B")),
+    "vw": vw_pair,
+    "tangent_cylinders": tangent_cylinders,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_RUNS))
+def test_split_matches_oracle_on_fixture_runs(monkeypatch, name):
+    calls = []
+
+    def recorded(*args, **kw):
+        calls.append((args, kw))
+        return split_and_triangulate(*args, **kw)
+
+    monkeypatch.setattr(pipeline, "split_and_triangulate", recorded)
+    run_pipeline(*SPLIT_RUNS[name]())
+    assert calls
+    for args, kw in calls:
+        got = split_and_triangulate(*args, **kw)
+        want = oracle.split_and_triangulate(*args, **kw)
+        assert got.dtype == want.dtype and got.shape == want.shape, kw["parent_tri"]
+        assert got.tobytes() == want.tobytes(), kw["parent_tri"]
+
+
+def _ulp_off(draw, p):
+    """p, or p moved one ulp along one axis (off the edge it was put on)."""
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 2))
+        p[k] = np.nextafter(p[k], draw(st.sampled_from([np.inf, -np.inf])))
+    return p
+
+
+EIGHTHS = st.integers(1, 8).map(lambda k: k / 8)
+
+
+@st.composite
+def chord_scenes(draw):
+    """A triangle in space with a planar set of chords, as a manifold
+    narrow phase hands them to the splitter, plus propagated boundary points.
+
+    Cut scenes: chains cross the corner k from edge (k, k+1) to edge
+    (k, k+2). Point (t, r) is c_k + r (e1 + t (e2 - e1)) for the edges e1, e2
+    from c_k; all chains break at the same rays t_j, and per ray their radii
+    are sorted, so chains never cross. Equal radii on one ray make a junction;
+    r = 1 puts a vertex on the far edge, or on a corner at t = 0 and t = 1.
+    Floating loops (holes) sit strictly between two chains on interior rays.
+    Star scenes: spokes from an interior hub to distinct boundary points,
+    some through their collinear midpoint, or nested loops around the hub.
+    Points put on an edge may sit one ulp off it, and the triangle may be
+    small and far from the origin.
+    """
+    raw = draw(st.lists(st.tuples(*[st.integers(-8, 8)] * 3), min_size=3, max_size=3, unique=True))
+    scale, offset = draw(st.sampled_from([
+        (1.0, (0, 0, 0)), (3.7, (0, 0, 0)), (0.1, (-7.5, 0.25, 3.0)), (1e-3, (1e3, -2e3, 5e2)),
+    ]))
+    c = np.asarray(raw, float) * scale / 8
+    n = np.cross(c[1] - c[0], c[2] - c[0])
+    longest = max(np.linalg.norm(c[(k + 1) % 3] - c[k]) for k in range(3))
+    if np.linalg.norm(n) < 0.05 * longest**2:  # too thin: lift the third corner
+        c[2] = c[2] + (c[2] - (c[0] + c[1]) / 2) + scale * np.array([0.3, -0.2, 0.5])
+    c = c + np.asarray(offset, float)
+    chains = []
+
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 2))
+        ck, e1, e2 = c[k], c[(k + 1) % 3] - c[k], c[(k + 2) % 3] - c[k]
+        inner = sorted(draw(st.lists(st.integers(1, 7), max_size=3, unique=True)))
+        ts = [0.0] + [i / 8 for i in inner] + [1.0]
+        radii = np.sort(np.asarray([
+            [draw(EIGHTHS) for _ in ts]
+            for _ in range(draw(st.integers(1, 3)))
+        ]), axis=0)
+        keep = []
+        for row in radii:  # no shared span and none along the far edge
+            if ((row[:-1] == 1) & (row[1:] == 1)).any():
+                continue
+            if keep and ((keep[-1][:-1] == row[:-1]) & (keep[-1][1:] == row[1:])).any():
+                continue
+            keep.append(row)
+
+        def point(t, r, on_edge):
+            p = ck + r * (e1 + t * (e2 - e1))
+            return _ulp_off(draw, p) if on_edge else p
+
+        for row in keep:
+            chains.append([point(t, r, t in (0.0, 1.0) or r == 1.0) for t, r in zip(ts, row)])
+        bounds = [np.zeros(len(ts))] + keep + [np.ones(len(ts))]
+        for _ in range(draw(st.integers(0, 2)) if len(ts) > 3 else 0):
+            g = draw(st.integers(0, len(bounds) - 2))
+            lo, hi = bounds[g], bounds[g + 1]
+            a = draw(st.integers(1, len(ts) - 3))
+            b = draw(st.integers(a + 1, len(ts) - 2))
+            if (lo[a:b + 1] >= hi[a:b + 1]).any():
+                continue
+            rin = [lo[j] + (hi[j] - lo[j]) / 3 for j in range(a, b + 1)]
+            rout = [lo[j] + 2 * (hi[j] - lo[j]) / 3 for j in range(a, b + 1)]
+            ring = [point(ts[j], r, False) for j, r in zip(range(a, b + 1), rin)]
+            ring += [point(ts[j], r, False) for j, r in reversed(list(zip(range(a, b + 1), rout)))]
+            chains.append(ring + [ring[0]])
+    else:
+        w = np.asarray(draw(st.tuples(*[st.integers(1, 12)] * 3)), float)
+        hub = (w / w.sum()) @ c
+        if draw(st.booleans()):
+            ends = {}
+            for _ in range(draw(st.integers(2, 4))):
+                e = draw(st.integers(0, 2))
+                t = draw(st.sampled_from([0.0, 0.25, 0.5, 0.625, 0.875]))
+                ends[(e, t)] = c[e] + t * (c[(e + 1) % 3] - c[e])
+            for (e, t), end in sorted(ends.items()):
+                end = _ulp_off(draw, end) if t else end
+                chains.append([hub, (hub + end) / 2, end] if draw(st.booleans()) else [hub, end])
+        else:
+            # towards the corners and edge midpoints, in angular order around
+            # the hub: a polygon star-shaped about it, so scaled copies nest
+            dirs = [c[0], (c[0] + c[1]) / 2, c[1], (c[1] + c[2]) / 2, c[2], (c[2] + c[0]) / 2]
+            dirs = [hub + draw(st.sampled_from([0.5, 1.0])) * (d - hub) for d in dirs]
+            for r in draw(st.sampled_from([(), (0.5,), (0.8, 0.4), (0.6, 0.3, 0.15)])):
+                ring = [hub + r * (d - hub) for d in dirs]
+                chains.append(ring + [ring[0]])
+
+    segments = []
+    for pts in chains:
+        for p, q in zip(pts, pts[1:]):
+            segments.append((q, p) if draw(st.booleans()) else (p, q))
+    order = draw(st.permutations(range(len(segments))))
+    segments = [segments[i] for i in order]
+    boundary = []
+    for _ in range(draw(st.integers(0, 3))):
+        e = draw(st.integers(0, 2))
+        t = draw(EIGHTHS.filter(lambda t: t < 1))
+        boundary.append(_ulp_off(draw, c[e] + t * (c[(e + 1) % 3] - c[e])))
+    tol = 1e-9 * float(np.abs(c - c.mean(axis=0)).max())
+    return c, segments, tol, boundary
+
+
+def covers(tri, children):
+    """Children tile the triangle: signed and unsigned areas, measured in
+    the parent's plane, both add up to its area."""
+    n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+    area = np.linalg.norm(n)
+    n = n / area
+    kids = np.cross(children[:, 1] - children[:, 0], children[:, 2] - children[:, 0]) @ n
+    return abs(kids.sum() - area) <= 1e-6 * area and abs(np.abs(kids).sum() - area) <= 1e-6 * area
+
+
+def conforming(tri, children):
+    """Every child edge is shared, reversed, by another child or lies on an
+    edge of the parent: no T-junction or crack inside the triangle."""
+    edges = {}
+    for t in children:
+        for k in range(3):
+            edges[t[k].tobytes(), t[(k + 1) % 3].tobytes()] = (t[k], t[(k + 1) % 3])
+    size = max(np.linalg.norm(tri[k] - tri[k - 1]) for k in range(3))
+
+    def sides(p):
+        return {e for e in range(3) if np.linalg.norm(np.cross(p - tri[e], tri[e - 1] - tri[e]))
+                <= 1e-9 * size * np.linalg.norm(tri[e - 1] - tri[e])}
+
+    return all((q, p) in edges or sides(a) & sides(b) for (p, q), (a, b) in edges.items())
+
+
+@contextmanager
+def oracle_passes():
+    """The pass numbers the old ear clipper runs; any above 0 is a fallback."""
+    passes = []
+    clip = oracle._earcut_linked
+
+    def traced(ear, triangles, eps, pass_num=0):
+        passes.append(pass_num)
+        return clip(ear, triangles, eps, pass_num)
+
+    oracle._earcut_linked = traced
+    try:
+        yield passes
+    finally:
+        oracle._earcut_linked = clip
+
+
+@settings(max_examples=400, deadline=None)
+@given(chord_scenes())
+def test_split_matches_oracle_on_chord_chains(scene):
+    tri, segments, tol, boundary = scene
+    args = (tri, segments, tol, 5, boundary)
+    try:
+        with oracle_passes() as passes:
+            want = oracle.split_and_triangulate(*args)
+    except GeometryError as err:
+        with pytest.raises(type(err)):
+            split_and_triangulate(*args)
+        return
+    fell_back = any(passes)
+    try:
+        got = split_and_triangulate(*args)
+    except DegeneratePolygon:
+        assert fell_back and not covers(tri, want)  # the fallbacks lost area here
+        return
+    if fell_back:  # the old children came from a fallback pass
+        assert covers(tri, got) and conforming(tri, got)
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert conforming(tri, got)
+
+
+# A scene found by the chord-chain strategy: a floating loop whose vertices
+# tie with outer vertices in the local frame, so an ulp of the frame (the
+# parent's cross-product normal in place of the Newell normal) changes the
+# children.
+FRAME_TIE = (
+    [[-3.7, 0.4625, -3.2375000000000003], [0.4625, -3.2375000000000003, 1.3875000000000002],
+     [0.925, 1.3875000000000002, -0.4625]],
+    [[[-0.7830965909090909, -0.24176136363636347, -0.8829545454545455],
+      [-1.4085227272727274, -0.31534090909090906, -1.2823863636363637]],
+     [[-1.245596590909091, 0.7988636363636366, -1.6923295454545455],
+      [-0.13664772727272734, 1.072159090909091, -1.0511363636363638]],
+     [[-0.13664772727272734, 1.072159090909091, -1.0511363636363638],
+      [-0.7252840909090909, 0.3363636363636364, -1.1142045454545455]],
+     [[-1.4085227272727274, -0.31534090909090906, -1.2823863636363637],
+      [-2.4491477272727273, 0.609659090909091, -2.438636363636364]],
+     [[-0.7830965909090909, -0.24176136363636347, -0.8829545454545455],
+      [-0.7252840909090909, 0.3363636363636364, -1.1142045454545455]],
+     [[-2.4491477272727273, 0.609659090909091, -2.438636363636364],
+      [-1.245596590909091, 0.7988636363636366, -1.6923295454545455]]],
+    2.929166666666667e-09,
+    [[-0.578125, -2.3125000000000004, 0.23124999999999973], [-2.54375, 0.6937500000000002, -2.54375],
+     [-1.0984375, -1.85, -0.34687500000000027]],
+)
+
+
+def test_split_matches_oracle_where_the_frame_decides_a_tie():
+    tri, segments, tol, boundary = FRAME_TIE
+    segments = [tuple(np.asarray(pq)) for pq in segments]
+    args = (np.asarray(tri), segments, tol, 5, np.asarray(boundary))
+    assert split_and_triangulate(*args).tobytes() == oracle.split_and_triangulate(*args).tobytes()
+
+
+# Faces found by the chord-chain strategy on which the first cycle finds no
+# ear: a floating loop bridged into a non-convex face. In the first, the
+# bridge's duplicated ends block the last ears; in the second, an outer
+# vertex one ulp off the bridge (within eps) blocks them.
+BRIDGED = {
+    "duplicate_ends": (
+        [[-0.4898556659742048, -0.2969283188127537], [1.83863633530044, -0.2969283188127537],
+         [0.9672342719631933, -0.18558019925797106], [0.14374831293892013, -0.11134811955478265],
+         [0.06920050075834229, -0.22269623910956532]],
+        [[0.3034686606488314, -0.23506825239343004], [0.2236084867938758, -0.17320818597410634],
+         [1.160681126355832, -0.22269623910956524], [1.3541279807484707, -0.2598122789611594]],
+    ),
+    "vertex_by_bridge": (
+        [[0.0, 0.0], [-0.16839382851364082, -0.11032163100914759],
+         [-0.1075014173100475, -0.1103216310091476], [0.04285021529141754, -0.3309648930274428],
+         [0.17891844279574337, -0.4412865240365904], [0.150351632601465, -0.2206432620182952]],
+        [[0.014283405097139174, -0.11032163100914759], [0.059639480931914464, -0.14709550801219679],
+         [0.11927896186382893, -0.29419101602439357], [0.02856681019427835, -0.22064326201829518]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRIDGED))
+def test_exact_cycle_clips_bridged_faces(name):
+    ring, hole = (np.asarray(r) for r in BRIDGED[name])
+    with oracle_passes() as passes:
+        oracle.ear_clip(ring, [hole], validate=False)
+    assert any(passes)  # the old clipper needed its fallbacks here
+    tris = ear_clip(ring, [hole], validate=False)
+    pts = np.concatenate([ring, hole])
+    assert len(tris) == len(pts)  # n - 2 + 2 per hole
+    areas = [oracle_shoelace(pts[list(t)]) for t in tris]
+    assert min(areas) > 0
+    assert sum(areas) == pytest.approx(oracle_shoelace(ring) + oracle_shoelace(hole), rel=1e-12)
+    edges = {(t[k], t[k - 2]) for t in tris for k in range(3)}
+    rings = [range(len(ring)), range(len(ring), len(pts))]
+    boundary = {(r[k], r[(k + 1) % len(r)]) for r in rings for k in range(len(r))}
+    assert all((j, i) in edges or (i, j) in boundary for i, j in edges)
