@@ -273,14 +273,12 @@ def meshes_coincident(a: TriMesh, b: TriMesh, tol: float) -> bool:
         return False
 
     def canon(faces, offset):
-        out = set()
-        for tri in faces:
-            t = [int(remap[v + offset]) for v in tri]
-            k = int(np.argmin(t))
-            out.add((t[k], t[(k + 1) % 3], t[(k + 2) % 3]))
-        return out
+        """Welded faces rotated to start at their smallest index, as a set."""
+        t = remap[faces + offset]
+        turn = (np.argmin(t, axis=1)[:, None] + np.arange(3)) % 3
+        return np.unique(np.take_along_axis(t, turn, axis=1), axis=0)
 
-    return canon(a.faces, 0) == canon(b.faces, a.num_vertices)
+    return np.array_equal(canon(a.faces, 0), canon(b.faces, a.num_vertices))
 
 
 _RAY_DIRS = np.array(

@@ -13,6 +13,13 @@ from .errors import EmptyInput, GeometryError, NotClosed, TopologyError
 from .halfedge import EdgeTable, min_labels
 
 
+def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products over the last axis. Stacked 1xk @ kx1 products
+    run numpy's vector dot on each row, the same as 1-D `@` on that row (and
+    as np.linalg.norm, which squares a vector by that dot)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def as_points(data) -> np.ndarray:
     """Coerce to an (n, 3) float64 array and reject NaN/Inf."""
     pts = np.asarray(data, dtype=np.float64)

@@ -18,12 +18,12 @@ from . import blocks as blk
 from . import loops as lps
 from . import subsurfaces as ssf
 from .errors import CoincidentInput, GeometryError, NotClosed, TopologyError
-from .geometry import MERGE_TOL_REL, PLANE_TOL_REL, TriMesh, scene_scale, signed_volume
+from .geometry import MERGE_TOL_REL, PLANE_TOL_REL, TriMesh, row_dots, scene_scale, signed_volume
 from .halfedge import EdgeTable
 from .intersect import intersect_all
 from .merge import build_merged_state
 from .octree import OctreeConfig, build_octree, candidate_pairs, clip_to_shared_region, triangle_boxes
-from .retriangulate import split_and_triangulate
+from .retriangulate import prepare_splits, split_and_triangulate
 
 log = logging.getLogger(__name__)
 
@@ -74,12 +74,6 @@ class PipelineState:
                                source=ss.source, name=f"{ss.source}_sub_{ss.id}")
 
 
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products over the last axis. Stacked 1x3 @ 3x1 products
-    run numpy's vector dot on each row, the same as 1-D `@` on that row."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
 def _propagate_edge_points(mesh: TriMesh, per_face: dict, tol: float) -> dict:
     """Points every face must embed because a neighbour subdivides the shared
     edge there (keeps the re-triangulated surface free of T-junctions)."""
@@ -95,13 +89,13 @@ def _propagate_edge_points(mesh: TriMesh, per_face: dict, tol: float) -> dict:
     va = mesh.vertices[tri]
     ab = mesh.vertices[tri[:, [1, 2, 0]]] - va
     p = np.asarray(pts, dtype=np.float64)
-    length2 = _dots(ab, ab)
+    length2 = row_dots(ab, ab)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = _dots(p[:, None, :] - va, ab) / length2
+        t = row_dots(p[:, None, :] - va, ab) / length2
         # pow() as the reference's scalar ** 0.5; np.sqrt may differ by an ulp.
         length = np.float_power(length2, 0.5)
         off = p[:, None, :] - (va + t[..., None] * ab)
-        hit = (tol < t * length) & (t * length < length - tol) & (np.sqrt(_dots(off, off)) < tol)
+        hit = (tol < t * length) & (t * length < length - tol) & (np.sqrt(row_dots(off, off)) < tol)
     rows, ks = np.nonzero(hit & (length2 != 0.0))
     u, v = tri[rows, ks], tri[rows, (ks + 1) % 3]
     # Neighbours come from an edge table over the faces holding two hit ends.
@@ -169,13 +163,14 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
     for tag, mesh in (("A", a), ("B", b)):
         per_face = {fid: segs for (t, fid), segs in by_tri.items() if t == tag}
         extra = _propagate_edge_points(mesh, per_face, merge_tol)
-        for fid in sorted(set(per_face) | set(extra)):
+        fids = sorted(set(per_face) | set(extra))
+        segs = [per_face.get(fid, []) for fid in fids]
+        points = [extra.get(fid, []) for fid in fids]
+        tris = mesh.vertices[mesh.faces[fids]]
+        setups = prepare_splits(tris, segs, points, merge_tol)
+        for fid, tri, s, p, setup in zip(fids, tris, segs, points, setups):
             replacements[(tag, fid)] = split_and_triangulate(
-                mesh.face_coords(fid),
-                per_face.get(fid, []),
-                merge_tol,
-                parent_tri=fid,
-                boundary_points=extra.get(fid, []),
+                tri, s, merge_tol, parent_tri=fid, boundary_points=p, setup=setup
             )
     state.merged = build_merged_state(a, b, replacements, state.segments, merge_tol)
     state.timings.append((STAGES[2], time.perf_counter() - t0))

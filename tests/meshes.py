@@ -220,6 +220,21 @@ def lobed_blob(radius=1.0, bump=1.0, tilt_deg=55.0, power=8, subdivisions=3,
     return TriMesh(u * r[:, None], base.faces, source=source, name="blob")
 
 
+def bumpy_pair(subdivisions=3, angle=0.7, axis=(1.0, 2.0, 3.0)):
+    """A bumpy icosphere (the radius formula of the bench's bumpy-band
+    workload) against a rotated unit icosphere: a wide band of split faces,
+    with chords meeting at junctions and loops floating inside one face."""
+    base = icosphere(1.0, subdivisions=subdivisions)
+    x, y, z = base.vertices.T
+    r = 1.0 + 0.05 * np.sin(7 * x + 0.3) * np.sin(7 * y + 0.7) * np.sin(7 * z + 1.1)
+    k = np.asarray(axis) / np.linalg.norm(axis)
+    cross = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
+    rot = np.eye(3) + np.sin(angle) * cross + (1 - np.cos(angle)) * cross @ cross
+    a = TriMesh(base.vertices * r[:, None], base.faces, source="A", name="bumpy")
+    b = TriMesh(base.vertices @ rot.T, base.faces, source="B", name="icosphere")
+    return a, b
+
+
 def grid_plane(z=0.0, half=2.0, n=16, source="B") -> TriMesh:
     xs = np.linspace(-half, half, n + 1)
     verts = []

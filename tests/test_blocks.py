@@ -181,6 +181,21 @@ def test_meshes_coincident_matches_oracle(case):
     assert got == (case in ("identical", "permuted", "jitter_0.4", "far_unreferenced_vertex"))
 
 
+@pytest.mark.parametrize("extra", ["none", "same_set", "other_set"])
+def test_meshes_coincident_matches_oracle_on_a_large_permuted_sphere(extra):
+    a = icosphere(1.0, subdivisions=5)  # 20,480 faces
+    b = _permuted(_jittered(a, 0.4), seed=3)
+    if extra != "none":  # one face repeated on each side: duplicates collapse in the set
+        a = TriMesh(a.vertices, np.vstack([a.faces, a.faces[:1]]))
+        keep = b.faces if extra == "same_set" else b.faces[1:]
+        b = TriMesh(b.vertices, np.vstack([keep, b.faces[7:7 + len(b.faces) + 1 - len(keep)]]), source="B")
+    got = meshes_coincident(a, b, COINCIDENT_TOL)
+    assert got == oracle_meshes_coincident(a, b, COINCIDENT_TOL)
+    assert got == (extra != "other_set")
+    flipped = TriMesh(b.vertices, b.faces[:, [0, 2, 1]], source="B")  # every face turned over
+    assert not meshes_coincident(a, flipped, COINCIDENT_TOL)
+
+
 def test_meshes_coincident_box_reject_skips_weld(monkeypatch):
     a = icosphere(1.0, subdivisions=1)
     b = TriMesh(a.vertices + [0, 0, 2.5 * COINCIDENT_TOL], a.faces, source="B")

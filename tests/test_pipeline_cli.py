@@ -7,7 +7,7 @@ from meshbool.errors import GeometryError
 from meshbool.geometry import signed_volume
 from meshbool.io import load_mesh, save_mesh
 from meshbool.pipeline import STAGES, PipelineOptions, run_pipeline
-from meshes import cube, icosphere, lobed_blob, tangent_cylinders, torus_pair, vw_pair
+from meshes import bumpy_pair, cube, icosphere, lobed_blob, tangent_cylinders, torus_pair, vw_pair
 
 
 def write_pair(tmp_path, a, b, ext=".stl"):
@@ -146,6 +146,66 @@ RECORDED_OUTPUTS = {
             "b_minus_a.stl": "c13defa5e7bd464b172357d3714a5669c196d4cd3105ab59a775077a4737d8d9",
             "intersection.stl": "7c7c56cc64c5eb46cbac126adefc73117e8de1f118d7339d0d37b56834543756",
             "union.stl": "a388733ce9cb5c48807c0a422c4021662cf57882534771911d169a1d91c3ffdd",
+        },
+    ),
+    # A wide band: chords end on most face edges and 16 split faces hold a
+    # floating loop. Recorded at the parent of the batched splitter, before
+    # any source change.
+    "bumpy_band": (
+        bumpy_pair,
+        {
+            "a_minus_b_0.stl": "b6c36aa0815e5cc5ff6f0e923f2ceceba33988a2c9532bf7660d3e0e920a6cf0",
+            "a_minus_b_1.stl": "c0a4d498796aba418ced1a7360a4e1976a0f3184b794dc0b904f0c8ef2ba9d55",
+            "a_minus_b_10.stl": "a69babb5a1efb96c728c3a0e8a2fd24d7d87c6aba05b7afea42ffc0531b8e7f5",
+            "a_minus_b_11.stl": "1ffecf00bd6b1f8ba0c4f8814a2aa6c6863feb9aacce86d2d3a079bb0a5dfaeb",
+            "a_minus_b_12.stl": "2eb0b9b85e73ba23d01319d79d51b0e1c9576f3a6c56c7d736aa25ccfee33ad9",
+            "a_minus_b_13.stl": "fc8d07d5b4b79064e1e3a44164e0975216df3cc80c0fa43cc4aa3229cb06a17f",
+            "a_minus_b_14.stl": "114624771024f958085c0f4ba16e468e1034e9300a805d6cb9d05966f180abad",
+            "a_minus_b_15.stl": "9eaeef4c34b04797be82a99d1c2ccea08aa0f812ba3f5a2f337f3faff996e85d",
+            "a_minus_b_2.stl": "9bd4187b9e39d2f5a9cf04b8077e23151f3e52a0e806a812c80a23bdbc78d2a9",
+            "a_minus_b_3.stl": "81117299ab4a9c7d5c90350efa90b4bf376aea2f2d3c5cc8e5c7213e73978231",
+            "a_minus_b_4.stl": "b07610dedb0b8829580ef23a8d449bbf30ae2c09669508ca81031c4e399134ad",
+            "a_minus_b_5.stl": "2acefc39493c9e23680705b4f1927e999ac88a3fc6027ee100174348ea062d1c",
+            "a_minus_b_6.stl": "ddec17cafcaf446ec675c6fe97cbcfbc6c1411aaedc728a6eed8701518ac9935",
+            "a_minus_b_7.stl": "84f63614bd18904ccc751b9224286cb952ae9062e7352fc4e91b3d7b708018af",
+            "a_minus_b_8.stl": "94dcc47355e3cd87188724432bc443af4e8da33f0b9f7e626831912760370d1d",
+            "a_minus_b_9.stl": "f78c2df4498b1e61bb3cd93e782d16f1268590f7250b7c244c8b6ed077cdf8da",
+            "b_minus_a_0.stl": "3d2a1b8cc03021c84437fe318be838552774fe0512bc7656c67eaf5eb1b5b995",
+            "b_minus_a_1.stl": "1534555fdb9123c9a3a3faaac7f96dc516ac6a61429f6d40b56dcacd9b5e60de",
+            "b_minus_a_10.stl": "3dae855327d59c6a9efb4a1b8b4d4ba1657497f1bb75c14199d1de3c8d047885",
+            "b_minus_a_11.stl": "0e5da01aabb87f5e0094cdd193a0bba09d848a1418f96da3402f790d5ac5222c",
+            "b_minus_a_12.stl": "a4a180e4ee332ccf2b6f4a5981cecb38a2d5e82ccecd02ef98f0014f641ac64f",
+            "b_minus_a_13.stl": "092278fe4866964b11430feba60569d013a43ddad10e479b421cbabc69378832",
+            "b_minus_a_14.stl": "f184092cb970d6d8fe77210dd093bb08184fcdfbee32988148c04aafc66830fa",
+            "b_minus_a_15.stl": "1115fd547f1270f418090b018cb8eeebdfc213288dc282ea603a9a4413f71157",
+            "b_minus_a_16.stl": "01892d6264904b204674a7c5db02bdfaf92dfd8fe62d10cd88f2ceec48fec316",
+            "b_minus_a_17.stl": "4845e820fe79e25bccc7472763cab8e991851d4eb3b9860a81569820c7113ae5",
+            "b_minus_a_18.stl": "f253eab34f9e49e35f8d814e6df5a19ae94865c0cb25862c71ea22912d621011",
+            "b_minus_a_19.stl": "5fb4deaef126dbe13483d69e0da446dfe89cbdab4fe8388fb8c50a3479966b4b",
+            "b_minus_a_2.stl": "a8a6d9ed6b08aa60a0ab7173aab4fe9a6094bfadc911310e019da6203b839670",
+            "b_minus_a_20.stl": "ef20fadd4f8efb0c3e196b43f50aa7774e9cc5d7d4761675db05b35c5b865c48",
+            "b_minus_a_21.stl": "c9b7d805994b9a59ee5110be7b1aeaafca09c170d992af64b27fcfa0eb7a36ac",
+            "b_minus_a_22.stl": "3c40ae96b45651eb02494817f219f30a901c9def626c2dbc9dcc93ff71405c20",
+            "b_minus_a_23.stl": "04b62ee3b67e60bb302b56aa6cac3c4b88c64c5fe37bd3af9a0fdd5001d42580",
+            "b_minus_a_24.stl": "a599c62f69603b1a0e35b26019af3d584b488476175e68c14f19521d64ed0bdf",
+            "b_minus_a_25.stl": "d74882213b1d2a370ab082f362e5dcb3be809f9226c6400f70c5cdcae4ee7424",
+            "b_minus_a_26.stl": "c9df17563fb2872fb07b7b58b1eb6365fc6f8ad690addd06ebb98ef8cfeabb1e",
+            "b_minus_a_27.stl": "96ffe61b2b99e06cc3398d0c4a825487f001c63ac325400f77ca781ca518a187",
+            "b_minus_a_28.stl": "bd93e942e1d5c9f8c23c52bb48e83b45325028ca9e27829680cc79537a246f64",
+            "b_minus_a_29.stl": "b9c369744a66bd816dfc841111820ea1e73d5325d1b778f3977ea3a6a3e2fad7",
+            "b_minus_a_3.stl": "26967112814c18dd60c72d3a76ef1d3c01efcced4b29e5823d15f00e63ce581b",
+            "b_minus_a_30.stl": "2533df1dfcfd76fabf099efe3535d9fb54e53bfc8cbc738ecbd0dea8643f10f3",
+            "b_minus_a_31.stl": "edf61ca6400020a7cd51fb91d21ce6e55ac050d694e453ea783b7a86ce2bbb5b",
+            "b_minus_a_32.stl": "7f95f3174413767867719c422a83199fb33bad744b171ca86cde6eb7a77e3afa",
+            "b_minus_a_33.stl": "c5101ca06790957bf2c08250fec6aa3dca4f0a595d91fd80a9112c78c0378c7c",
+            "b_minus_a_4.stl": "58f2b9a5a58826456d70ee176fc1c01f5276e78761cabdd20de706684e812e21",
+            "b_minus_a_5.stl": "5842025253453f51a82e90b408aac34cc707eb2957311832a0e4025b6c8d1618",
+            "b_minus_a_6.stl": "39e19a417a4af63a16889e95d7cb69f946bb90522197803dde5211a7bd19fa12",
+            "b_minus_a_7.stl": "bd2024a5427d5294d9c3690513a634e2b9464bc6b469845ccfb553774c030552",
+            "b_minus_a_8.stl": "50d696a0c0e9bf4ada5c38a336bd6b0644197c7ba63072b899c5a05e02431f9e",
+            "b_minus_a_9.stl": "29458dc3ee8fd7d0864173a59fcc7a94fbfe423ecded75132a2195ce97562ac4",
+            "intersection.stl": "34afa0f6a316fbdc100f2ec5d99a2b1f83b6e4e16e6c6c437f6f4cce9503db29",
+            "union.stl": "aee60063f0b2a784e6cc7b62ec15647af61f69cc595eb640c5ea65e7e5825310",
         },
     ),
 }

@@ -1,8 +1,9 @@
+import functools
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle_retriangulate as oracle
@@ -46,6 +47,15 @@ def test_single_chord_two_polygons():
     segs = [(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))]
     polys = split_triangle(TRI, segs, 1e-9)
     assert len(polys) == 2
+
+
+def test_split_rejects_the_setup_of_other_points():
+    one = [(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))]
+    two = one + [(np.array([0.5, 0.0, 0.0]), np.array([0.0, 0.5, 0.0]))]
+    setup = next(retriangulate.prepare_splits([TRI], [one], [()], 1e-9))
+    assert len(split_triangle(TRI, one, 1e-9, 7, (), setup)) == 2
+    with pytest.raises(GeometryError, match="triangle 7"):
+        split_triangle(TRI, two, 1e-9, 7, (), setup)
 
 
 def test_no_segments_identity():
@@ -92,6 +102,15 @@ def test_dangling_tail_pruned():
     assert len(polys) == 1  # a slit does not divide the triangle
     tris = split_and_triangulate(TRI, segs, 1e-9)
     assert sum(poly_area3d(t) for t in tris) == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("inner", [1, 2], ids=["segment", "chain"])
+def test_chord_inside_the_triangle_is_pruned_whole(inner):
+    pts = [np.array([0.3, 0.3, 0.0]), np.array([0.5, 0.4, 0.0]), np.array([0.6, 0.7, 0.0])][: inner + 1]
+    segs = list(zip(pts, pts[1:]))
+    polys = split_triangle(TRI, segs, 1e-9)
+    assert len(polys) == 1 and len(polys[0].vertices) == 3
+    assert_same_rings(polys, oracle.split_triangle(TRI, segs, 1e-9))
 
 
 def test_junction_star_splits_into_sectors():
@@ -223,20 +242,59 @@ SPLIT_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SPLIT_RUNS))
-def test_split_matches_oracle_on_fixture_runs(monkeypatch, name):
+@functools.cache
+def fixture_splits(name):
+    """Every split_and_triangulate call of one fixture run: its arguments,
+    as the pipeline passed them, and the children it returned."""
     calls = []
 
     def recorded(*args, **kw):
-        calls.append((args, kw))
-        return split_and_triangulate(*args, **kw)
-
-    monkeypatch.setattr(pipeline, "split_and_triangulate", recorded)
-    run_pipeline(*SPLIT_RUNS[name]())
-    assert calls
-    for args, kw in calls:
         got = split_and_triangulate(*args, **kw)
-        want = oracle.split_and_triangulate(*args, **kw)
+        calls.append((args, kw, got))
+        return got
+
+    pipeline.split_and_triangulate = recorded
+    try:
+        run_pipeline(*SPLIT_RUNS[name]())
+    finally:
+        pipeline.split_and_triangulate = split_and_triangulate
+    assert calls
+    return calls
+
+
+def assert_same_rings(got, want):
+    """Polygons byte-equal to the old splitter's, in the same order, each
+    ring with the same start and direction."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.parent_tri == w.parent_tri
+        assert len(g.holes) == len(w.holes) and len(g.holes2d) == len(w.holes2d)
+        assert (g.ring2d is None) == (w.ring2d is None)
+        pairs = [(g.vertices, w.vertices), *zip(g.holes, w.holes), *zip(g.holes2d, w.holes2d)]
+        if g.ring2d is not None:
+            pairs.append((g.ring2d, w.ring2d))
+        for x, y in pairs:
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _geometric(kw):
+    return {k: v for k, v in kw.items() if k != "setup"}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_RUNS))
+def test_split_rings_match_oracle_on_fixture_runs(name):
+    for args, kw, _ in fixture_splits(name):
+        assert_same_rings(split_triangle(*args, **kw), oracle.split_triangle(*args, **_geometric(kw)))
+        assert_same_rings(split_triangle(*args, **_geometric(kw)), oracle.split_triangle(*args, **_geometric(kw)))
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_RUNS))
+def test_split_matches_oracle_on_fixture_runs(name):
+    for args, kw, got in fixture_splits(name):
+        # The pipeline's children, made from its precomputed setup, against
+        # the old splitter on the geometric arguments alone.
+        assert kw["setup"] is not None
+        want = oracle.split_and_triangulate(*args, **_geometric(kw))
         assert got.dtype == want.dtype and got.shape == want.shape, kw["parent_tri"]
         assert got.tobytes() == want.tobytes(), kw["parent_tri"]
 
@@ -268,16 +326,7 @@ def chord_scenes(draw):
     Points put on an edge may sit one ulp off it, and the triangle may be
     small and far from the origin.
     """
-    raw = draw(st.lists(st.tuples(*[st.integers(-8, 8)] * 3), min_size=3, max_size=3, unique=True))
-    scale, offset = draw(st.sampled_from([
-        (1.0, (0, 0, 0)), (3.7, (0, 0, 0)), (0.1, (-7.5, 0.25, 3.0)), (1e-3, (1e3, -2e3, 5e2)),
-    ]))
-    c = np.asarray(raw, float) * scale / 8
-    n = np.cross(c[1] - c[0], c[2] - c[0])
-    longest = max(np.linalg.norm(c[(k + 1) % 3] - c[k]) for k in range(3))
-    if np.linalg.norm(n) < 0.05 * longest**2:  # too thin: lift the third corner
-        c[2] = c[2] + (c[2] - (c[0] + c[1]) / 2) + scale * np.array([0.3, -0.2, 0.5])
-    c = c + np.asarray(offset, float)
+    c = _triangle(draw)
     chains = []
 
     if draw(st.booleans()):
@@ -337,6 +386,26 @@ def chord_scenes(draw):
                 ring = [hub + r * (d - hub) for d in dirs]
                 chains.append(ring + [ring[0]])
 
+    return _scene(draw, c, chains)
+
+
+def _triangle(draw):
+    """A triangle in space, maybe small and far from the origin."""
+    raw = draw(st.lists(st.tuples(*[st.integers(-8, 8)] * 3), min_size=3, max_size=3, unique=True))
+    scale, offset = draw(st.sampled_from([
+        (1.0, (0, 0, 0)), (3.7, (0, 0, 0)), (0.1, (-7.5, 0.25, 3.0)), (1e-3, (1e3, -2e3, 5e2)),
+    ]))
+    c = np.asarray(raw, float) * scale / 8
+    n = np.cross(c[1] - c[0], c[2] - c[0])
+    longest = max(np.linalg.norm(c[(k + 1) % 3] - c[k]) for k in range(3))
+    if np.linalg.norm(n) < 0.05 * longest**2:  # too thin: lift the third corner
+        c[2] = c[2] + (c[2] - (c[0] + c[1]) / 2) + scale * np.array([0.3, -0.2, 0.5])
+    return c + np.asarray(offset, float)
+
+
+def _scene(draw, c, chains):
+    """Chains as segments in random direction and order, plus propagated
+    boundary points: the splitter's arguments."""
     segments = []
     for pts in chains:
         for p, q in zip(pts, pts[1:]):
@@ -350,6 +419,66 @@ def chord_scenes(draw):
         boundary.append(_ulp_off(draw, c[e] + t * (c[(e + 1) % 3] - c[e])))
     tol = 1e-9 * float(np.abs(c - c.mean(axis=0)).max())
     return c, segments, tol, boundary
+
+
+@st.composite
+def chain_scenes(draw):
+    """Chains whose inner nodes all have degree two, so the face walk meets
+    no junction inside the triangle: one chain between boundary points on
+    two edges, either end maybe exactly at a corner, and maybe a second
+    chain from the same point on an edge (two chains meeting there). Chains
+    are straight, so collinear, or their inner nodes move towards the
+    centroid. They are drawn in the triangle's (u, v) coordinates and
+    rejected where two of their pieces touch away from a shared end.
+    """
+    c = _triangle(draw)
+    uv = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+    def end(exclude):
+        e = draw(st.integers(0, 2))
+        t = draw(st.sampled_from([0.0, 0.25, 0.5, 0.625, 0.875]))
+        sides = {e, (e - 1) % 3} if t == 0.0 else {e}  # a corner lies on two edges
+        assume(not sides & exclude)
+        return (e, t), sides
+
+    def chain(p, q):
+        a, b = (uv[e] + t * (uv[(e + 1) % 3] - uv[e]) for e, t in (p, q))
+        fs = sorted(draw(st.lists(st.integers(1, 7), max_size=3, unique=True)))
+        bend = draw(st.sampled_from([0.0, 0.125, 0.25]))
+        return [p, *(m + bend * (uv.mean(axis=0) - m) for m in (a + f / 8 * (b - a) for f in fs)), q]
+
+    p, p_sides = end(set())
+    q, q_sides = end(p_sides)
+    chains = [chain(p, q)]
+    if len(q_sides) == 1 and draw(st.booleans()):
+        r, _ = end(q_sides)
+        assume(r != p)
+        chains.append(chain(q, r))
+
+    ends = {}  # one 3D point per boundary end, shared by the chains through it
+
+    def to_uv(x):
+        return uv[x[0]] + x[1] * (uv[(x[0] + 1) % 3] - uv[x[0]]) if isinstance(x, tuple) else x
+
+    def to_3d(x):
+        if isinstance(x, tuple):
+            if x not in ends:
+                e, t = x
+                ends[x] = c[e] if t == 0.0 else _ulp_off(draw, c[e] + t * (c[(e + 1) % 3] - c[e]))
+            return ends[x]
+        return c[0] + x[0] * (c[1] - c[0]) + x[1] * (c[2] - c[0])
+
+    pieces = [(to_uv(a), to_uv(b)) for ch in chains for a, b in zip(ch, ch[1:])]
+
+    def orient(a, b, p):
+        return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+
+    for i, (a, b) in enumerate(pieces):
+        for p2, q2 in pieces[i + 1:]:
+            if any(np.array_equal(x, y) for x in (a, b) for y in (p2, q2)):
+                continue
+            assume(orient(a, b, p2) * orient(a, b, q2) > 0 or orient(p2, q2, a) * orient(p2, q2, b) > 0)
+    return _scene(draw, c, [[to_3d(x) for x in ch] for ch in chains])
 
 
 def covers(tri, children):
@@ -395,9 +524,7 @@ def oracle_passes():
         oracle._earcut_linked = clip
 
 
-@settings(max_examples=400, deadline=None)
-@given(chord_scenes())
-def test_split_matches_oracle_on_chord_chains(scene):
+def check_children(scene):
     tri, segments, tol, boundary = scene
     args = (tri, segments, tol, 5, boundary)
     try:
@@ -419,6 +546,59 @@ def test_split_matches_oracle_on_chord_chains(scene):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert conforming(tri, got)
+
+
+def check_rings(scene):
+    tri, segments, tol, boundary = scene
+    args = (tri, segments, tol, 5, boundary)
+    try:
+        want = oracle.split_triangle(*args)
+    except GeometryError as err:
+        with pytest.raises(type(err)):
+            split_triangle(*args)
+        return
+    assert_same_rings(split_triangle(*args), want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(chord_scenes())
+def test_split_matches_oracle_on_chord_chains(scene):
+    check_children(scene)
+
+
+@settings(max_examples=400, deadline=None)
+@given(chain_scenes())
+def test_split_matches_oracle_on_chain_scenes(scene):
+    check_children(scene)
+
+
+@settings(max_examples=400, deadline=None)
+@given(chord_scenes())
+def test_split_rings_match_oracle_on_chord_chains(scene):
+    check_rings(scene)
+
+
+@settings(max_examples=400, deadline=None)
+@given(chain_scenes())
+def test_split_rings_match_oracle_on_chain_scenes(scene):
+    check_rings(scene)
+
+
+# A chord along an edge, from a corner to a propagated point on it: the
+# chord and the boundary piece are one edge of the subdivision.
+ALONG_EDGE = (
+    np.array([[-0.25, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5]]),
+    [(np.array([0.0, 0.0, 0.0]), np.array([-0.21, 0.0, 0.0]))],
+    1e-9,
+    [np.array([-0.21, 0.0, 0.0])],
+)
+
+
+def test_split_rings_match_oracle_on_a_chord_along_an_edge():
+    tri, segments, tol, boundary = ALONG_EDGE
+    assert_same_rings(split_triangle(tri, segments, tol, 38, boundary),
+                      oracle.split_triangle(tri, segments, tol, 38, boundary))
+    assert len(split_triangle(tri, segments, tol, 38, boundary)) == 1
 
 
 # A scene found by the chord-chain strategy: a floating loop whose vertices
