@@ -189,16 +189,13 @@ def _facet_normals(mesh: TriMesh) -> np.ndarray:
 
 def _save_stl_binary(mesh: TriMesh, path) -> None:
     count = mesh.num_faces
-    buf = bytearray(84 + 50 * count)
-    buf[0:8] = b"meshbool"
-    struct.pack_into("<I", buf, 80, count)
-    normals = _facet_normals(mesh).astype("<f4")
-    tris = mesh.vertices[mesh.faces].astype("<f4")
     rec = np.zeros((count, 50), dtype=np.uint8)
-    rec[:, 0:12] = normals.view(np.uint8).reshape(count, 12)
+    rec[:, 0:12] = _facet_normals(mesh).astype("<f4").view(np.uint8).reshape(count, 12)
+    tris = mesh.vertices.astype("<f4")[mesh.faces]
     rec[:, 12:48] = tris.reshape(count, 9).view(np.uint8).reshape(count, 36)
-    buf[84:] = rec.tobytes()
-    Path(path).write_bytes(bytes(buf))
+    with open(path, "wb") as fh:
+        fh.write(b"meshbool".ljust(80, b"\0") + struct.pack("<I", count))
+        fh.write(rec)
 
 
 def _save_stl_ascii(mesh: TriMesh, path) -> None:

@@ -54,7 +54,6 @@ class PipelineState:
     mesh_a: TriMesh
     mesh_b: TriMesh
     options: PipelineOptions
-    pairs: np.ndarray | None = None
     segments: list = field(default_factory=list)
     narrow_report: object = None
     merged: object = None
@@ -131,11 +130,10 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
 
     t0 = time.perf_counter()
     ids_a, ids_b, cube = clip_to_shared_region(a, b)
+    pairs = np.zeros((0, 2), dtype=np.int64)
     if len(ids_a) and len(ids_b):
-        tree = build_octree(ids_a, ids_b, triangle_boxes(a), triangle_boxes(b), cube, options.octree)
-        state.pairs = candidate_pairs(tree)
-    else:
-        state.pairs = np.zeros((0, 2), dtype=np.int64)
+        pairs = candidate_pairs(build_octree(
+            ids_a, ids_b, triangle_boxes(a), triangle_boxes(b), cube, options.octree))
     state.timings.append((STAGES[0], time.perf_counter() - t0))
 
     scale = scene_scale(a, b, cube)
@@ -143,7 +141,8 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
     merge_tol = options.merge_tol if options.merge_tol is not None else MERGE_TOL_REL * scale
 
     t0 = time.perf_counter()
-    state.segments, state.narrow_report = intersect_all(state.pairs, a, b, plane_tol, strict=options.strict)
+    state.segments, state.narrow_report = intersect_all(pairs, a, b, plane_tol, strict=options.strict)
+    del pairs, ids_a, ids_b  # stage 1's arrays end here, before the trivial repeat
     state.timings.append((STAGES[1], time.perf_counter() - t0))
 
     if not state.segments:

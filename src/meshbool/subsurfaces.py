@@ -125,12 +125,12 @@ def build_subsurfaces(state: MergedState, loops, edge_map) -> list[SubSurface]:
     return classify_subsurfaces(out)
 
 
-def classify_subsurfaces(surfs: list[SubSurface], single_public: bool = False) -> list[SubSurface]:
+def classify_subsurfaces(surfs: list[SubSurface]) -> list[SubSurface]:
     """Mark public sub-surfaces and sanity-check the per-surface counts.
 
     On sphere-like surfaces at most one sub-surface is public; toroidal
     surfaces cut by non-separating loops legitimately exceed that, so the
-    violation only raises when single_public is set.
+    violation is logged as a warning, not raised.
     """
     for tag in ("A", "B"):
         publics = []
@@ -142,7 +142,5 @@ def classify_subsurfaces(surfs: list[SubSurface], single_public: bool = False) -
                 publics.append(s.id)
         if len(publics) > 1:
             msg = f"surface {tag} has {len(publics)} public sub-surfaces: {publics}"
-            if single_public:
-                raise TopologyError(msg)
             log.warning("%s (expected at most one on sphere-like surfaces)", msg)
     return surfs

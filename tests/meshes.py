@@ -8,7 +8,9 @@ numpy edge table in meshbool.halfedge replaced, kept to test it against; the
 octree oracles are the recursive node tree that the level-synchronous
 meshbool.octree replaced, the coincidence oracle is the weld-only test
 that now sits behind a bounding-box reject, and the narrow-phase oracle is
-the thread-pooled intersect_all that the serial box-first loop replaced.
+the thread-pooled intersect_all that the serial box-first loop replaced, run
+on the per-pair test of tests/oracle_intersect.py (the module before the
+plane test was shared between the chunk and the pair).
 The weld oracle is the per-point first-fit scan that the cell-hash weld in
 meshbool.merge replaced, and the assembly oracle is the per-face loop that
 built the merged arrays before they were built from masks and repeats.
@@ -26,9 +28,9 @@ import numpy as np
 
 from meshbool.errors import CoplanarPairError, TopologyError
 from meshbool.geometry import TriMesh
-from meshbool.intersect import COPLANAR, NarrowPhaseReport, tri_tri_intersect
 from meshbool.merge import MergedState, clear_topology
 from meshbool.octree import OctreeConfig
+from oracle_intersect import COPLANAR, NarrowPhaseReport, tri_tri_intersect
 
 
 # ---------------------------------------------------------------------------

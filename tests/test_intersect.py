@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import meshbool.intersect as intersect_mod
+import oracle_intersect as oracle
 from meshbool.errors import CoplanarPairError, DegenerateTriangle, GeometryError
 from meshbool.geometry import TriMesh
 from meshbool.intersect import COPLANAR, intersect_all, tri_tri_intersect
@@ -256,3 +257,76 @@ def test_degenerate_triangle_raises_only_when_its_box_overlaps():
     assert_matches_oracle(pairs, line, far, 1e-12)
     got = assert_matches_oracle(pairs, line, near, 1e-12)
     assert got[0] is DegenerateTriangle
+
+
+# One triangle pair at a time, against the old per-pair test. Corners sit on a
+# dyadic grid and the second triangle is built from the first, so shared
+# corners and edges, edges in the other plane and coplanar overlaps are exact;
+# slivers reach 2**-30 and zero-area triangles (collinear or repeated corners)
+# ride along. The rigid move by a power-of-two scale and a random shift keeps
+# every relation but puts the coordinates off the grid.
+QUARTERS = st.integers(-4, 4).map(lambda k: k * 0.25)
+MODES = ("free", "shared_vertex", "shared_edge", "edge_in_plane", "coplanar", "zero_area")
+
+
+@st.composite
+def triangle_pairs(draw, tols=(0.0, 1e-12, 1e-9, 2.0 ** -20)):
+    corner = lambda: [draw(QUARTERS) for _ in range(3)]
+    ta = np.array([corner() for _ in range(3)])
+    tb = np.array([corner() for _ in range(3)])
+    in_plane = lambda: ta[0] + draw(QUARTERS) * (ta[1] - ta[0]) + draw(QUARTERS) * (ta[2] - ta[0])
+    mode = draw(st.sampled_from(MODES))
+    if mode == "shared_vertex":
+        tb[0] = ta[draw(st.integers(0, 2))]
+    elif mode == "shared_edge":
+        i = draw(st.integers(0, 2))
+        tb[0], tb[1] = ta[i], ta[(i + 1) % 3]
+    elif mode == "edge_in_plane":
+        tb[0], tb[1] = in_plane(), in_plane()
+    elif mode == "coplanar":
+        tb = np.array([in_plane() for _ in range(3)])
+    elif mode == "zero_area":
+        tb[2] = tb[0] + draw(QUARTERS) * (tb[1] - tb[0])
+    for tri in (ta, tb):
+        if draw(st.booleans()):  # sliver: the apex near the opposite edge
+            mid = 0.5 * (tri[0] + tri[1])
+            tri[2] = mid + 2.0 ** -draw(st.integers(4, 30)) * (tri[2] - mid)
+    if draw(st.booleans()):
+        ta, tb = tb, ta
+    if draw(st.booleans()):
+        shift = np.array([draw(st.floats(-8, 8, allow_subnormal=False)) for _ in range(3)])
+        scale = 2.0 ** draw(st.integers(-20, 20))
+        ta, tb = ta * scale + shift, tb * scale + shift
+    tol = draw(st.sampled_from(tols))
+    return ta, tb, tol
+
+
+def pair_outcome(fn, ta, tb, tol):
+    """A one-pair result exact to the byte, or the class of the error."""
+    try:
+        res = fn(ta, tb, tol)
+    except GeometryError as exc:
+        return type(exc)
+    if res is None or isinstance(res, str):
+        return res
+    return res.degenerate, res.tri_a, res.tri_b, res.p0.tobytes(), res.p1.tobytes()
+
+
+@settings(max_examples=600, deadline=None)
+@given(triangle_pairs())
+def test_tri_tri_intersect_matches_oracle_on_pair_strategy(pair):
+    ta, tb, tol = pair
+    assert pair_outcome(tri_tri_intersect, ta, tb, tol) == pair_outcome(oracle.tri_tri_intersect, ta, tb, tol)
+
+
+# plane_tol is positive in the pipeline. At 0 the old module is no oracle for
+# itself: its chunk prefilter and its pair test computed the distances with
+# two formulas, and where an exact zero comes out as a rounding residue they
+# disagree in sign (the prefilter keeps a pair the pair test then rejects).
+@settings(max_examples=300, deadline=None)
+@given(triangle_pairs(tols=(1e-12, 1e-9, 2.0 ** -20)))
+def test_intersect_all_matches_oracle_on_pair_strategy(pair):
+    ta, tb, tol = pair
+    a = TriMesh(ta, [[0, 1, 2]], source="A")
+    b = TriMesh(tb, [[0, 1, 2]], source="B")
+    assert_matches_oracle(np.array([[0, 0]]), a, b, tol, threads=(1,))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from collections import Counter
 
-from meshbool.errors import TopologyError
 from meshbool.geometry import TriMesh
 from meshbool.loops import loop_edge_map
 from meshbool.pipeline import PipelineOptions, run_pipeline
@@ -128,10 +127,22 @@ def test_public_private_counts_on_sphere_like_fixtures():
             assert any(not s.is_public for s in side)   # at least one private
 
 
-def test_single_public_mode_raises_on_double_public():
+def test_double_public_warning_names_both_public_ids(caplog):
+    """Non-separating loops on a torus leave two public sub-surfaces: a
+    warning, naming both, not an error."""
     from meshes import torus_pair
 
     a, b = torus_pair(1.0, 0.35, n_major=24, n_minor=12)
     state = run_pipeline(a, b, PipelineOptions(classify=False))
-    with pytest.raises(TopologyError):
-        classify_subsurfaces(state.subsurfaces, single_public=True)
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="meshbool.subsurfaces"):
+        classify_subsurfaces(state.subsurfaces)
+    publics = {tag: [s.id for s in state.subsurfaces if s.source == tag and s.is_public] for tag in "AB"}
+    doubles = {tag: ids for tag, ids in publics.items() if len(ids) > 1}
+    assert doubles
+    messages = [r.getMessage() for r in caplog.records]
+    for tag, ids in doubles.items():
+        assert [m for m in messages if m.startswith(f"surface {tag} ")] == [
+            f"surface {tag} has {len(ids)} public sub-surfaces: {ids} "
+            "(expected at most one on sphere-like surfaces)"
+        ]
