@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInput, GeometryError, NotClosed, TopologyError
-from .halfedge import EdgeTable, min_labels
+from .halfedge import EdgeTable, edge_keys, min_labels, paired
 
 
 def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -123,8 +123,15 @@ class TriMesh:
 
 def boundary_edges(faces: np.ndarray) -> np.ndarray:
     """Directed edges whose reverse does not occur (surface boundary), in face order."""
-    table = EdgeTable(faces)
-    return np.stack([table.u, table.v], axis=1)[table.boundary]
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    keys = edge_keys(faces)
+    srt = np.sort(keys)
+    if paired(srt):
+        return np.zeros((0, 2), dtype=np.int64)
+    u, v = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+    partner = keys ^ (u != v)  # a u == v edge is its own reverse
+    found = srt[np.minimum(srt.searchsorted(partner), len(srt) - 1)] == partner
+    return np.stack([u, v], axis=1)[~found]
 
 
 def chain_boundary_loops(bedges: np.ndarray) -> list[list[int]]:
@@ -152,10 +159,7 @@ def chain_boundary_loops(bedges: np.ndarray) -> list[list[int]]:
 
 def is_closed_manifold(mesh: TriMesh) -> bool:
     """Every undirected edge shared by exactly two faces, opposite directions."""
-    if mesh.num_faces == 0:
-        return False
-    table = EdgeTable(mesh.faces)
-    return not ((table.u == table.v).any() or table.duplicate.any() or table.boundary.any())
+    return mesh.num_faces > 0 and paired(np.sort(edge_keys(mesh.faces)))
 
 
 def mesh_aabb(mesh: TriMesh) -> Aabb:

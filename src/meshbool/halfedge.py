@@ -1,29 +1,50 @@
-"""Directed-edge table of one triangle surface.
+"""Directed-edge keys and the edge table of one triangle surface.
 
-Edge e = 3*f + k of a face array is the directed edge (faces[f, k],
-faces[f, (k + 1) % 3]) and belongs to face e // 3. EdgeTable sorts the int64
-keys u*n + v once (n = largest vertex id + 1, so each directed pair has its
-own key while n*n fits in int64) and reads adjacency off the sorted keys:
+Edge e = 3*f + k of a face array is the directed edge (u, v) = (faces[f, k],
+faces[f, (k + 1) % 3]) and belongs to face e // 3. Its key is
 
-- first[e]: the lowest edge id with the same key as e (the sort is stable).
+    2 * (min(u, v) * n + max(u, v)) + (u > v),    n = largest vertex id + 1.
+
+The undirected pair sits in the high bits and the direction in the low bit,
+so an edge and its reverse are the adjacent integers 2c and 2c + 1. An edge
+with u == v is its own reverse: its key is even and 2c + 1 would need u > v.
+The largest key is below 2 * n * n, so edge_keys refuses vertex ids of 2**31
+and above rather than let the key wrap in int64.
+
+The yes/no questions read one np.sort of the keys and build no table:
+closed manifold means the sorted keys are exactly the pairs (2c, 2c + 1),
+every directed edge once and its reverse once (no u == v edge fits); a
+repeated directed edge is two equal neighbours; a boundary edge is a key
+whose partner (k ^ 1, or k itself when u == v) is missing.
+
+EdgeTable does one argsort of the keys and reads adjacency off the runs of
+equal keys. A run stands for its lowest edge id, so the sort need not be
+stable; order only groups the edges of a key.
+
+- first[e]: the lowest edge id with the same key as e.
 - duplicate: first[e] != e, every occurrence of a key after its first. It is
   empty on a surface whose faces agree on winding; a set bit means two faces
   traverse one edge in the same direction.
-- twin[e]: the lowest edge id with key v*n + u, -1 when there is none.
-  Without duplicates the twin is unique and twin[twin[e]] == e.
+- twin[e]: the first edge of the run holding e's partner key, which is the
+  neighbouring run when it exists; -1 when there is none. Without duplicates
+  the twin is unique and twin[twin[e]] == e.
 - boundary: twin < 0, the directed edges whose reverse does not occur.
 
 SurfaceTopology requires an empty duplicate mask and adds what loop
 completion and sub-surface construction need: region floods (components
 over twin pairs that are not walls, labelled by hook-and-compress so region
-ids follow the lowest face id), region boundaries, and the boundary-cycle
-walk, the only Python loop, which visits boundary edges only.
+ids follow the lowest face id), region boundaries, and boundary cycles. The
+successor of every region-boundary edge is found at once in numpy; the only
+Python loop emits the cycles and visits each boundary edge once.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import TopologyError
+from .errors import GeometryError, TopologyError
+
+ID_LIMIT = 2**31  # vertex ids must stay below this for the keys to fit in int64
+_NEXT_IN_FACE = np.array([1, 1, -2])  # e + _NEXT_IN_FACE[e % 3]: the next edge of e's face
 
 
 def min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -49,22 +70,51 @@ def min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return label
 
 
+def pair_key(u, v, n: int):
+    """Key of the directed edge (u, v) among vertex ids below n; see above."""
+    return 2 * (np.minimum(u, v) * n + np.maximum(u, v)) + (u > v)
+
+
+def edge_keys(faces: np.ndarray) -> np.ndarray:
+    """Key of every directed edge of a face array, in edge order."""
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    n = int(faces.max()) + 1 if len(faces) else 0
+    if n > ID_LIMIT:
+        raise GeometryError(f"vertex id {n - 1} too large for edge keys; ids must be below 2**31")
+    return pair_key(faces.ravel(), faces[:, [1, 2, 0]].ravel(), n)
+
+
+def paired(sorted_keys: np.ndarray) -> bool:
+    """True when the sorted keys are exactly the pairs (2c, 2c + 1)."""
+    lo, hi = sorted_keys[0::2], sorted_keys[1::2]
+    return len(lo) == len(hi) and bool(((hi - lo == 1) & (lo % 2 == 0)).all())
+
+
 class EdgeTable:
     def __init__(self, faces: np.ndarray):
         self.faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
         self.u = self.faces.ravel()
         self.v = self.faces[:, [1, 2, 0]].ravel()
         self.n = int(self.faces.max()) + 1 if len(self.faces) else 0
-        key = self.u * self.n + self.v
-        self.order = np.argsort(key, kind="stable")
+        key = edge_keys(self.faces)
+        self.order = np.argsort(key)
         self.keys = key[self.order]
         run_start = np.ones(len(key), dtype=bool)
         run_start[1:] = self.keys[1:] != self.keys[:-1]
+        run = np.cumsum(run_start) - 1
+        lead = np.minimum.reduceat(self.order, np.nonzero(run_start)[0])  # lowest edge id per run
         self.first = np.empty_like(self.order)
-        self.first[self.order] = self.order[run_start][np.cumsum(run_start) - 1]
-        reverse = self.v * self.n + self.u
-        pos = np.minimum(self.keys.searchsorted(reverse), len(key) - 1)
-        self.twin = np.where(self.keys[pos] == reverse, self.order[pos], -1)
+        self.first[self.order] = lead[run]
+        # Neighbouring runs r, r + 1 are partners when they hold 2c and 2c + 1.
+        run_key = self.keys[run_start]
+        pair = (run_key[1:] ^ 1) == run_key[:-1]
+        partner = np.full(len(lead), -1, dtype=np.int64)
+        partner[:-1][pair] = lead[1:][pair]
+        partner[1:][pair] = lead[:-1][pair]
+        own = self.u[lead] == self.v[lead]  # a u == v edge is its own reverse
+        partner[own] = lead[own]
+        self.twin = np.empty_like(self.order)
+        self.twin[self.order] = partner[run]
         self.boundary = self.twin < 0
         self.duplicate = self.first != np.arange(len(key))
 
@@ -72,18 +122,18 @@ class EdgeTable:
         """Face holding the directed edge (u, v), None when there is none."""
         if not (0 <= u < self.n and 0 <= v < self.n):
             return None
-        key = u * self.n + v
+        key = pair_key(u, v, self.n)
         pos = int(self.keys.searchsorted(key))
         if pos == len(self.keys) or self.keys[pos] != key:
             return None
-        return int(self.order[pos]) // 3
+        return int(self.first[self.order[pos]]) // 3
 
     def faces_on(self, u: int, v: int) -> np.ndarray:
         """Faces using the edge {u, v} in either direction, once per use, in face order."""
-        keys = sorted({u * self.n + v, v * self.n + u})
-        lo = self.keys.searchsorted(keys)
-        hi = self.keys.searchsorted(keys, side="right")
-        return np.sort(np.concatenate([self.order[s:e] for s, e in zip(lo, hi)])) // 3
+        key = pair_key(u, v, self.n)
+        lo = self.keys.searchsorted(key & ~1)
+        hi = self.keys.searchsorted(key | 1, side="right")
+        return np.sort(self.order[lo:hi]) // 3
 
 
 class SurfaceTopology(EdgeTable):
@@ -92,13 +142,6 @@ class SurfaceTopology(EdgeTable):
         if self.duplicate.any():
             e = int(np.argmax(self.duplicate))
             raise TopologyError(f"directed edge {(int(self.u[e]), int(self.v[e]))} used twice")
-
-    def third(self, fi: int, u: int, v: int) -> int:
-        a, b, c = self.faces[fi]
-        for x in (a, b, c):
-            if x != u and x != v:
-                return int(x)
-        raise TopologyError(f"face {fi} is degenerate")
 
     def _region_roots(self, walls) -> np.ndarray:
         """Lowest face id of each face's region; regions never cross walls."""
@@ -124,50 +167,51 @@ class SurfaceTopology(EdgeTable):
         roots = self._region_roots(walls)
         return np.nonzero(np.isin(roots, roots[np.asarray(seeds, dtype=np.int64)]))[0]
 
-    def region_boundary(self, member: np.ndarray) -> list[tuple[int, int]]:
-        """Directed edges of member faces whose twin lies outside the set."""
+    def _member_flags(self, member) -> np.ndarray:
         flags = np.zeros(len(self.faces), dtype=bool)
         flags[np.asarray(member, dtype=np.int64)] = True
+        return flags
+
+    def region_boundary(self, member) -> np.ndarray:
+        """Ids of the directed edges of member faces whose twin lies outside the set."""
+        flags = self._member_flags(member)
         across = np.where(self.boundary, False, flags[self.twin // 3])
-        mask = np.repeat(flags, 3) & ~across
-        return list(zip(self.u[mask].tolist(), self.v[mask].tolist()))
+        return np.nonzero(np.repeat(flags, 3) & ~across)[0]
 
-    def next_boundary_edge(self, u: int, v: int, in_region) -> tuple[int, int]:
-        """Fan-walk around v inside the region to the successor boundary edge."""
-        fi = self.face_of(u, v)
-        w = self.third(fi, u, v)
-        while True:
-            g = self.face_of(w, v)
-            if g is None or not in_region(g):
-                return (v, w)
-            w = self.third(g, w, v)
+    def boundary_cycles(self, member) -> list[np.ndarray]:
+        """Decompose a face set's directed boundary into closed cycles of edge ids.
 
-    def boundary_cycles(self, member: np.ndarray) -> list[list[tuple[int, int]]]:
-        """Decompose a face set's directed boundary into closed edge cycles."""
-        flags = np.zeros(len(self.faces), dtype=bool)
-        flags[member] = True
-
-        def in_region(g):
-            return bool(flags[g])
-
-        edges = sorted(self.region_boundary(np.asarray(member)))
-        unused = set(edges)
+        A cycle starts at its lowest (u, v) edge and cycles come in the order
+        of their starts. The successor of boundary edge (u, v) leaves v: from
+        the next edge of its face, turn about v across twins while the twin's
+        face is in the set. Without repeated directed edges this maps the
+        boundary edges one to one onto themselves, also where the boundary
+        passes a vertex more than once.
+        """
+        flags = self._member_flags(member)
+        ids = self.region_boundary(member)
+        by_uv = np.lexsort((self.v[ids], self.u[ids]))
+        edges = ids[by_uv]
+        succ = edges + _NEXT_IN_FACE[edges % 3]
+        turning = np.arange(len(edges))
+        while len(turning):
+            t = self.twin[succ[turning]]
+            inside = t >= 0
+            inside[inside] = flags[t[inside] // 3]
+            turning, t = turning[inside], t[inside]
+            succ[turning] = t + _NEXT_IN_FACE[t % 3]
+        rank = np.empty(len(ids), dtype=np.int64)
+        rank[by_uv] = np.arange(len(ids))
+        step = rank[ids.searchsorted(succ)].tolist()
+        seen = [False] * len(edges)
         cycles = []
-        for start in edges:
-            if start not in unused:
-                continue
-            cyc = [start]
-            unused.discard(start)
-            cur = self.next_boundary_edge(start[0], start[1], in_region)
-            guard = 0
-            while cur != start:
-                if cur not in unused:
-                    raise TopologyError(f"boundary walk left the region at edge {cur}")
-                cyc.append(cur)
-                unused.discard(cur)
-                cur = self.next_boundary_edge(cur[0], cur[1], in_region)
-                guard += 1
-                if guard > 4 * len(self.faces) + 16:
-                    raise TopologyError("boundary walk did not close")
-            cycles.append(cyc)
+        for start in range(len(edges)):
+            cyc = []
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                cyc.append(i)
+                i = step[i]
+            if cyc:
+                cycles.append(edges[cyc])
         return cycles

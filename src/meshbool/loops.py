@@ -198,7 +198,6 @@ def close_open_loops_on_boundary(
     for rid in range(int(labels.max()) + 1 if len(labels) else 0):
         member = np.nonzero(labels == rid)[0]
         for cyc in topo.boundary_cycles(member):
-            if any(topo.face_of(v, u) is None for (u, v) in cyc):
-                verts = [u for (u, _) in cyc]
-                completed.append(OrientedLoop(next_id + len(completed), verts, COMPLETED))
+            if topo.boundary[cyc].any():
+                completed.append(OrientedLoop(next_id + len(completed), topo.u[cyc].tolist(), COMPLETED))
     return completed, dangling

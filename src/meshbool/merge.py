@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import TopologyError
 from .geometry import TriMesh, is_closed_manifold, triangle_areas
-from .halfedge import EdgeTable, min_labels
+from .halfedge import EdgeTable, edge_keys, min_labels
 
 log = logging.getLogger(__name__)
 
@@ -152,6 +152,9 @@ def compute_extrema(vertices: np.ndarray) -> np.ndarray:
 
 def _directed_edge_duplicates(faces: np.ndarray) -> dict[tuple[int, int], list[int]]:
     """Repeated directed edges -> ids of the faces using them, in face order."""
+    srt = np.sort(edge_keys(faces))
+    if not (srt[1:] == srt[:-1]).any():
+        return {}
     table = EdgeTable(faces)
     bad: dict[tuple[int, int], list[int]] = {}
     for e in np.nonzero(table.duplicate)[0].tolist():

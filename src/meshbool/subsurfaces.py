@@ -54,12 +54,13 @@ class _SurfaceData:
 
 def _region_subsurface(data: _SurfaceData, member_local, ss_id, loops) -> SubSurface:
     """Assemble one SubSurface record from a local face-id set."""
-    cycles = data.topo.boundary_cycles(member_local)
+    topo = data.topo
+    cycles = topo.boundary_cycles(member_local)
     owners: dict[tuple[int, int], int] = {}
     has_boundary = False
     for cyc in cycles:
-        for u, v in cyc:
-            if data.topo.face_of(v, u) is None:
+        for u, v, on_boundary in zip(topo.u[cyc].tolist(), topo.v[cyc].tolist(), topo.boundary[cyc].tolist()):
+            if on_boundary:
                 has_boundary = True
                 continue
             key = (u, v) if u < v else (v, u)

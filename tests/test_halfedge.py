@@ -1,16 +1,20 @@
-"""The numpy edge table against the dict-based oracles it replaced.
+"""The numpy edge table against the dict-based oracles it replaced, and
+against the searchsorted table of tests/oracle_halfedge.py.
 
 Every helper that reads the table must give the oracle's answer, in the same
 order, on the fixture meshes, on both merged surfaces of full pipeline runs
-and on generated face arrays with duplicated, flipped and dropped faces and
-edges shared by three faces.
+and on generated face arrays with duplicated, flipped and dropped faces,
+edges shared by three faces and boundaries that pass one vertex twice.
 """
+import sys
+
 import numpy as np
+import oracle_halfedge as frozen
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshbool.errors import TopologyError
+from meshbool.errors import GeometryError, TopologyError
 from meshbool.geometry import (
     TriMesh,
     boundary_edges,
@@ -18,7 +22,7 @@ from meshbool.geometry import (
     euler_characteristic,
     is_closed_manifold,
 )
-from meshbool.halfedge import EdgeTable, SurfaceTopology, min_labels
+from meshbool.halfedge import EdgeTable, SurfaceTopology, edge_keys, min_labels
 from meshbool.loops import loop_edge_map
 from meshbool.merge import _directed_edge_duplicates
 from meshbool.pipeline import _propagate_edge_points, run_pipeline
@@ -90,13 +94,33 @@ def _undirected(faces):
     return np.unique(np.sort(np.stack([faces.ravel(), faces[:, [1, 2, 0]].ravel()], 1), 1), axis=0)
 
 
+def _pairs(topo, edges):
+    """(u, v) tuples of edge ids."""
+    return list(zip(topo.u[edges].tolist(), topo.v[edges].tolist()))
+
+
 def _points(extra):
     return [(k, [tuple(p) for p in v]) for k, v in extra.items()]
+
+
+def assert_table_agrees(faces):
+    """Every field and lookup of the table equals the frozen table's."""
+    got, want = EdgeTable(faces), frozen.EdgeTable(faces)
+    for name in ("first", "twin", "boundary", "duplicate"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    n = got.n
+    queries = _pairs(got, np.arange(len(got.u))) + [(0, n), (n, 0), (-1, 0)]
+    for u, v in queries + [(v, u) for u, v in queries]:
+        assert got.face_of(u, v) == want.face_of(u, v), (u, v)
+    for u, v in _undirected(faces).tolist():
+        assert np.array_equal(got.faces_on(u, v), want.faces_on(u, v)), (u, v)
 
 
 def assert_edge_helpers_agree(faces, n_vertices):
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     mesh = TriMesh(np.zeros((n_vertices, 3)), faces)
+    assert_table_agrees(faces)
+    assert mesh.closed == (len(faces) > 0 and len(oracle_boundary_edges(faces)) == 0)
     assert np.array_equal(boundary_edges(faces), oracle_boundary_edges(faces))
     assert is_closed_manifold(mesh) == oracle_is_closed_manifold(mesh)
     assert euler_characteristic(mesh) == oracle_euler_characteristic(mesh)
@@ -124,14 +148,14 @@ def assert_topology_agrees(faces, walls, seeds=()):
         assert np.array_equal(got.flood_from(seeds, walls), want.flood_from(seeds, walls))
     for rid in range(int(labels.max()) + 1 if len(labels) else 0):
         member = np.nonzero(labels == rid)[0]
-        assert got.region_boundary(member) == want.region_boundary(member)
+        assert _pairs(got, got.region_boundary(member)) == want.region_boundary(member)
         try:
             expect = want.boundary_cycles(member)
         except TopologyError:
             with pytest.raises(TopologyError):
                 got.boundary_cycles(member)
             continue
-        assert got.boundary_cycles(member) == expect
+        assert [_pairs(got, cyc) for cyc in got.boundary_cycles(member)] == expect
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -215,6 +239,54 @@ def test_table_invariants_on_open_and_repeated_edges():
         SurfaceTopology(table.faces)
 
 
+def test_edge_keys_pair_each_edge_with_its_reverse():
+    big = 2**31 - 1  # the largest id allowed: the key of (big - 1, big) is just below 2**63
+    faces = [[0, big - 1, big], [big, big - 1, 0], [3, 3, 2]]
+    keys = edge_keys(faces)
+    assert (keys > 0).all()
+    assert (keys[[0, 1, 5]] + 1 == keys[[4, 3, 2]]).all()  # u < v is even, its reverse odd
+    assert keys[6] % 2 == 0 and keys[8] + 1 == keys[7]  # (3, 3) is its own reverse
+    assert boundary_edges(faces[:2]).tolist() == []
+
+
+def test_edge_keys_refuse_ids_past_the_key_range():
+    with pytest.raises(GeometryError, match=r"2\*\*31"):
+        edge_keys(np.array([[0, 1, 2**31]]))
+    with pytest.raises(GeometryError, match=r"2\*\*31"):
+        EdgeTable(np.array([[0, 1, 2**31]]))
+
+
+def _callers():
+    """Names of the functions on the stack, from the one that called the
+    caller outward."""
+    names, frame = [], sys._getframe(2)
+    while frame is not None:
+        names.append(frame.f_code.co_name)
+        frame = frame.f_back
+    return names
+
+
+@pytest.mark.parametrize("name", ["cube_sphere", "torus_pair"])
+def test_edge_tables_built_once_per_merged_surface(monkeypatch, name):
+    """Closed and duplicate verdicts build no table; build_subsurfaces builds
+    one per merged surface; the rest are the propagation's neighbour tables."""
+    built = []
+    build = EdgeTable.__init__
+
+    def counted(self, faces):
+        built.append(_callers())
+        build(self, faces)
+
+    monkeypatch.setattr(EdgeTable, "__init__", counted)
+    state = run_pipeline(*PIPELINE_PAIRS[name]())
+    assert state.result is not None
+    per_surface = [c for c in built if "build_subsurfaces" in c]
+    neighbours = [c for c in built if "_propagate_edge_points" in c]
+    assert len(per_surface) == 2
+    assert len(neighbours) == 2  # one per input surface
+    assert len(built) == len(per_surface) + len(neighbours), built
+
+
 def test_min_labels_smallest_id_per_component():
     assert min_labels(6, [5, 3, 4], [3, 1, 2]).tolist() == [0, 1, 2, 1, 2, 1]
     assert min_labels(3, [], []).tolist() == [0, 1, 2]
@@ -236,12 +308,20 @@ def face_soups(draw):
     return np.asarray(faces, dtype=np.int64).reshape(-1, 3), n
 
 
+# A hexagonal bipyramid without faces (0, 1, 6) and (3, 4, 6): its apex 6 is
+# a bowtie, two fans that share the vertex and no edge, so the boundary
+# passes 6 twice.
+BOWTIE = ([(k, (k + 1) % 6, 6) for k in (1, 2, 4, 5)]
+          + [((k + 1) % 6, k, 7) for k in range(6)])
+
+
 @st.composite
 def edited_octahedra(draw):
-    """A closed octahedron with faces dropped, duplicated, flipped, or a fin
-    face added on an edge so three faces share it."""
-    faces = list(OCTAHEDRON)
-    n = 6
+    """A closed octahedron or the open bowtie bipyramid, with faces dropped,
+    duplicated, flipped, or a fin face added on an edge so three faces share
+    it."""
+    base, n = draw(st.sampled_from([(OCTAHEDRON, 6), (BOWTIE, 8)]))
+    faces = list(base)
     edits = st.tuples(st.sampled_from(["drop", "duplicate", "flip", "fin", "fin_reversed"]),
                       st.integers(0, 63))
     for op, i in draw(st.lists(edits, max_size=5)):
@@ -259,6 +339,14 @@ def edited_octahedra(draw):
             faces.append((a, b, n) if op == "fin" else (b, a, n))
             n += 1
     return np.asarray(faces, dtype=np.int64).reshape(-1, 3), n
+
+
+def test_bowtie_boundary_passes_the_apex_twice():
+    topo = SurfaceTopology(BOWTIE)
+    (cycle,) = topo.boundary_cycles(np.arange(len(BOWTIE)))
+    assert _pairs(topo, cycle) == [(0, 6), (6, 4), (4, 3), (3, 6), (6, 1), (1, 0)]
+    assert_topology_agrees(np.asarray(BOWTIE), walls=set())
+    assert_topology_agrees(np.asarray(BOWTIE), walls={(2, 6), (5, 6)})
 
 
 @settings(max_examples=300, deadline=None)

@@ -87,7 +87,8 @@ def test_boundary_law_owner_loops_reproduced():
         local = {int(g): i for i, g in enumerate(face_ids)}
         topo = SurfaceTopology(merged.faces[face_ids])
         member = np.asarray([local[int(t)] for t in s.triangles])
-        boundary = topo.region_boundary(member)
+        edges = topo.region_boundary(member)
+        boundary = zip(topo.u[edges].tolist(), topo.v[edges].tolist())
         expect = set()
         for lp_id, sign in s.owners:
             for u, v in state.loops[lp_id].vertex_pairs:
