@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssemblyError, ClassificationError, CoincidentInput, TopologyError
-from .geometry import MERGE_TOL_REL, PLANE_TOL_REL, TriMesh, is_closed_manifold, scene_scale, signed_volume
+from .geometry import (MERGE_TOL_REL, PLANE_TOL_REL, TriMesh, compact_submesh, is_closed_manifold,
+                       scene_scale, signed_volume)
 from .merge import MergedState, merge_vertices
 
 log = logging.getLogger(__name__)
@@ -148,22 +149,9 @@ def extract_block_mesh(
     by_id = {s.id: s for s in surfs}
     rows = []
     for sid in blk.surfaces:
-        s = by_id[sid]
-        faces = state.faces[s.triangles]
-        if sid in reverse_ids:
-            faces = faces[:, ::-1]
-        rows.append(faces)
-    allfaces = np.concatenate(rows, axis=0)
-    used, inverse = np.unique(allfaces.ravel(), return_inverse=True)
-    return TriMesh(state.vertices[used], inverse.reshape(-1, 3), source="R", name=name)
-
-
-def block_vertex_ids(blk: SubBlock, state: MergedState, surfs) -> set[int]:
-    by_id = {s.id: s for s in surfs}
-    ids: set[int] = set()
-    for sid in blk.surfaces:
-        ids.update(int(v) for v in state.faces[by_id[sid].triangles].ravel())
-    return ids
+        faces = state.faces[by_id[sid].triangles]
+        rows.append(faces[:, ::-1] if sid in reverse_ids else faces)
+    return compact_submesh(state.vertices, np.concatenate(rows, axis=0), source="R", name=name)
 
 
 def pick_union(candidates, state: MergedState, surfs) -> tuple[SubBlock, list[SubBlock]]:

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, GeometryError, NotClosed, TopologyError
-from .halfedge import EdgeTable, edge_keys, min_labels, paired
+from .errors import EmptyInput, GeometryError, NotClosed
+from .halfedge import SurfaceTopology, edge_keys, paired
 
 
 def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -118,7 +118,12 @@ class TriMesh:
         return TriMesh(self.vertices, self.faces[:, ::-1].copy(), self.source, self.name)
 
     def boundary_loops(self) -> list[list[int]]:
-        return chain_boundary_loops(boundary_edges(self.faces))
+        """Closed vertex cycles of the directed boundary, each from its lowest
+        (u, v) edge, in the order of their starts. A vertex the boundary
+        passes twice starts or joins two cycles; a directed edge used by two
+        faces raises TopologyError."""
+        topo = SurfaceTopology(self.faces)
+        return [topo.u[c].tolist() for c in topo.boundary_cycles(np.arange(self.num_faces))]
 
 
 def boundary_edges(faces: np.ndarray) -> np.ndarray:
@@ -132,29 +137,6 @@ def boundary_edges(faces: np.ndarray) -> np.ndarray:
     partner = keys ^ (u != v)  # a u == v edge is its own reverse
     found = srt[np.minimum(srt.searchsorted(partner), len(srt) - 1)] == partner
     return np.stack([u, v], axis=1)[~found]
-
-
-def chain_boundary_loops(bedges: np.ndarray) -> list[list[int]]:
-    """Chain directed boundary edges into closed vertex cycles."""
-    nxt = {}
-    for u, v in map(tuple, bedges):
-        if u in nxt:
-            raise TopologyError(f"vertex {u} has two outgoing boundary edges")
-        nxt[u] = v
-    loops = []
-    seen = set()
-    for start in sorted(nxt):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        v = nxt[start]
-        while v != start:
-            cyc.append(v)
-            seen.add(v)
-            v = nxt[v]
-        loops.append(cyc)
-    return loops
 
 
 def is_closed_manifold(mesh: TriMesh) -> bool:
@@ -204,31 +186,6 @@ def signed_volume(mesh: TriMesh) -> float:
         raise NotClosed("signed_volume requires a closed surface")
     p = mesh.vertices[mesh.faces]
     return float(np.einsum("ij,ij->i", p[:, 0], np.cross(p[:, 1], p[:, 2])).sum() / 6.0)
-
-
-def euler_characteristic(mesh: TriMesh) -> int:
-    """V - E + F counting only referenced vertices and undirected edges."""
-    if mesh.num_faces == 0:
-        return 0
-    table = EdgeTable(mesh.faces)
-    # One edge per directed key; a pair seen in both directions counts from its u <= v side.
-    undirected = ~table.duplicate & ((table.u <= table.v) | table.boundary)
-    return int(len(np.unique(mesh.faces)) - int(undirected.sum()) + mesh.num_faces)
-
-
-def connected_face_components(faces: np.ndarray) -> list[np.ndarray]:
-    """Group face ids into edge-connected components, ordered by lowest face id."""
-    if len(faces) == 0:
-        return []
-    table = EdgeTable(faces)
-    # Faces sharing an edge in either direction meet via first (same key) or twin.
-    edges = np.arange(len(table.u))
-    paired = edges[~table.boundary]
-    a = np.concatenate([edges, paired]) // 3
-    b = np.concatenate([table.first, table.twin[paired]]) // 3
-    label = min_labels(len(table.faces), a, b)
-    order = np.argsort(label, kind="stable")
-    return np.split(order, np.nonzero(np.diff(label[order]))[0] + 1)
 
 
 def compact_submesh(vertices: np.ndarray, faces: np.ndarray, source="A", name="") -> TriMesh:

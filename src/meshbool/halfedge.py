@@ -31,11 +31,12 @@ stable; order only groups the edges of a key.
 - boundary: twin < 0, the directed edges whose reverse does not occur.
 
 SurfaceTopology requires an empty duplicate mask and adds what loop
-completion and sub-surface construction need: region floods (components
-over twin pairs that are not walls, labelled by hook-and-compress so region
-ids follow the lowest face id), region boundaries, and boundary cycles. The
-successor of every region-boundary edge is found at once in numpy; the only
-Python loop emits the cycles and visits each boundary edge once.
+completion, sub-surface construction and TriMesh.boundary_loops need: one
+region flood (components over twin pairs that are not walls, labelled by
+hook-and-compress so region ids follow the lowest face id), region
+boundaries, and boundary cycles. The successor of every region-boundary edge
+is found at once in numpy; the only Python loop emits the cycles and visits
+each boundary edge once.
 """
 from __future__ import annotations
 
@@ -118,16 +119,6 @@ class EdgeTable:
         self.boundary = self.twin < 0
         self.duplicate = self.first != np.arange(len(key))
 
-    def face_of(self, u: int, v: int) -> int | None:
-        """Face holding the directed edge (u, v), None when there is none."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            return None
-        key = pair_key(u, v, self.n)
-        pos = int(self.keys.searchsorted(key))
-        if pos == len(self.keys) or self.keys[pos] != key:
-            return None
-        return int(self.first[self.order[pos]]) // 3
-
     def faces_on(self, u: int, v: int) -> np.ndarray:
         """Faces using the edge {u, v} in either direction, once per use, in face order."""
         key = pair_key(u, v, self.n)
@@ -143,8 +134,12 @@ class SurfaceTopology(EdgeTable):
             e = int(np.argmax(self.duplicate))
             raise TopologyError(f"directed edge {(int(self.u[e]), int(self.v[e]))} used twice")
 
-    def _region_roots(self, walls) -> np.ndarray:
-        """Lowest face id of each face's region; regions never cross walls."""
+    def flood_regions(self, walls) -> np.ndarray:
+        """Label faces by flooding across shared edges not listed in walls.
+
+        walls holds undirected vertex pairs as (min, max) tuples. Every face
+        gets a label; label order follows the lowest face id per region.
+        """
         e = np.nonzero(~self.boundary)[0]
         w = np.asarray(list(walls), dtype=np.int64).reshape(-1, 2)
         w = w[(w.min(axis=1) >= 0) & (w.max(axis=1) < self.n)]
@@ -152,20 +147,8 @@ class SurfaceTopology(EdgeTable):
             u, v = self.u[e], self.v[e]
             crossed = np.minimum(u, v) * self.n + np.maximum(u, v)
             e = e[~np.isin(crossed, w[:, 0] * self.n + w[:, 1])]
-        return min_labels(len(self.faces), e // 3, self.twin[e] // 3)
-
-    def flood_regions(self, walls) -> np.ndarray:
-        """Label faces by flooding across shared edges not listed in walls.
-
-        walls holds undirected vertex pairs as (min, max) tuples. Every face
-        gets a label; label order follows the lowest face id per region.
-        """
-        return np.unique(self._region_roots(walls), return_inverse=True)[1]
-
-    def flood_from(self, seeds, walls) -> np.ndarray:
-        """Faces reachable from the seed faces without crossing walls."""
-        roots = self._region_roots(walls)
-        return np.nonzero(np.isin(roots, roots[np.asarray(seeds, dtype=np.int64)]))[0]
+        roots = min_labels(len(self.faces), e // 3, self.twin[e] // 3)  # lowest face id per region
+        return np.unique(roots, return_inverse=True)[1]
 
     def _member_flags(self, member) -> np.ndarray:
         flags = np.zeros(len(self.faces), dtype=bool)

@@ -113,7 +113,10 @@ def _load_obj(path, source) -> TriMesh:
             if tok[0] == "v":
                 if len(tok) < 4:
                     raise ParseError(f"{path}:{lineno}: v needs 3 coordinates")
-                verts.append([float(tok[1]), float(tok[2]), float(tok[3])])
+                try:
+                    verts.append([float(tok[1]), float(tok[2]), float(tok[3])])
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: bad coordinate: {exc}") from None
             elif tok[0] == "f":
                 idx = []
                 for ref in tok[1:]:

@@ -142,22 +142,6 @@ def _make_loop(lid, verts, eids, deg, closed):
     return OrientedLoop(lid, verts, kind, eids)
 
 
-def classify_loop(loop: OrientedLoop, deg: dict[int, int]) -> str:
-    """Recompute the kind of a chained loop from vertex degrees."""
-    if loop.kind == HARD_CLOSED:
-        if any(deg[v] != 2 for v in loop.verts):
-            raise TopologyError(f"cycle {loop.id} touches a junction vertex")
-        return HARD_CLOSED
-    first, last = loop.verts[0], loop.verts[-1]
-    if any(deg[v] != 2 for v in loop.verts[1:-1]):
-        raise TopologyError(f"loop {loop.id} has a junction in its interior")
-    if deg[first] == 1 or deg[last] == 1:
-        return OPEN
-    if deg[first] > 2 and deg[last] > 2:
-        return SOFT_CLOSED
-    raise TopologyError(f"loop {loop.id} terminates at a degree-2 vertex")
-
-
 def loop_edge_map(loops) -> dict[tuple[int, int], tuple[int, int]]:
     """Map undirected vertex pair -> (loop id, +1 if loop runs min->max)."""
     out: dict[tuple[int, int], tuple[int, int]] = {}

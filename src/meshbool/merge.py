@@ -55,7 +55,6 @@ class MergedState:
     vertices: np.ndarray
     faces: np.ndarray          # (m, 3) indices into vertices
     face_source: np.ndarray    # (m,) 0 for A, 1 for B
-    face_parent: np.ndarray    # (m,) parent triangle id of a re-triangulated child, -1 for an untouched face
     edges: np.ndarray          # (e, 2) unique undirected intersection edges
     edge_tri_pairs: list       # one (tri_a, tri_b) witness per edge
     tol: float
@@ -174,7 +173,6 @@ def clear_topology(state: MergedState) -> MergedState:
     verts = state.vertices
     faces = state.faces
     source = state.face_source
-    parent = state.face_parent
     area_tol = state.tol * state.tol
     present = {surf for surf in (0, 1) if (source == surf).any()}
 
@@ -185,7 +183,7 @@ def clear_topology(state: MergedState) -> MergedState:
             | (faces[:, 2] == faces[:, 0])
         )
         keep &= triangle_areas(verts, faces) > area_tol
-        faces, source, parent = faces[keep], source[keep], parent[keep]
+        faces, source = faces[keep], source[keep]
 
         drop = np.zeros(len(faces), dtype=bool)
         for surf in (0, 1):
@@ -200,7 +198,7 @@ def clear_topology(state: MergedState) -> MergedState:
                 log.warning("clearing: dropped face %d duplicating edge %s", ids[victim], e)
         if not drop.any():
             break
-        faces, source, parent = faces[~drop], source[~drop], parent[~drop]
+        faces, source = faces[~drop], source[~drop]
     else:
         leftovers = []
         for surf in (0, 1):
@@ -216,7 +214,7 @@ def clear_topology(state: MergedState) -> MergedState:
     pairs = [p for p, k in zip(pairs, keep_e) if k]
 
     out = MergedState(
-        verts, faces, source, parent, edges, pairs, state.tol,
+        verts, faces, source, edges, pairs, state.tol,
         a_closed=state.a_closed, b_closed=state.b_closed,
     )
     out.extrema = compute_extrema(verts) if len(verts) else None
@@ -311,7 +309,7 @@ def build_merged_state(
         pairs = []
 
     state = MergedState(
-        vertices, faces, source, parent, edges, pairs, tol,
+        vertices, faces, source, edges, pairs, tol,
         a_closed=a.closed, b_closed=b.closed,
     )
     return clear_topology(state)

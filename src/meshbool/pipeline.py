@@ -18,7 +18,8 @@ from . import blocks as blk
 from . import loops as lps
 from . import subsurfaces as ssf
 from .errors import CoincidentInput, GeometryError, NotClosed, TopologyError
-from .geometry import MERGE_TOL_REL, PLANE_TOL_REL, TriMesh, row_dots, scene_scale, signed_volume
+from .geometry import (MERGE_TOL_REL, PLANE_TOL_REL, TriMesh, compact_submesh, row_dots, scene_scale,
+                       signed_volume)
 from .halfedge import EdgeTable
 from .intersect import intersect_all
 from .merge import build_merged_state
@@ -67,8 +68,6 @@ class PipelineState:
     timings: list = field(default_factory=list)
 
     def subsurface_mesh(self, ss) -> TriMesh:
-        from .geometry import compact_submesh
-
         return compact_submesh(self.merged.vertices, self.merged.faces[ss.triangles],
                                source=ss.source, name=f"{ss.source}_sub_{ss.id}")
 

@@ -272,44 +272,17 @@ def _earcut_linked(ear, triangles, eps):
             exact = True
 
 
-def _ring_is_simple(ring):
-    """Reject strictly crossing edges; shared endpoints are allowed."""
-
-    def cross2(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    n = len(ring)
-    for i in range(n):
-        a1 = ring[i]
-        a2 = ring[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or j == (i + 1) % n:
-                continue
-            b1 = ring[j]
-            b2 = ring[(j + 1) % n]
-            d1 = cross2(a2 - a1, b1 - a1)
-            d2 = cross2(a2 - a1, b2 - a1)
-            d3 = cross2(b2 - b1, a1 - b1)
-            d4 = cross2(b2 - b1, a2 - b1)
-            if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4:
-                return False
-    return True
-
-
-def ear_clip(loop2d, holes2d=(), validate=True) -> list[tuple[int, int, int]]:
+def ear_clip(loop2d, holes2d=()) -> list[tuple[int, int, int]]:
     """Triangulate a CCW 2D polygon, optionally with hole rings.
 
     Returns index triples into the concatenation of the outer ring and the
     hole rings. A simple hole-free n-gon yields exactly n - 2 triangles.
     Raises DegeneratePolygon when no ear is left, even under exact tests; a
-    weakly simple polygon always has one. validate=False skips only the
-    crossing-edge check.
+    weakly simple polygon always has one.
     """
     ring = np.asarray(loop2d, dtype=np.float64)
     if len(ring) < 3:
         raise DegeneratePolygon("polygon needs at least 3 vertices")
-    if validate and not _ring_is_simple(ring):
-        raise NotSimple("self-intersecting polygon boundary")
 
     pts = ring.tolist()
     outer = _linked_list(pts, 0, clockwise=True)
@@ -608,7 +581,7 @@ def triangulate_polygon(poly: SplitPolygon) -> np.ndarray:
     triangles, (k, 3, 3)."""
     pts3 = np.concatenate([poly.vertices, *poly.holes], axis=0) if poly.holes else poly.vertices
     try:
-        tris = ear_clip(poly.ring2d, poly.holes2d, validate=False)
+        tris = ear_clip(poly.ring2d, poly.holes2d)
     except DegeneratePolygon as err:
         raise DegeneratePolygon(f"{err} (tri {poly.parent_tri})") from err
     return pts3[np.asarray(tris, dtype=np.intp).reshape(-1, 3)]

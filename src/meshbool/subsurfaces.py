@@ -1,11 +1,13 @@
-"""Grow sub-surfaces from closed loops and classify them private/public.
+"""Partition each surface into sub-surfaces along the loops; classify them.
 
 A sub-surface is a maximal triangle region that never crosses an
-intersection loop. Growth is seeded from a loop's directed edges and floods
-outward; fronts die out on other intersection edges, so growing both sides
-of every loop and deduplicating yields the full partition of each surface.
-An owner entry (loop, +1) means the region's own directed boundary runs
-along the loop's stored direction; twin regions carry -1.
+intersection loop. build_subsurfaces floods each merged surface once, across
+every shared edge that is not a loop edge (the walls), so each region is one
+sub-surface and the regions partition the surface's faces; ids follow the
+surface (A first) and, within it, the lowest face id of each region. The
+region's boundary cycles give its owners: an entry (loop, +1) means the
+region's own directed boundary runs along the loop's stored direction; the
+region across the loop carries -1.
 
 Public/private counts connected boundary cycles, not raw owner entries: a
 region whose boundary chains several loop arcs through junction vertices
@@ -41,14 +43,13 @@ class SubSurface:
 
 
 class _SurfaceData:
-    """Per-surface topology plus the intersection-edge wall set."""
+    """Per-surface topology plus the loop-edge map, whose keys are the walls."""
 
     def __init__(self, state: MergedState, source: int, edge_map):
         self.source = source
         self.tag = "A" if source == 0 else "B"
         self.face_ids = state.surface_face_ids(source)
         self.topo = SurfaceTopology(state.faces[self.face_ids])
-        self.walls = list(edge_map)
         self.edge_map = edge_map
 
 
@@ -89,37 +90,12 @@ def _region_subsurface(data: _SurfaceData, member_local, ss_id, loops) -> SubSur
     return ss
 
 
-def grow_subsurface(loop, sign: int, state: MergedState, source: int, loops, edge_map=None) -> SubSurface:
-    """Advance the front of one loop side until it annihilates on loops.
-
-    sign selects which of the two regions adjacent to the loop is grown: the
-    one whose own directed boundary traverses the loop with that sign.
-    """
-    if edge_map is None:
-        from .loops import loop_edge_map
-
-        edge_map = loop_edge_map(loops)
-    data = _SurfaceData(state, source, edge_map)
-
-    seeds = []
-    for u, v in loop.vertex_pairs:
-        h, t = (u, v) if sign > 0 else (v, u)
-        fi = data.topo.face_of(h, t)
-        if fi is None:
-            raise TopologyError(
-                f"loop {loop.id} edge ({h}, {t}) has no adjacent face on surface {data.tag}"
-            )
-        seeds.append(fi)
-    member = data.topo.flood_from(seeds, data.walls)
-    return _region_subsurface(data, member, 0, loops)
-
-
 def build_subsurfaces(state: MergedState, loops, edge_map) -> list[SubSurface]:
     """Partition both surfaces into sub-surfaces along the loop walls."""
     out: list[SubSurface] = []
     for source in (0, 1):
         data = _SurfaceData(state, source, edge_map)
-        labels = data.topo.flood_regions(data.walls)
+        labels = data.topo.flood_regions(data.edge_map)
         for rid in range(int(labels.max()) + 1 if len(labels) else 0):
             member = np.nonzero(labels == rid)[0]
             out.append(_region_subsurface(data, member, len(out), loops))

@@ -4,8 +4,10 @@ Oracles here deliberately avoid the library's own code paths: volumes are
 summed per tetrahedron in a plain loop, containment uses its own axis-ray
 parity counter, and candidate-pair ground truth is the O(n*m) box test.
 The edge-adjacency oracles are the dict and set implementations that the
-numpy edge table in meshbool.halfedge replaced, kept to test it against; the
-octree oracles are the recursive node tree that the level-synchronous
+numpy edge table in meshbool.halfedge replaced, kept to test it against,
+with the dict walk that TriMesh.boundary_loops ran before it read the
+table's boundary cycles; the octree oracles are the recursive node tree
+that the level-synchronous
 meshbool.octree replaced, the coincidence oracle is the weld-only test
 that now sits behind a bounding-box reject, and the narrow-phase oracle is
 the thread-pooled intersect_all that the serial box-first loop replaced, run
@@ -489,6 +491,30 @@ def oracle_boundary_edges(faces) -> np.ndarray:
     return de[np.asarray(mask, dtype=bool)]
 
 
+def oracle_chain_boundary_loops(bedges) -> list[list[int]]:
+    """The dict walk that TriMesh.boundary_loops ran before it read the edge
+    table's boundary cycles: raises at a vertex with two outgoing edges."""
+    nxt = {}
+    for u, v in map(tuple, bedges):
+        if u in nxt:
+            raise TopologyError(f"vertex {u} has two outgoing boundary edges")
+        nxt[u] = v
+    loops = []
+    seen = set()
+    for start in sorted(nxt):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        v = nxt[start]
+        while v != start:
+            cyc.append(v)
+            seen.add(v)
+            v = nxt[v]
+        loops.append(cyc)
+    return loops
+
+
 def oracle_is_closed_manifold(mesh: TriMesh) -> bool:
     if mesh.num_faces == 0:
         return False
@@ -890,7 +916,7 @@ def oracle_build_merged_state(a: TriMesh, b: TriMesh, replacements: dict, segmen
         pairs = []
 
     state = MergedState(
-        vertices, faces, source, parent, edges, pairs, tol,
+        vertices, faces, source, edges, pairs, tol,
         a_closed=a.closed, b_closed=b.closed,
     )
     return clear_topology(state)

@@ -10,7 +10,6 @@ from meshbool.blocks import (
     CASE_OPPOSITE,
     CASE_SAME,
     assemble_blocks,
-    block_vertex_ids,
     classify_non_subtraction,
     combine_meshes,
     meshes_coincident,
@@ -23,6 +22,15 @@ from meshbool.errors import ClassificationError, CoincidentInput
 from meshbool.geometry import TriMesh, is_closed_manifold, signed_volume
 from meshbool.pipeline import run_pipeline
 from meshes import cube, icosphere, oracle_meshes_coincident, oracle_point_in_mesh, oracle_volume
+
+
+def block_vertex_ids(blk, state, surfs) -> set[int]:
+    """Merged vertex ids used by the faces of a block's sub-surfaces."""
+    by_id = {s.id: s for s in surfs}
+    ids: set[int] = set()
+    for sid in blk.surfaces:
+        ids.update(int(v) for v in state.faces[by_id[sid].triangles].ravel())
+    return ids
 
 
 def cube_cube_state():

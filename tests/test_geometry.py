@@ -7,12 +7,11 @@ from meshbool.geometry import (
     TriMesh,
     aabb_intersection,
     compact_submesh,
-    connected_face_components,
-    euler_characteristic,
     is_closed_manifold,
     mesh_aabb,
     signed_volume,
 )
+from meshbool.halfedge import SurfaceTopology
 from meshes import cube, icosphere, oracle_volume
 
 
@@ -100,11 +99,6 @@ def test_closed_and_manifold_checks():
     assert len(open_mesh.boundary_loops()) == 1
 
 
-def test_euler_characteristic():
-    assert euler_characteristic(cube()) == 2
-    assert euler_characteristic(icosphere(1.0, subdivisions=2)) == 2
-
-
 def test_compact_submesh_and_components():
     c = cube()
     sub = compact_submesh(c.vertices, c.faces[:4])
@@ -114,5 +108,5 @@ def test_compact_submesh_and_components():
         np.concatenate([c.vertices, c.vertices + 10.0]),
         np.concatenate([c.faces, c.faces + 8]),
     )
-    comps = connected_face_components(two.faces)
-    assert [len(g) for g in comps] == [12, 12]
+    labels = SurfaceTopology(two.faces).flood_regions(walls=())
+    assert np.bincount(labels).tolist() == [12, 12]

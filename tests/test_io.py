@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from meshbool.cli import main
 from meshbool.errors import EmptyInput, ParseError
 from meshbool.geometry import signed_volume
 from meshbool.io import _index_soup, dump_debug, load_mesh, save_mesh, sniff_format
@@ -100,6 +101,16 @@ def test_bad_coordinate_reports_line(tmp_path):
     path.write_text("solid x\nfacet\nouter loop\nvertex 0 0 zero\n")
     with pytest.raises(ParseError, match=":4"):
         load_mesh(path)
+
+
+def test_obj_bad_coordinate_exits_2_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "bad.obj"
+    path.write_text("v 0 0 0\nv 1 0 abc\nv 0 1 0\nf 1 2 3\n")
+    other = tmp_path / "b.stl"
+    save_mesh(cube(), other)
+    assert main(["all", str(path), str(other), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:2: bad coordinate" in err
 
 
 def test_dump_debug_cylinders_soft_loops(tmp_path):

@@ -9,13 +9,29 @@ from meshbool.loops import (
     OPEN,
     SOFT_CLOSED,
     build_loops,
-    classify_loop,
     close_open_loops_on_boundary,
     loop_edge_map,
     vertex_degrees,
 )
 from meshbool.pipeline import run_pipeline
 from meshes import cube, icosphere, strip_surface, tangent_cylinders, vw_pair
+
+
+def classify_loop(loop, deg: dict[int, int]) -> str:
+    """Recompute the kind of a chained loop from vertex degrees, independently
+    of the chaining in build_loops."""
+    if loop.kind == HARD_CLOSED:
+        if any(deg[v] != 2 for v in loop.verts):
+            raise TopologyError(f"cycle {loop.id} touches a junction vertex")
+        return HARD_CLOSED
+    first, last = loop.verts[0], loop.verts[-1]
+    if any(deg[v] != 2 for v in loop.verts[1:-1]):
+        raise TopologyError(f"loop {loop.id} has a junction in its interior")
+    if deg[first] == 1 or deg[last] == 1:
+        return OPEN
+    if deg[first] > 2 and deg[last] > 2:
+        return SOFT_CLOSED
+    raise TopologyError(f"loop {loop.id} terminates at a degree-2 vertex")
 
 
 def test_single_edge_open_loop():

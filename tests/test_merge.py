@@ -78,7 +78,6 @@ def _state_from_faces(verts, faces, source=None, tol=1e-9):
         vertices=np.asarray(verts, dtype=float),
         faces=faces,
         face_source=np.asarray(source, dtype=np.int8),
-        face_parent=np.full(len(faces), -1, dtype=np.int64),
         edges=np.zeros((0, 2), dtype=np.int64),
         edge_tri_pairs=[],
         tol=tol,
@@ -263,7 +262,7 @@ def test_weld_matches_oracle_on_fixture_runs(stage3_inputs, name):
 def test_assembly_matches_oracle(stage3_inputs, name):
     args = stage3_inputs[name]["assembly"]
     got, want = build_merged_state(*args), oracle_build_merged_state(*args)
-    for field in ("vertices", "faces", "face_source", "face_parent", "edges"):
+    for field in ("vertices", "faces", "face_source", "edges"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
     assert got.edge_tri_pairs == want.edge_tri_pairs

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracle_retriangulate as oracle
 from meshbool import pipeline, retriangulate
-from meshbool.errors import DegeneratePolygon, GeometryError, NotSimple
+from meshbool.errors import DegeneratePolygon, GeometryError
 from meshbool.pipeline import run_pipeline
 from meshbool.retriangulate import (
     SplitPolygon,
@@ -184,12 +184,6 @@ def test_ear_clip_square_with_hole():
     assert area == pytest.approx(15.0, rel=1e-10)
 
 
-def test_ear_clip_rejects_self_intersection():
-    bowtie = np.array([[0, 0], [2, 2], [2, 0], [0, 2]], dtype=float)
-    with pytest.raises(NotSimple):
-        ear_clip(bowtie)
-
-
 def test_winding_preserved_through_split():
     segs = [(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))]
     tris = split_and_triangulate(TRI, segs, 1e-9)
@@ -208,7 +202,7 @@ COLLINEAR = np.array([[0, 0], [1, 0], [2, 0], [1, 0]], dtype=float)
 @pytest.mark.parametrize("ring", [BOWTIE, COLLINEAR], ids=["bowtie", "collinear"])
 def test_ear_clip_without_an_ear_raises(ring):
     with pytest.raises(DegeneratePolygon, match="no ear"):
-        ear_clip(ring, validate=False)
+        ear_clip(ring)
     # the fallback passes returned one triangle and none
     assert len(oracle.ear_clip(ring, validate=False)) == (1 if ring is BOWTIE else 0)
 
@@ -661,7 +655,7 @@ def test_exact_cycle_clips_bridged_faces(name):
     with oracle_passes() as passes:
         oracle.ear_clip(ring, [hole], validate=False)
     assert any(passes)  # the old clipper needed its fallbacks here
-    tris = ear_clip(ring, [hole], validate=False)
+    tris = ear_clip(ring, [hole])
     pts = np.concatenate([ring, hole])
     assert len(tris) == len(pts)  # n - 2 + 2 per hole
     areas = [oracle_shoelace(pts[list(t)]) for t in tris]

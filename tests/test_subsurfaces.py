@@ -5,7 +5,7 @@ from collections import Counter
 from meshbool.geometry import TriMesh
 from meshbool.loops import loop_edge_map
 from meshbool.pipeline import PipelineOptions, run_pipeline
-from meshbool.subsurfaces import classify_subsurfaces, grow_subsurface
+from meshbool.subsurfaces import classify_subsurfaces
 from meshes import cube, icosphere, tangent_cylinders, vw_pair
 
 
@@ -96,23 +96,18 @@ def test_boundary_law_owner_loops_reproduced():
         assert set(boundary) == expect
 
 
-def test_grow_matches_partition_both_sides():
+def test_partition_owns_both_sides_of_a_loop():
     a = cube((0, 0, 0), 1.0, "A")
     b = cube((0.5, 0.5, 0.5), 1.0, "B")
     state = run_pipeline(a, b)
-    loops = state.loops
-    edge_map = loop_edge_map(loops)
-    lp = loops[0]
-    plus = grow_subsurface(lp, 1, state.merged, 0, loops, edge_map)
-    minus = grow_subsurface(lp, -1, state.merged, 0, loops, edge_map)
-    assert plus.key != minus.key
-    all_a = set(state.merged.surface_face_ids(0).tolist())
-    assert set(plus.key) | set(minus.key) == all_a
-    assert (lp.id, 1) in plus.owners
-    assert (lp.id, -1) in minus.owners
-    # the partition found the same two regions
-    keys = {s.key for s in state.subsurfaces if s.source == "A"}
-    assert plus.key in keys and minus.key in keys
+    lp = state.loops[0]
+    side_a = [s for s in state.subsurfaces if s.source == "A"]
+    (plus,) = [s for s in side_a if (lp.id, 1) in s.owners]
+    (minus,) = [s for s in side_a if (lp.id, -1) in s.owners]
+    assert plus.id != minus.id
+    # A's sub-surfaces are disjoint and cover every face of A
+    faces = np.concatenate([s.triangles for s in side_a])
+    assert np.array_equal(np.sort(faces), state.merged.surface_face_ids(0))
 
 
 def test_public_private_counts_on_sphere_like_fixtures():
