@@ -250,9 +250,13 @@ def meshes_coincident(a: TriMesh, b: TriMesh, tol: float) -> bool:
         return False
     # Weld clusters lie within tol of their first point, so coincident
     # meshes have boxes of referenced vertices less than 2 tol apart.
-    corners = [m.vertices[m.faces.ravel()] for m in (a, b)]
-    lo_a, lo_b = (p.min(axis=0, initial=np.inf) for p in corners)
-    hi_a, hi_b = (p.max(axis=0, initial=-np.inf) for p in corners)
+    referenced = []
+    for m in (a, b):
+        used = np.zeros(m.num_vertices, dtype=bool)
+        used[m.faces.ravel()] = True
+        referenced.append(m.vertices[used])
+    lo_a, lo_b = (p.min(axis=0, initial=np.inf) for p in referenced)
+    hi_a, hi_b = (p.max(axis=0, initial=-np.inf) for p in referenced)
     if (np.abs(lo_a - lo_b) > 2 * tol).any() or (np.abs(hi_a - hi_b) > 2 * tol).any():
         return False
     raw = np.concatenate([a.vertices, b.vertices])

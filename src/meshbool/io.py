@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 from pathlib import Path
 
@@ -75,7 +76,24 @@ def _load_stl_binary(path, source) -> TriMesh:
         raise EmptyInput(f"{path}: zero facets")
     raw = np.frombuffer(data, dtype=np.uint8, count=50 * count, offset=84)
     rec = raw.reshape(count, 50)[:, 12:48].copy().view("<f4").reshape(count, 3, 3)
+    bad = np.flatnonzero(~np.isfinite(rec).all(axis=(1, 2)))
+    if len(bad):
+        raise ParseError(f"{path}: facet {bad[0]} (0-based): non-finite coordinate")
     return _index_soup(rec.astype(np.float64), source, str(path))
+
+
+def _coords(tok, path, lineno) -> list[float]:
+    """The three coordinates after a vertex keyword; a ParseError naming the
+    line when one is missing, not a number, or not finite."""
+    if len(tok) < 4:
+        raise ParseError(f"{path}:{lineno}: {tok[0]} needs 3 coordinates")
+    try:
+        xyz = [float(tok[1]), float(tok[2]), float(tok[3])]
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: bad coordinate: {exc}") from None
+    if not all(map(math.isfinite, xyz)):
+        raise ParseError(f"{path}:{lineno}: non-finite coordinate in {' '.join(tok[1:4])!r}")
+    return xyz
 
 
 def _load_stl_ascii(path, source) -> TriMesh:
@@ -86,12 +104,7 @@ def _load_stl_ascii(path, source) -> TriMesh:
             if not tok:
                 continue
             if tok[0] == "vertex":
-                if len(tok) < 4:
-                    raise ParseError(f"{path}:{lineno}: vertex needs 3 coordinates")
-                try:
-                    coords.append([float(tok[1]), float(tok[2]), float(tok[3])])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad coordinate: {exc}") from None
+                coords.append(_coords(tok, path, lineno))
     if not coords:
         raise EmptyInput(f"{path}: zero facets")
     if len(coords) % 3:
@@ -111,12 +124,7 @@ def _load_obj(path, source) -> TriMesh:
             if not tok or tok[0].startswith("#"):
                 continue
             if tok[0] == "v":
-                if len(tok) < 4:
-                    raise ParseError(f"{path}:{lineno}: v needs 3 coordinates")
-                try:
-                    verts.append([float(tok[1]), float(tok[2]), float(tok[3])])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad coordinate: {exc}") from None
+                verts.append(_coords(tok, path, lineno))
             elif tok[0] == "f":
                 idx = []
                 for ref in tok[1:]:

@@ -2,7 +2,8 @@
 
 Triangles are placed in every node their bounding box touches, so the
 candidate set is a superset of all box-overlapping pairs inside the root
-cube. Boxes for all clipped triangles are computed once up front.
+cube. Triangle boxes are computed per call from the corner columns, and the
+split test reads them one axis at a time.
 """
 from __future__ import annotations
 
@@ -45,8 +46,9 @@ _OCTANT_BITS = ((np.arange(8)[:, None] >> np.arange(3)) & 1).astype(bool)
 
 def triangle_boxes(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     """Per-triangle AABB corners, (m, 3) lo and (m, 3) hi."""
-    p = mesh.vertices[mesh.faces]
-    return p.min(axis=1), p.max(axis=1)
+    v, f = mesh.vertices, mesh.faces
+    p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    return np.minimum(np.minimum(p0, p1), p2), np.maximum(np.maximum(p0, p1), p2)
 
 
 def clip_to_shared_region(a: TriMesh, b: TriMesh):
@@ -124,13 +126,14 @@ def build_octree(
         for side, ((node, tri), (t_lo, t_hi)) in enumerate(zip(members, (boxes_a, boxes_b))):
             keep = split[node]
             node, tri = node[keep], tri[keep]
-            m_lo, m_hi = t_lo[tri], t_hi[tri]
             # Per axis, whether the box touches the lower and the upper half;
             # touch[z, y, x] flattens to octant 4z + 2y + x, as in _OCTANT_BITS.
-            x, y, z = np.stack([
-                (m_lo <= mid[node]) & (m_hi >= lo[node]),
-                (m_lo <= hi[node]) & (m_hi >= mid[node]),
-            ]).transpose(2, 0, 1)
+            halves = []
+            for k in range(3):
+                b_lo, b_hi, n_mid = t_lo[:, k][tri], t_hi[:, k][tri], mid[:, k][node]
+                halves.append(np.stack(((b_lo <= n_mid) & (b_hi >= lo[:, k][node]),
+                                        (b_lo <= hi[:, k][node]) & (b_hi >= n_mid))))
+            x, y, z = halves
             touch = z[:, None, None] & y[None, :, None] & x[None, None, :]
             octant, row = np.nonzero(touch.reshape(8, -1))
             child = child_base[node[row]] + octant

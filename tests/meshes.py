@@ -239,6 +239,17 @@ def bumpy_pair(subdivisions=3, angle=0.7, axis=(1.0, 2.0, 3.0)):
     return a, b
 
 
+def nested_pair(subdivisions=3, angle=0.3, axis=(1.0, 2.0, 3.0)):
+    """A unit icosphere with a rotated 0.97 copy inside (the bench's
+    nested-shell shape): many overlapping triangle boxes, no crossing."""
+    base = icosphere(1.0, subdivisions=subdivisions)
+    k = np.asarray(axis) / np.linalg.norm(axis)
+    cross = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
+    rot = np.eye(3) + np.sin(angle) * cross + (1 - np.cos(angle)) * cross @ cross
+    inner = TriMesh(0.97 * base.vertices @ rot.T, base.faces, source="B", name="inner")
+    return base, inner
+
+
 def grid_plane(z=0.0, half=2.0, n=16, source="B") -> TriMesh:
     xs = np.linspace(-half, half, n + 1)
     verts = []

@@ -4,7 +4,9 @@ oracle for the new one.
 
 Its chunk prefilter builds unit normals with the axis form of the norm and
 einsum distances; tri_tri_intersect then rebuilds both unit normals and both
-snapped distance rows for every surviving pair on its own.
+snapped distance rows for every surviving pair on its own. Its triangle boxes
+and its row-wise box test are the (k, 3) forms from before meshbool moved both
+to per-axis columns.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ import numpy as np
 
 from meshbool.errors import CoplanarPairError, DegenerateTriangle
 from meshbool.geometry import TriMesh
-from meshbool.octree import triangle_boxes
 
 COPLANAR = "coplanar"
 CHUNK = 4096  # pairs gathered at once; bounds the per-call coordinate arrays
@@ -33,6 +34,14 @@ class IntersectionSegment:
 class NarrowPhaseReport:
     coplanar_pairs: list = field(default_factory=list)
     point_contacts: int = 0
+
+
+def triangle_boxes(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Per-triangle AABB corners, (m, 3) lo and (m, 3) hi, as a reduction
+    over the gathered (m, 3, 3) corners; meshbool.octree's is checked
+    against it."""
+    p = mesh.vertices[mesh.faces]
+    return p.min(axis=1), p.max(axis=1)
 
 
 def _unit_normal(tri, tol):

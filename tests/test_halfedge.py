@@ -304,10 +304,18 @@ OCTAHEDRON = [(0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4), (2, 0, 5), (1, 2, 5), 
 
 @st.composite
 def face_soups(draw):
-    """Small random triples over few vertices: repeats, flips and fins are common."""
+    """Small random triples over few vertices: flips, fins and repeated
+    corners are common. A triple that repeats a directed edge, its own or an
+    earlier triple's, is dropped, so most draws reach the boundary walk;
+    edited_octahedra draws the repeats."""
     n = draw(st.integers(3, 7))
     index = st.integers(0, n - 1)
-    faces = draw(st.lists(st.tuples(index, index, index), max_size=14))
+    faces, used = [], set()
+    for a, b, c in draw(st.lists(st.tuples(index, index, index), max_size=14)):
+        edges = {(a, b), (b, c), (c, a)}
+        if len(edges) == 3 and not edges & used:
+            faces.append((a, b, c))
+            used |= edges
     return np.asarray(faces, dtype=np.int64).reshape(-1, 3), n
 
 

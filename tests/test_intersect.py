@@ -9,11 +9,12 @@ import oracle_intersect as oracle
 from meshbool.errors import CoplanarPairError, DegenerateTriangle, GeometryError
 from meshbool.geometry import TriMesh
 from meshbool.intersect import COPLANAR, intersect_all, tri_tri_intersect
-from meshbool.octree import find_candidates
+from meshbool.octree import find_candidates, triangle_boxes
 from meshes import (
     blob_and_plane,
     cube,
     icosphere,
+    nested_pair,
     oracle_intersect_all,
     tangent_cylinders,
     torus_pair,
@@ -186,6 +187,9 @@ NARROW_FIXTURES = {
     "vw_pair": vw_pair,
     "tangent_cylinders": lambda: tangent_cylinders(1.0, n_theta=24, n_rings=9),
     "coplanar_cubes": _coplanar_cubes,
+    # Many box survivors and no straddle; at CHUNK = 5 whole blocks of pairs
+    # have no survivor.
+    "nested_pair": lambda: nested_pair(subdivisions=2),
 }
 
 
@@ -199,7 +203,10 @@ def test_matches_pooled_oracle_on_fixtures(name, monkeypatch):
     monkeypatch.setattr(intersect_mod, "CHUNK", 5)
     assert assert_matches_oracle(pairs, a, b, tol, chunk=37) == got
     segs, coplanar, _ = got
-    assert coplanar if name == "coplanar_cubes" else segs
+    if name == "nested_pair":
+        assert segs == [] and coplanar == []
+    else:
+        assert coplanar if name == "coplanar_cubes" else segs
 
 
 def test_segments_sorted_for_unsorted_pairs():
@@ -246,6 +253,23 @@ def test_matches_pooled_oracle_on_dyadic_soups(soups):
     ga, gb = np.meshgrid(np.arange(a.num_faces), np.arange(b.num_faces), indexing="ij")
     pairs = np.stack([ga.ravel(), gb.ravel()], axis=1)
     assert_matches_oracle(pairs, a, b, 1e-12, chunk=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(triangle_soup_pair(), st.data())
+def test_triangle_boxes_match_frozen_reduction(soups, data):
+    """Pairwise per-axis min/max equals the (m, 3, 3) reduction byte for byte:
+    corners repeated within a face, coordinates shared across corners, and
+    signs flipped per coordinate, so 0.0 and -0.0 meet on one axis of one
+    triangle next to smaller and larger corners."""
+    for mesh in soups:
+        n = len(mesh.vertices)
+        extra = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=3, max_size=3), max_size=6))
+        faces = np.concatenate([mesh.faces, np.asarray(extra, dtype=np.int64).reshape(-1, 3)])
+        flip = data.draw(st.lists(st.booleans(), min_size=3 * n, max_size=3 * n))
+        m = TriMesh(np.where(np.reshape(flip, (n, 3)), -mesh.vertices, mesh.vertices), faces)
+        for got, want in zip(triangle_boxes(m), oracle.triangle_boxes(m)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_degenerate_triangle_raises_only_when_its_box_overlaps():

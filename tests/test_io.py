@@ -169,3 +169,37 @@ def test_index_soup_matches_row_unique_with_signed_zeros():
     # The first row seen of each equal group represents it, sign of zero included.
     first = flat[[int(np.argmax(inverse == k)) for k in range(len(verts))]]
     assert np.array_equal(np.signbit(mesh.vertices), np.signbit(first))
+
+
+def _non_finite_file(tmp_path, reader, value):
+    """A one-facet file of `reader`'s format with `value` as the third
+    coordinate of its second corner; returns the path and the location the
+    error must name."""
+    tri = [[0.0, 0.0, 0.0], [1.0, 0.0, value], [0.0, 1.0, 0.0]]
+    if reader == "obj":
+        path = tmp_path / "bad.obj"
+        path.write_text("".join(f"v {x} {y} {z}\n" for x, y, z in tri) + "f 1 2 3\n")
+        return path, f"{path}:2: non-finite coordinate"
+    path = tmp_path / "bad.stl"
+    if reader == "stl_ascii":
+        corners = "".join(f"vertex {x} {y} {z}\n" for x, y, z in tri)
+        path.write_text(f"solid x\nfacet normal 0 0 1\nouter loop\n{corners}endloop\nendfacet\nendsolid\n")
+        return path, f"{path}:5: non-finite coordinate"
+    save_mesh(cube(), path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<f", data, 84 + 50 * 7 + 12 + 4 * 5, value)  # facet 7, corner 1, z
+    path.write_bytes(bytes(data))
+    return path, f"{path}: facet 7 (0-based): non-finite coordinate"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("reader", ["obj", "stl_ascii", "stl_binary"])
+def test_non_finite_coordinate_exits_2_naming_the_location(tmp_path, capsys, reader, value):
+    path, where = _non_finite_file(tmp_path, reader, value)
+    assert sniff_format(path) == reader
+    with pytest.raises(ParseError, match="non-finite"):
+        load_mesh(path)
+    other = tmp_path / "b.stl"
+    save_mesh(cube(), other)
+    assert main(["all", str(path), str(other), "-o", str(tmp_path / "out")]) == 2
+    assert where in capsys.readouterr().err

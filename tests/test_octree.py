@@ -30,6 +30,7 @@ from meshes import (
     grid_plane,
     icosphere,
     lobed_blob,
+    nested_pair,
     oracle_aabb_pairs,
     oracle_build_octree,
     oracle_candidate_pairs,
@@ -243,6 +244,7 @@ FIXTURE_PAIRS = {
     "blob_shifted": lambda: (lobed_blob(subdivisions=2), _shifted(lobed_blob(subdivisions=2))),
     "plane_shifted": lambda: (grid_plane(n=8), _shifted(grid_plane(n=8))),
     "identical_cubes": lambda: (cube(), cube()),
+    "nested_pair": lambda: nested_pair(subdivisions=2),
 }
 
 
