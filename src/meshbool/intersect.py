@@ -1,15 +1,24 @@
 """Narrow phase: intersection segments for candidate triangle pairs.
 
-Per pair this is the classic two-plane interval test (Möller 1997): signed
-distances of each triangle's vertices to the other's plane (zero-snapped near
-the plane), then the overlap of the two clipped chords along the common line.
-First one box test over all pairs, in fixed chunks and one axis at a time on
-the per-triangle boxes (computed per call), drops the pairs whose boxes miss
+Per pair this is the two-plane interval test (Möller 1997): signed distances
+of each triangle's corners to the other's plane (zero-snapped near the
+plane), then the overlap of the two chords along the common line. First one
+box test over all pairs, in fixed chunks and one axis at a time on the
+per-triangle boxes (computed per call), drops the pairs whose boxes miss
 (most of the broad phase's output). The survivors are then taken in fixed
-chunks: one numpy pass computes both unit normals and both distance rows and
-drops the pairs with one triangle strictly on one side of the other's plane.
-Only the rest run the per-pair tail, on those rows. tri_tri_intersect is a
-batch of one. The loop is serial; segments are sorted by (tri_a, tri_b).
+chunks, and each chunk is one numpy pass: both unit normals and distance
+rows, the drop of pairs with one triangle strictly on one side of the
+other's plane, then the interval test on all the remaining rows at once.
+
+The batch decides a row when it is generic: no snapped distance is zero, the
+planes are not parallel (|na x nb| >= 1e-12), the chord positions are
+finite, and each chord has two ends more than the tolerance apart. For such
+a row it does the operations of the scalar tail, _segment, in the same
+order, so its segments are the tail's to the byte. Every other row (a shared
+corner or edge, an edge in the other plane, coplanar or parallel planes, a
+chord within the tolerance) runs _segment. tri_tri_intersect is a batch of
+one. intersect_all returns a SegmentTable sorted by (tri_a, tri_b), then by
+pair position.
 """
 from __future__ import annotations
 
@@ -32,6 +41,28 @@ class IntersectionSegment:
     tri_a: int
     tri_b: int
     degenerate: bool = False
+
+
+@dataclass(eq=False)
+class SegmentTable:
+    """Segments as columns: end points p0, p1 (k, 3) float64 and triangle ids
+    tri_a, tri_b (k,) int64. Iterating yields IntersectionSegment views."""
+
+    p0: np.ndarray
+    p1: np.ndarray
+    tri_a: np.ndarray
+    tri_b: np.ndarray
+
+    @classmethod
+    def empty(cls) -> SegmentTable:
+        return cls(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, np.int64), np.zeros(0, np.int64))
+
+    def __len__(self) -> int:
+        return len(self.tri_a)
+
+    def __iter__(self):
+        for p0, p1, ta, tb in zip(self.p0, self.p1, self.tri_a.tolist(), self.tri_b.tolist()):
+            yield IntersectionSegment(p0, p1, ta, tb)
 
 
 @dataclass
@@ -146,20 +177,57 @@ def _segment(pa, pb, na, da, db, direction, norm, tol):
     return IntersectionSegment(lo.copy(), hi.copy(), -1, -1, degenerate=False)
 
 
-def _tails(pa, pb, tol, area_first=False):
-    """Yields (row, result) for each pair of the stacks that straddles both
-    planes. A zero-area triangle raises once its pair straddles, or before any
-    plane test with area_first."""
+def _chord_ends(tri, d, tol):
+    """For (k, 3, 3) triangles and their (k, 3) distance rows: the two chord
+    ends, by _chord's lerp on the first two crossing edges in edge order, and
+    whether the row has exactly two crossing edges with ends more than tol
+    apart (two crossing edges leave no zero distance)."""
+    nxt = [1, 2, 0]
+    with np.errstate(all="ignore"):
+        t = d / (d - d[:, nxt])
+        ends = tri + t[..., None] * (tri[:, nxt] - tri)
+        cross = d * d[:, nxt] < 0.0
+        rows = np.arange(len(d))
+        q0 = ends[rows, np.argmax(cross, axis=1)]
+        q1 = ends[rows, 2 - np.argmax(cross[:, ::-1], axis=1)]
+        return q0, q1, (cross.sum(axis=1) == 2) & (_norm(q1 - q0) > tol)
+
+
+def _chunk(pa, pb, tol, area_first=False):
+    """The narrow phase on (k, 3, 3) stacks.
+
+    Returns (rows, lo, hi, point) for the rows the batch finds touching,
+    point marking a contact no longer than tol, and the tail's (row, result)
+    for every straddling row the batch leaves undecided, in row order. A
+    zero-area triangle raises once its pair straddles, or before any plane
+    test with area_first.
+    """
     na, nb, da, db, flat, straddle = _planes(pa, pb, tol)
     if flat[straddle | area_first].any():
         raise DegenerateTriangle("triangle area below tolerance")
     keep = np.nonzero(straddle)[0]
-    if len(keep) == 0:
-        return
-    line = np.cross(na[keep], nb[keep])
-    rows = zip(keep.tolist(), da[keep].tolist(), db[keep].tolist(), line, _norm(line).tolist())
-    for i, da_i, db_i, line_i, norm_i in rows:
-        yield i, _segment(pa[i], pb[i], na[i], da_i, db_i, line_i, norm_i, tol)
+    if len(keep) == 0:  # no straddling row: the common chunk of a nested or near-miss scene
+        return keep, np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, bool), []
+    na, da, db, line = na[keep], da[keep], db[keep], np.cross(na[keep], nb[keep])
+    norm = _norm(line)
+    a0, a1, chord_a = _chord_ends(pa[keep], da, tol)
+    b0, b1, chord_b = _chord_ends(pb[keep], db, tol)
+    # Rows the batch leaves to the tail may hold zeros and non-finite values.
+    with np.errstate(all="ignore"):
+        u = line / norm[:, None]
+        sa0, sa1, sb0, sb1 = s = [row_dots(q, u) for q in (a0, a1, b0, b1)]
+        # argmin and argmax over two positions: index 0 wins ties.
+        lo_a, hi_a = np.where((sa1 < sa0)[:, None], a1, a0), np.where((sa1 > sa0)[:, None], a1, a0)
+        lo_b, hi_b = np.where((sb1 < sb0)[:, None], b1, b0), np.where((sb1 > sb0)[:, None], b1, b0)
+        lo = np.where((np.minimum(sa0, sa1) >= np.minimum(sb0, sb1))[:, None], lo_a, lo_b)
+        hi = np.where((np.maximum(sa0, sa1) <= np.maximum(sb0, sb1))[:, None], hi_a, hi_b)
+        span = row_dots(hi - lo, u)
+    generic = chord_a & chord_b & (norm >= 1e-12) & np.isfinite(s).all(axis=0)
+    hit = generic & ~(span < -tol)
+    tail = [(int(keep[k]), _segment(pa[keep[k]], pb[keep[k]], na[k], da[k].tolist(), db[k].tolist(),
+                                    line[k], float(norm[k]), tol))
+            for k in np.nonzero(~generic)[0].tolist()]
+    return keep[hit], lo[hit], hi[hit], span[hit] <= tol, tail
 
 
 def tri_tri_intersect(pa: np.ndarray, pb: np.ndarray, plane_tol: float):
@@ -172,22 +240,24 @@ def tri_tri_intersect(pa: np.ndarray, pb: np.ndarray, plane_tol: float):
     """
     pa = np.asarray(pa, dtype=np.float64)[None]
     pb = np.asarray(pb, dtype=np.float64)[None]
-    for _, res in _tails(pa, pb, plane_tol, area_first=True):
-        return res
-    return None
+    rows, lo, hi, point, tail = _chunk(pa, pb, plane_tol, area_first=True)
+    if len(rows):
+        return IntersectionSegment(lo[0], (lo if point[0] else hi)[0], -1, -1, degenerate=bool(point[0]))
+    return tail[0][1] if tail else None
 
 
 def intersect_all(pairs: np.ndarray, a: TriMesh, b: TriMesh, plane_tol: float,
-                  strict: bool = False) -> tuple[list[IntersectionSegment], NarrowPhaseReport]:
+                  strict: bool = False) -> tuple[SegmentTable, NarrowPhaseReport]:
     """Segments for every actually intersecting candidate pair.
 
     Degenerate point contacts are filtered; coplanar overlapping pairs are
-    reported (and abort under strict). Output is sorted by (tri_a, tri_b).
+    reported (and abort under strict). The table is sorted by (tri_a, tri_b)
+    and then by position in pairs.
     """
     report = NarrowPhaseReport()
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if len(pairs) == 0:
-        return [], report
+        return SegmentTable.empty(), report
 
     lo_a, hi_a = triangle_boxes(a)
     lo_b, hi_b = triangle_boxes(b)
@@ -199,26 +269,35 @@ def intersect_all(pairs: np.ndarray, a: TriMesh, b: TriMesh, plane_tol: float,
             ia, ib = ia[hit], ib[hit]
         kept.append(np.stack((ia, ib), axis=1))
     pairs = np.concatenate(kept)
-    segs: list[IntersectionSegment] = []
+    # Per segment: its position in pairs and its two end points.
+    pos, p0, p1 = [np.zeros(0, np.int64)], [np.zeros((0, 3))], [np.zeros((0, 3))]
     for start in range(0, len(pairs), CHUNK):
         chunk = pairs[start : start + CHUNK]
         pa = a.vertices[a.faces[chunk[:, 0]]]
         pb = b.vertices[b.faces[chunk[:, 1]]]
-        for idx, res in _tails(pa, pb, plane_tol):
+        rows, lo, hi, point, tail = _chunk(pa, pb, plane_tol)
+        report.point_contacts += int(point.sum())
+        pos.append(start + rows[~point])
+        p0.append(lo[~point])
+        p1.append(hi[~point])
+        for idx, res in tail:
             if res is None:
                 continue
-            ta, tb = int(chunk[idx, 0]), int(chunk[idx, 1])
             if res is COPLANAR:
-                report.coplanar_pairs.append((ta, tb))
+                report.coplanar_pairs.append((int(chunk[idx, 0]), int(chunk[idx, 1])))
             elif res.degenerate:
                 report.point_contacts += 1
             else:
-                res.tri_a, res.tri_b = ta, tb
-                segs.append(res)
+                pos.append(np.array([start + idx]))
+                p0.append(res.p0[None])
+                p1.append(res.p1[None])
     if strict and report.coplanar_pairs:
         raise CoplanarPairError(
             f"{len(report.coplanar_pairs)} overlapping coplanar triangle pair(s), "
             f"first {report.coplanar_pairs[0]}"
         )
-    segs.sort(key=lambda s: (s.tri_a, s.tri_b))
-    return segs, report
+    pos = np.concatenate(pos)
+    order = np.lexsort((pos, pairs[pos, 1], pairs[pos, 0]))
+    pos = pos[order]
+    return (SegmentTable(np.concatenate(p0)[order], np.concatenate(p1)[order], pairs[pos, 0], pairs[pos, 1]),
+            report)

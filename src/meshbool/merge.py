@@ -242,9 +242,9 @@ def build_merged_state(
     """Assemble the global merged arrays from both meshes plus split output.
 
     replacements maps ('A'|'B', face_id) -> (k, 3, 3) child coordinates for
-    every intersected face; untouched faces pass through. Segment endpoints
-    join the weld pool so the intersection edges land in the same index
-    space.
+    every intersected face; untouched faces pass through. The end points of
+    segments, the narrow phase's SegmentTable, join the weld pool so the
+    intersection edges land in the same index space.
     """
     raw_chunks = [a.vertices, b.vertices]
     cursor = len(a.vertices) + len(b.vertices)
@@ -268,9 +268,8 @@ def build_merged_state(
         cursor += 3 * n_kids
 
     seg_base = cursor
-    if segments:
-        seg_pts = np.array([(s.p0, s.p1) for s in segments], dtype=np.float64)
-        raw_chunks.append(seg_pts.reshape(-1, 3))
+    if len(segments):
+        raw_chunks.append(np.stack((segments.p0, segments.p1), axis=1).reshape(-1, 3))
 
     raw = np.concatenate(raw_chunks, axis=0)
     vertices, remap = merge_vertices(raw, tol)
@@ -302,7 +301,7 @@ def build_merged_state(
         uniq, first = np.unique(np.sort(ends[live], axis=1), axis=0, return_index=True)
         order = np.argsort(first)
         edges = uniq[order]
-        witnesses = [(s.tri_a, s.tri_b) for s, k in zip(segments, live.tolist()) if k]
+        witnesses = list(zip(segments.tri_a[live].tolist(), segments.tri_b[live].tolist()))
         pairs = [witnesses[first[i]] for i in order]
     else:
         edges = np.zeros((0, 2), dtype=np.int64)

@@ -2,8 +2,9 @@
 
 Triangles are placed in every node their bounding box touches, so the
 candidate set is a superset of all box-overlapping pairs inside the root
-cube. Triangle boxes are computed per call from the corner columns, and the
-split test reads them one axis at a time.
+cube. Triangle boxes are computed from the corner columns by the clip, which
+hands them to the tree build, and the split test reads them one axis at a
+time.
 """
 from __future__ import annotations
 
@@ -54,13 +55,15 @@ def triangle_boxes(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
 def clip_to_shared_region(a: TriMesh, b: TriMesh):
     """Split both meshes against the shared box and build the root cube.
 
-    Returns (ids_a, ids_b, root_cube). The id arrays hold the triangles whose
-    boxes touch the shared region; both are empty when the meshes' boxes are
-    disjoint and the pipeline short-circuits.
+    Returns (ids_a, ids_b, root_cube, boxes). The id arrays hold the
+    triangles whose boxes touch the shared region; both are empty when the
+    meshes' boxes are disjoint and the pipeline short-circuits. boxes is
+    (triangle_boxes(a), triangle_boxes(b)) for build_octree, or None when
+    either id array is empty.
     """
     box_ab = aabb_intersection(mesh_aabb(a), mesh_aabb(b))
     if box_ab.is_empty:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), Aabb.empty()
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), Aabb.empty(), None
 
     def inside(mesh):
         lo, hi = triangle_boxes(mesh)
@@ -70,7 +73,7 @@ def clip_to_shared_region(a: TriMesh, b: TriMesh):
     ids_a, lo_a, hi_a = inside(a)
     ids_b, lo_b, hi_b = inside(b)
     if len(ids_a) == 0 or len(ids_b) == 0:
-        return ids_a, ids_b, Aabb.empty()
+        return ids_a, ids_b, Aabb.empty(), None
 
     # Cube extension: center-preserving, grown to cover every clipped
     # triangle box, then inflated to dodge boundary-exact misses.
@@ -86,7 +89,7 @@ def clip_to_shared_region(a: TriMesh, b: TriMesh):
     if half == 0.0:
         half = CUBE_INFLATE
     cube = Aabb(center - half, center + half)
-    return ids_a, ids_b, cube
+    return ids_a, ids_b, cube, ((lo_a, hi_a), (lo_b, hi_b))
 
 
 def build_octree(
@@ -192,8 +195,9 @@ def candidate_pairs(tree: Octree) -> np.ndarray:
 
 def find_candidates(a: TriMesh, b: TriMesh, cfg: OctreeConfig | None = None) -> np.ndarray:
     """Full broad phase: clip, build the tree, collect pairs."""
-    ids_a, ids_b, cube = clip_to_shared_region(a, b)
+    ids_a, ids_b, cube, boxes = clip_to_shared_region(a, b)
     if len(ids_a) == 0 or len(ids_b) == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    tree = build_octree(ids_a, ids_b, triangle_boxes(a), triangle_boxes(b), cube, cfg)
+    tree = build_octree(ids_a, ids_b, *boxes, cube, cfg)
+    del boxes
     return candidate_pairs(tree)

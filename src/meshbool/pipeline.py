@@ -21,9 +21,9 @@ from .errors import CoincidentInput, GeometryError, NotClosed, TopologyError
 from .geometry import (MERGE_TOL_REL, PLANE_TOL_REL, TriMesh, compact_submesh, row_dots, scene_scale,
                        signed_volume)
 from .halfedge import EdgeTable
-from .intersect import intersect_all
+from .intersect import SegmentTable, intersect_all
 from .merge import build_merged_state
-from .octree import OctreeConfig, build_octree, candidate_pairs, clip_to_shared_region, triangle_boxes
+from .octree import OctreeConfig, build_octree, candidate_pairs, clip_to_shared_region
 from .retriangulate import prepare_splits, split_and_triangulate
 
 log = logging.getLogger(__name__)
@@ -55,7 +55,7 @@ class PipelineState:
     mesh_a: TriMesh
     mesh_b: TriMesh
     options: PipelineOptions
-    segments: list = field(default_factory=list)
+    segments: SegmentTable = field(default_factory=SegmentTable.empty)
     narrow_report: object = None
     merged: object = None
     loops: list = field(default_factory=list)
@@ -128,11 +128,13 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
         raise CoincidentInput("input meshes are coincident; handled in pre-process by design")
 
     t0 = time.perf_counter()
-    ids_a, ids_b, cube = clip_to_shared_region(a, b)
+    ids_a, ids_b, cube, boxes = clip_to_shared_region(a, b)
     pairs = np.zeros((0, 2), dtype=np.int64)
     if len(ids_a) and len(ids_b):
-        pairs = candidate_pairs(build_octree(
-            ids_a, ids_b, triangle_boxes(a), triangle_boxes(b), cube, options.octree))
+        tree = build_octree(ids_a, ids_b, *boxes, cube, options.octree)
+        del boxes  # neither is held through the stages that follow its use
+        pairs = candidate_pairs(tree)
+        del tree
     state.timings.append((STAGES[0], time.perf_counter() - t0))
 
     scale = scene_scale(a, b, cube)
@@ -153,13 +155,13 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
         return state
 
     t0 = time.perf_counter()
-    by_tri: dict[tuple[str, int], list] = {}
-    for s in state.segments:
-        by_tri.setdefault(("A", s.tri_a), []).append((s.p0, s.p1))
-        by_tri.setdefault(("B", s.tri_b), []).append((s.p0, s.p1))
+    table = state.segments
+    ends = list(zip(table.p0, table.p1))
     replacements = {}
-    for tag, mesh in (("A", a), ("B", b)):
-        per_face = {fid: segs for (t, fid), segs in by_tri.items() if t == tag}
+    for tag, mesh, tri in (("A", a, table.tri_a), ("B", b, table.tri_b)):
+        per_face: dict[int, list] = {}
+        for fid, pq in zip(tri.tolist(), ends):
+            per_face.setdefault(fid, []).append(pq)
         extra = _propagate_edge_points(mesh, per_face, merge_tol)
         fids = sorted(set(per_face) | set(extra))
         segs = [per_face.get(fid, []) for fid in fids]

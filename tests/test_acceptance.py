@@ -183,7 +183,7 @@ def test_criterion_6_broadphase_soundness_and_thread_determinism():
         a = soup(int(rng.integers(4, 20)), np.zeros(3))
         b = soup(int(rng.integers(4, 20)), rng.uniform(-0.4, 0.4, 3))
         got = set(map(tuple, find_candidates(a, b)))
-        ids_a, ids_b, _ = clip_to_shared_region(a, b)
+        ids_a, ids_b, _, _ = clip_to_shared_region(a, b)
         in_a, in_b = set(ids_a.tolist()), set(ids_b.tolist())
         expect = {(i, j) for (i, j) in oracle_aabb_pairs(a, b) if i in in_a and j in in_b}
         assert expect <= got, f"trial {trial}"

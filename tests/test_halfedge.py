@@ -304,16 +304,24 @@ OCTAHEDRON = [(0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4), (2, 0, 5), (1, 2, 5), 
 
 @st.composite
 def face_soups(draw):
-    """Small random triples over few vertices: flips, fins and repeated
-    corners are common. A triple that repeats a directed edge, its own or an
-    earlier triple's, is dropped, so most draws reach the boundary walk;
-    edited_octahedra draws the repeats."""
+    """Small random triples over few vertices: flips and pinched boundaries
+    are common. A triple that repeats a directed edge, its own or an earlier
+    triple's, is dropped; edited_octahedra draws the repeats. One soup in
+    four draws any triples and may close up: a repeated corner (u, u, v), or
+    a triple and its flip, is a closed surface of its own. The rest draw
+    distinct corners and keep a triple only if it brings a new undirected
+    edge, so the last triple kept leaves a boundary for the walk."""
     n = draw(st.integers(3, 7))
     index = st.integers(0, n - 1)
+    closable = draw(st.sampled_from([False, False, False, True]))
+    triple = st.tuples(index, index, index)
+    if not closable:
+        triple = st.lists(index, min_size=3, max_size=3, unique=True).map(tuple)
     faces, used = [], set()
-    for a, b, c in draw(st.lists(st.tuples(index, index, index), max_size=14)):
+    for a, b, c in draw(st.lists(triple, min_size=1, max_size=14)):
         edges = {(a, b), (b, c), (c, a)}
-        if len(edges) == 3 and not edges & used:
+        fresh = any((u, v) not in used and (v, u) not in used for u, v in edges)
+        if len(edges) == 3 and not edges & used and (closable or fresh):
             faces.append((a, b, c))
             used |= edges
     return np.asarray(faces, dtype=np.int64).reshape(-1, 3), n

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,19 @@ def test_degenerate_input_raises():
         tri_tri_intersect(ta, tb, 1e-9)
 
 
+@pytest.mark.parametrize("flip", [False, True])
+def test_chord_within_tolerance_matches_oracle(flip):
+    """A's apex pokes through B's plane by more than the tolerance, but its
+    two crossing points lie closer together than the tolerance: the chord is
+    one point, a point contact on the tail's first crossing point."""
+    ta = np.array([[0, 0, 2e-9], [0.1, 0, -1], [0, 0.1, -1]])
+    tb = np.array([[-1, -1, 0], [2, -1, 0], [-1, 2, 0]], dtype=float)
+    if flip:
+        ta = ta[:, [1, 0, 2]]
+    got = pair_outcome(tri_tri_intersect, ta, tb, 1e-9)
+    assert got[0] is True and got == pair_outcome(oracle.tri_tri_intersect, ta, tb, 1e-9)
+
+
 def test_coplanar_overlap_reported_and_strict_aborts():
     ta = np.array([[0, 0, 0], [2, 0, 0], [0, 2, 0]], dtype=float)
     tb = np.array([[0.5, 0.5, 0], [1.5, 0.5, 0], [0.5, 1.5, 0]], dtype=float)
@@ -129,7 +144,7 @@ def test_coplanar_overlap_reported_and_strict_aborts():
     b = TriMesh(tb, [[0, 1, 2]], source="B")
     pairs = np.array([[0, 0]])
     segs, report = intersect_all(pairs, a, b, 1e-12)
-    assert segs == [] and report.coplanar_pairs == [(0, 0)]
+    assert len(segs) == 0 and report.coplanar_pairs == [(0, 0)]
     with pytest.raises(CoplanarPairError):
         intersect_all(pairs, a, b, 1e-12, strict=True)
 
@@ -137,7 +152,7 @@ def test_coplanar_overlap_reported_and_strict_aborts():
 def test_empty_pair_set():
     a = TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
     segs, report = intersect_all(np.zeros((0, 2), dtype=np.int64), a, a, 1e-12)
-    assert segs == []
+    assert len(segs) == 0 and not segs
 
 
 def narrow_outcome(fn, *args, **kw):
@@ -354,3 +369,58 @@ def test_intersect_all_matches_oracle_on_pair_strategy(pair):
     a = TriMesh(ta, [[0, 1, 2]], source="A")
     b = TriMesh(tb, [[0, 1, 2]], source="B")
     assert_matches_oracle(np.array([[0, 0]]), a, b, tol, threads=(1,))
+
+
+@st.composite
+def packed_pairs(draw):
+    """Many triangle_pairs draws side by side in one TriMesh pair under one
+    tolerance, so generic rows and tail rows (shared corners and edges, edges
+    in the other plane, coplanar pairs, zero-area triangles, slivers) meet in
+    one chunk. Most calls drop the zero-area draws and run to the end."""
+    tol = draw(st.sampled_from((1e-12, 1e-9, 2.0 ** -20)))
+    draws = draw(st.lists(triangle_pairs(), min_size=2, max_size=12))
+    tris = [(ta, tb) for ta, tb, _ in draws]
+    if draw(st.integers(0, 3)):
+        area = lambda t: np.linalg.norm(np.cross(t[1] - t[0], t[2] - t[0]))
+        tris = [(ta, tb) for ta, tb in tris if min(area(ta), area(tb)) > tol * tol]
+    assume(tris)
+    mesh = lambda side: TriMesh(np.concatenate(side), np.arange(3 * len(side)).reshape(-1, 3))
+    return mesh([ta for ta, _ in tris]), mesh([tb for _, tb in tris]), tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_pairs())
+def test_packed_pair_draws_match_oracle(packed):
+    """Every pair of the packed triangles, at the default CHUNK and at 5:
+    segment bytes, coplanar order and point contacts, with and without
+    strict."""
+    a, b, tol = packed
+    ga, gb = np.meshgrid(np.arange(a.num_faces), np.arange(b.num_faces), indexing="ij")
+    pairs = np.stack([ga.ravel(), gb.ravel()], axis=1)
+    got = assert_matches_oracle(pairs, a, b, tol, threads=(1,))
+    with mock.patch.object(intersect_mod, "CHUNK", 5):
+        assert assert_matches_oracle(pairs, a, b, tol, threads=(1,), chunk=5) == got
+
+
+def generic_row(pa, pb, na, da, db, direction, norm, tol):
+    """The batch's test, recomputed from the tail's own arguments: no zero
+    distance, planes not parallel, finite positions and two chord ends more
+    than tol apart on each triangle."""
+    if 0.0 in da or 0.0 in db or not norm >= 1e-12:
+        return False
+    ca, cb = intersect_mod._chord(pa, da, tol), intersect_mod._chord(pb, db, tol)
+    pos = [float(p @ (direction / norm)) for p in ca + cb]
+    return len(ca) == len(cb) == 2 and all(np.isfinite(pos))
+
+
+@pytest.mark.parametrize("name", ["cube_sphere", "torus_pair"])
+def test_tail_runs_only_for_rows_the_batch_cannot_decide(name, monkeypatch):
+    """A change that sends decidable rows back to the scalar tail fails here."""
+    a, b = NARROW_FIXTURES[name]()
+    pairs = find_candidates(a, b)
+    tol = 1e-12 * float(np.ptp(np.concatenate([a.vertices, b.vertices]), axis=0).max())
+    calls, tail = [], intersect_mod._segment
+    monkeypatch.setattr(intersect_mod, "_segment", lambda *args: calls.append(args) or tail(*args))
+    segs, _ = intersect_all(pairs, a, b, tol)
+    assert len(segs) > 0 and len(calls) < len(segs)
+    assert not any(generic_row(*args) for args in calls)

@@ -52,14 +52,14 @@ def random_soup(rng, n, offset=(0, 0, 0), scale=1.0):
 
 
 def test_disjoint_cubes_empty_clip():
-    ids_a, ids_b, cube_box = clip_to_shared_region(cube((0, 0, 0)), cube((5, 5, 5)))
+    ids_a, ids_b, cube_box, _ = clip_to_shared_region(cube((0, 0, 0)), cube((5, 5, 5)))
     assert len(ids_a) == 0 and len(ids_b) == 0
     assert find_candidates(cube((0, 0, 0)), cube((5, 5, 5))).shape == (0, 2)
 
 
 def test_identical_meshes_full_clip():
     a = cube()
-    ids_a, ids_b, cube_box = clip_to_shared_region(a, cube())
+    ids_a, ids_b, cube_box, _ = clip_to_shared_region(a, cube())
     assert len(ids_a) == a.num_faces and len(ids_b) == a.num_faces
     assert not cube_box.is_empty
     extent = cube_box.extent
@@ -69,7 +69,7 @@ def test_identical_meshes_full_clip():
 def test_offset_cube_clip_matches_box_oracle():
     a = cube((0, 0, 0), 1.0)
     b = cube((0.5, 0.5, 0.5), 1.0)
-    ids_a, ids_b, _ = clip_to_shared_region(a, b)
+    ids_a, ids_b, _, _ = clip_to_shared_region(a, b)
     from meshbool.geometry import aabb_intersection, mesh_aabb
 
     box = aabb_intersection(mesh_aabb(a), mesh_aabb(b))
@@ -125,7 +125,7 @@ def assert_flat_tree_invariants(tree: Octree, cfg: OctreeConfig, root: Aabb, box
 def test_leaf_rules_trivial():
     a = cube()
     b = cube((0.5, 0.5, 0.5))
-    ids_a, ids_b, root = clip_to_shared_region(a, b)
+    ids_a, ids_b, root, _ = clip_to_shared_region(a, b)
     tree = build_octree(np.array([], dtype=np.int64), ids_b, triangle_boxes(a),
                         triangle_boxes(b), root, OctreeConfig())
     assert tree.depth.tolist() == [0]  # one side empty: the root alone is a leaf
@@ -138,7 +138,7 @@ def test_leaf_invariant_walk_cube_sphere():
     a = cube((-1, -1, -1), 2.0)
     b = icosphere(1.3, subdivisions=3)
     cfg = OctreeConfig(max_depth=6, leaf_capacity=32)
-    ids_a, ids_b, root = clip_to_shared_region(a, b)
+    ids_a, ids_b, root, _ = clip_to_shared_region(a, b)
     tree = build_octree(ids_a, ids_b, triangle_boxes(a), triangle_boxes(b), root, cfg)
     assert len(tree.depth) > 1
     assert_flat_tree_invariants(tree, cfg, root, triangle_boxes(a), triangle_boxes(b))
@@ -147,7 +147,7 @@ def test_leaf_invariant_walk_cube_sphere():
 def test_candidates_single_leaf_cross_product():
     a = cube()
     b = cube((0.5, 0.5, 0.5))
-    ids_a, ids_b, root = clip_to_shared_region(a, b)
+    ids_a, ids_b, root, _ = clip_to_shared_region(a, b)
     tree = build_octree(ids_a[:1], ids_b[:1], triangle_boxes(a), triangle_boxes(b),
                         root, OctreeConfig())
     pairs = candidate_pairs(tree)
@@ -160,7 +160,7 @@ def test_superset_property_random_configurations():
         a = random_soup(rng, rng.integers(4, 24))
         b = random_soup(rng, rng.integers(4, 24), offset=rng.uniform(-0.5, 0.5, 3))
         got = set(map(tuple, find_candidates(a, b)))
-        ids_a, ids_b, _ = clip_to_shared_region(a, b)
+        ids_a, ids_b, _, _ = clip_to_shared_region(a, b)
         in_a, in_b = set(ids_a.tolist()), set(ids_b.tolist())
         expect = {
             (i, j) for (i, j) in oracle_aabb_pairs(a, b) if i in in_a and j in in_b
@@ -210,7 +210,10 @@ def assert_matches_oracle(ids_a, ids_b, boxes_a, boxes_b, root, cfg=None):
 
 
 def assert_meshes_match_oracle(a, b, cfg=None):
-    ids_a, ids_b, root = clip_to_shared_region(a, b)
+    ids_a, ids_b, root, boxes = clip_to_shared_region(a, b)
+    # The clip hands build_octree the boxes triangle_boxes computes.
+    for got, want in zip(boxes or (), (triangle_boxes(a), triangle_boxes(b))):
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
     if len(ids_a) and len(ids_b):
         pairs = assert_matches_oracle(ids_a, ids_b, triangle_boxes(a), triangle_boxes(b), root, cfg)
         assert np.array_equal(find_candidates(a, b, cfg), pairs)
