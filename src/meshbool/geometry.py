@@ -123,7 +123,7 @@ class TriMesh:
         passes twice starts or joins two cycles; a directed edge used by two
         faces raises TopologyError."""
         topo = SurfaceTopology(self.faces)
-        return [topo.u[c].tolist() for c in topo.boundary_cycles(np.arange(self.num_faces))]
+        return [topo.u[c].tolist() for c in topo.boundary_cycles(np.zeros(self.num_faces, dtype=np.int64))]
 
 
 def boundary_edges(faces: np.ndarray) -> np.ndarray:

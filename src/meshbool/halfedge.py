@@ -30,13 +30,13 @@ stable; order only groups the edges of a key.
   the twin is unique and twin[twin[e]] == e.
 - boundary: twin < 0, the directed edges whose reverse does not occur.
 
-SurfaceTopology requires an empty duplicate mask and adds what loop
-completion, sub-surface construction and TriMesh.boundary_loops need: one
-region flood (components over twin pairs that are not walls, labelled by
-hook-and-compress so region ids follow the lowest face id), region
-boundaries, and boundary cycles. The successor of every region-boundary edge
-is found at once in numpy; the only Python loop emits the cycles and visits
-each boundary edge once.
+SurfaceTopology requires an empty duplicate mask and adds what sub-surface
+construction and TriMesh.boundary_loops need: one region flood (components
+over twin pairs that are not walls, labelled by hook-and-compress so region
+ids follow the lowest face id), and the boundary cycles of every region of a
+labelling at once. The successor of every region-boundary edge is found in
+one numpy pass; the only Python loop emits the cycles and visits each
+boundary edge once.
 """
 from __future__ import annotations
 
@@ -150,41 +150,36 @@ class SurfaceTopology(EdgeTable):
         roots = min_labels(len(self.faces), e // 3, self.twin[e] // 3)  # lowest face id per region
         return np.unique(roots, return_inverse=True)[1]
 
-    def _member_flags(self, member) -> np.ndarray:
-        flags = np.zeros(len(self.faces), dtype=bool)
-        flags[np.asarray(member, dtype=np.int64)] = True
-        return flags
+    def boundary_cycles(self, labels) -> list[np.ndarray]:
+        """Every region's directed boundary as closed cycles of edge ids.
 
-    def region_boundary(self, member) -> np.ndarray:
-        """Ids of the directed edges of member faces whose twin lies outside the set."""
-        flags = self._member_flags(member)
-        across = np.where(self.boundary, False, flags[self.twin // 3])
-        return np.nonzero(np.repeat(flags, 3) & ~across)[0]
-
-    def boundary_cycles(self, member) -> list[np.ndarray]:
-        """Decompose a face set's directed boundary into closed cycles of edge ids.
-
-        A cycle starts at its lowest (u, v) edge and cycles come in the order
-        of their starts. The successor of boundary edge (u, v) leaves v: from
-        the next edge of its face, turn about v across twins while the twin's
-        face is in the set. Without repeated directed edges this maps the
-        boundary edges one to one onto themselves, also where the boundary
-        passes a vertex more than once.
+        labels gives each face its region: flood_regions' output, or one
+        label for the whole surface. An edge lies on its region's boundary
+        when it has no twin or its twin's face has another label. Cycles come
+        by region in label order; within a region a cycle starts at its
+        lowest (u, v) edge and cycles come in the order of their starts. The
+        successor of boundary edge (u, v) leaves v: from the next edge of its
+        face, turn about v across twins while the twin's face has the same
+        label. Without repeated directed edges this maps the boundary edges
+        one to one onto themselves, also where the boundary passes a vertex
+        more than once.
         """
-        flags = self._member_flags(member)
-        ids = self.region_boundary(member)
-        by_uv = np.lexsort((self.v[ids], self.u[ids]))
-        edges = ids[by_uv]
+        label = np.repeat(np.asarray(labels, dtype=np.int64), 3)  # per edge
+        inner = np.where(self.boundary, False, label[self.twin] == label)
+        ids = np.nonzero(~inner)[0]
+        by_key = np.lexsort((self.v[ids], self.u[ids], label[ids]))
+        edges = ids[by_key]
+        own = label[edges]
         succ = edges + _NEXT_IN_FACE[edges % 3]
         turning = np.arange(len(edges))
         while len(turning):
             t = self.twin[succ[turning]]
             inside = t >= 0
-            inside[inside] = flags[t[inside] // 3]
+            inside[inside] = label[t[inside]] == own[turning[inside]]
             turning, t = turning[inside], t[inside]
             succ[turning] = t + _NEXT_IN_FACE[t % 3]
         rank = np.empty(len(ids), dtype=np.int64)
-        rank[by_uv] = np.arange(len(ids))
+        rank[by_key] = np.arange(len(ids))
         step = rank[ids.searchsorted(succ)].tolist()
         seen = [False] * len(edges)
         cycles = []

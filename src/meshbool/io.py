@@ -259,7 +259,7 @@ def dump_debug(state, path) -> None:
             {
                 "tris": [int(t) for t in ss.triangles],
                 "owners": [{"loop": int(l), "sign": int(s)} for l, s in ss.owners],
-                "public": bool(ss.is_public),
+                "public": ss.cycles >= 2,
                 "source": ss.source,
             }
         )

@@ -7,7 +7,9 @@ boundary), hard_closed (a plain cycle, every vertex degree two) and
 soft_closed (a chain whose two terminal vertices are junctions; the
 terminals coincide when the curve network pinches at a single point).
 Completed loops stitch open loops with pieces of an open surface's outer
-boundary, which is what lets sub-surfaces grow on open inputs.
+boundary. They are not chained here: they are the boundary cycles of the
+open surface's sub-surfaces that run along that boundary, read from the
+one region pass of subsurfaces.build_subsurfaces.
 """
 from __future__ import annotations
 
@@ -17,8 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TopologyError
-from .geometry import TriMesh
-from .halfedge import SurfaceTopology
 
 log = logging.getLogger(__name__)
 
@@ -57,7 +57,7 @@ class DanglingLoop:
 
 def vertex_degrees(edges: np.ndarray) -> dict[int, int]:
     deg: dict[int, int] = {}
-    for u, v in map(tuple, edges):
+    for u, v in np.asarray(edges).reshape(-1, 2).tolist():
         deg[u] = deg.get(u, 0) + 1
         deg[v] = deg.get(v, 0) + 1
     return deg
@@ -72,7 +72,8 @@ def build_loops(edges: np.ndarray) -> list[OrientedLoop]:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     deg = vertex_degrees(edges)
     incident: dict[int, list[int]] = {}
-    for ei, (u, v) in enumerate(map(tuple, edges)):
+    pairs = edges.tolist()
+    for ei, (u, v) in enumerate(pairs):
         incident.setdefault(u, []).append(ei)
         incident.setdefault(v, []).append(ei)
     for lst in incident.values():
@@ -82,8 +83,8 @@ def build_loops(edges: np.ndarray) -> list[OrientedLoop]:
     loops: list[OrientedLoop] = []
 
     def other(ei, v):
-        u, w = edges[ei]
-        return int(w) if int(u) == v else int(u)
+        u, w = pairs[ei]
+        return w if u == v else u
 
     def walk(start_vertex, first_edge):
         verts = [start_vertex]
@@ -114,7 +115,7 @@ def build_loops(edges: np.ndarray) -> list[OrientedLoop]:
     for ei in range(len(edges)):
         if used[ei]:
             continue
-        start = int(edges[ei].min())
+        start = min(pairs[ei])
         first = [e for e in incident[start] if not used[e]][0]
         verts, eids = walk(start, first)
         if verts[0] != verts[-1]:
@@ -154,34 +155,23 @@ def loop_edge_map(loops) -> dict[tuple[int, int], tuple[int, int]]:
     return out
 
 
-def close_open_loops_on_boundary(
-    loops: list[OrientedLoop], surface: TriMesh, next_id: int = 0
-) -> tuple[list[OrientedLoop], list[DanglingLoop]]:
-    """Stitch open loops with the surface's boundary into closed cycles.
+def complete_open_loops(loops, surfs, next_id: int) -> tuple[list[OrientedLoop], list[DanglingLoop]]:
+    """Completed and dangling loops of one open surface, from its sub-surfaces.
 
-    The boundary is split at the open loops' endpoints and concatenated with
-    them, yielding one completed loop per sub-surface-to-be. Open loops with
-    an endpoint away from the boundary are reported as dangling and excluded.
+    An open loop with an end off the surface boundary (the rims of surfs)
+    dangles and is reported with a warning. A loop that ends free inside
+    the surface separates no regions, so no cycle runs along it. The
+    completed loops are the boundary loops of surfs, the cycles that stitch
+    open loops with pieces of the surface's boundary, in sub-surface order
+    and numbered from next_id.
     """
-    topo = SurfaceTopology(surface.faces)
-    boundary_verts = set(topo.u[topo.boundary].tolist())
-
+    rim = set().union(*(s.rim for s in surfs))
     dangling: list[DanglingLoop] = []
-    walls: list[tuple[int, int]] = []
     for lp in loops:
-        if lp.kind == OPEN:
-            ends = (lp.verts[0], lp.verts[-1])
-            if not all(v in boundary_verts for v in ends):
-                dangling.append(DanglingLoop(lp.id, ends))
-                log.warning("loop %d dangles at %s; excluded from completion", lp.id, ends)
-                continue
-        walls.extend((u, v) if u < v else (v, u) for u, v in lp.vertex_pairs)
-
-    labels = topo.flood_regions(walls)
-    completed: list[OrientedLoop] = []
-    for rid in range(int(labels.max()) + 1 if len(labels) else 0):
-        member = np.nonzero(labels == rid)[0]
-        for cyc in topo.boundary_cycles(member):
-            if topo.boundary[cyc].any():
-                completed.append(OrientedLoop(next_id + len(completed), topo.u[cyc].tolist(), COMPLETED))
+        ends = (lp.verts[0], lp.verts[-1])
+        if lp.kind == OPEN and not all(v in rim for v in ends):
+            dangling.append(DanglingLoop(lp.id, ends))
+            log.warning("loop %d dangles at %s; excluded from completion", lp.id, ends)
+    cycles = [verts for s in surfs for verts in s.boundary_loops]
+    completed = [OrientedLoop(next_id + i, verts, COMPLETED) for i, verts in enumerate(cycles)]
     return completed, dangling

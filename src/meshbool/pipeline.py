@@ -178,22 +178,17 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
     t0 = time.perf_counter()
     state.loops = lps.build_loops(state.merged.edges)
     edge_map = lps.loop_edge_map(state.loops)
-    next_id = len(state.loops)
-    for source, closed in ((0, a.closed), (1, b.closed)):
-        if closed:
-            continue
-        surf_mesh = TriMesh(
-            state.merged.vertices, state.merged.surface_faces(source),
-            source="A" if source == 0 else "B",
-        )
-        comp, dang = lps.close_open_loops_on_boundary(state.loops, surf_mesh, next_id)
-        next_id += len(comp)
-        state.completed_loops.extend(comp)
-        state.dangling.extend(dang)
     state.timings.append((STAGES[3], time.perf_counter() - t0))
 
     t0 = time.perf_counter()
     state.subsurfaces = ssf.build_subsurfaces(state.merged, state.loops, edge_map)
+    for tag, closed in (("A", a.closed), ("B", b.closed)):
+        if closed:
+            continue
+        side = [s for s in state.subsurfaces if s.source == tag]
+        comp, dang = lps.complete_open_loops(state.loops, side, len(state.loops) + len(state.completed_loops))
+        state.completed_loops.extend(comp)
+        state.dangling.extend(dang)
     state.timings.append((STAGES[4], time.perf_counter() - t0))
 
     t0 = time.perf_counter()

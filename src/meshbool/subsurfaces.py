@@ -1,30 +1,35 @@
-"""Partition each surface into sub-surfaces along the loops; classify them.
+"""Partition each surface into sub-surfaces along the loops.
 
 A sub-surface is a maximal triangle region that never crosses an
-intersection loop. build_subsurfaces floods each merged surface once, across
-every shared edge that is not a loop edge (the walls), so each region is one
-sub-surface and the regions partition the surface's faces; ids follow the
-surface (A first) and, within it, the lowest face id of each region. The
-region's boundary cycles give its owners: an entry (loop, +1) means the
-region's own directed boundary runs along the loop's stored direction; the
-region across the loop carries -1.
+intersection loop. build_subsurfaces builds one edge table per merged
+surface, floods it once across every shared edge that is not a loop edge
+(the walls), so each region is one sub-surface and the regions partition
+the surface's faces, and reads every region's boundary cycles from one
+boundary_cycles call. Ids follow the surface (A first) and, within it, the
+lowest face id of each region. The cycles give each region its owners: an
+entry (loop, +1) means the region's own directed boundary runs along the
+loop's stored direction; the region across the loop carries -1. A cycle
+that runs along the surface's own boundary is one of the region's
+boundary loops, which loops.complete_open_loops turns into completed loops.
 
-Public/private counts connected boundary cycles, not raw owner entries: a
-region whose boundary chains several loop arcs through junction vertices
-into one closed curve is still private.
+cycles counts connected boundary cycles, not raw owner entries: a region
+whose boundary chains several loop arcs through junction vertices into one
+closed curve has one cycle.
+
+On a connected closed surface of Euler characteristic 2 the region count is
+exact: the loops' edge graph, with E edges, V vertices and c components, cuts
+a sphere into 1 + E - V + c regions. A partition that disagrees raises
+TopologyError; other genus, such as a torus, is not checked.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import TopologyError
-from .halfedge import SurfaceTopology
+from .halfedge import SurfaceTopology, min_labels
 from .merge import MergedState
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -34,90 +39,90 @@ class SubSurface:
     triangles: np.ndarray                    # face ids into MergedState.faces
     owners: list = field(default_factory=list)   # (loop id, sign) entries
     cycles: int = 0                          # connected boundary cycles
-    has_boundary_loop: bool = False
-    is_public: bool = False
+    boundary_loops: list = field(default_factory=list)  # vertex lists of cycles along the surface boundary
+    rim: set = field(default_factory=set)    # start vertices of its surface-boundary edges
 
     @property
-    def key(self) -> frozenset:
-        return frozenset(int(t) for t in self.triangles)
+    def has_boundary_loop(self) -> bool:
+        return bool(self.boundary_loops)
 
 
-class _SurfaceData:
-    """Per-surface topology plus the loop-edge map, whose keys are the walls."""
-
-    def __init__(self, state: MergedState, source: int, edge_map):
-        self.source = source
-        self.tag = "A" if source == 0 else "B"
-        self.face_ids = state.surface_face_ids(source)
-        self.topo = SurfaceTopology(state.faces[self.face_ids])
-        self.edge_map = edge_map
-
-
-def _region_subsurface(data: _SurfaceData, member_local, ss_id, loops) -> SubSurface:
-    """Assemble one SubSurface record from a local face-id set."""
-    topo = data.topo
-    cycles = topo.boundary_cycles(member_local)
+def _region_subsurface(topo: SurfaceTopology, tag: str, cycles, triangles, ss_id, loops, edge_map) -> SubSurface:
+    """Assemble one SubSurface record from its region's boundary cycles."""
+    ss = SubSurface(id=ss_id, source=tag, triangles=triangles, cycles=len(cycles))
     owners: dict[tuple[int, int], int] = {}
-    has_boundary = False
     for cyc in cycles:
-        for u, v, on_boundary in zip(topo.u[cyc].tolist(), topo.v[cyc].tolist(), topo.boundary[cyc].tolist()):
-            if on_boundary:
-                has_boundary = True
+        us = topo.u[cyc].tolist()
+        on_boundary = topo.boundary[cyc].tolist()
+        if any(on_boundary):
+            ss.boundary_loops.append(us)
+        for u, v, rim in zip(us, topo.v[cyc].tolist(), on_boundary):
+            if rim:
+                ss.rim.add(u)
                 continue
             key = (u, v) if u < v else (v, u)
-            hit = data.edge_map.get(key)
+            hit = edge_map.get(key)
             if hit is None:
-                raise TopologyError(
-                    f"surface {data.tag}: region boundary crosses interior edge {key}"
-                )
+                raise TopologyError(f"surface {tag}: region boundary crosses interior edge {key}")
             loop_id, stored_dir = hit
             sign = 1 if (1 if u < v else -1) == stored_dir else -1
             owners[(loop_id, sign)] = owners.get((loop_id, sign), 0) + 1
     for (loop_id, sign), count in owners.items():
         expect = len(loops[loop_id].vertex_pairs)
         if count != expect:
-            raise TopologyError(
-                f"surface {data.tag}: region traverses {count}/{expect} edges of loop {loop_id}"
-            )
-    ss = SubSurface(
-        id=ss_id,
-        source=data.tag,
-        triangles=data.face_ids[np.sort(np.asarray(member_local, dtype=np.int64))],
-        owners=sorted(owners),
-        cycles=len(cycles),
-        has_boundary_loop=has_boundary,
-    )
+            raise TopologyError(f"surface {tag}: region traverses {count}/{expect} edges of loop {loop_id}")
+    ss.owners = sorted(owners)
     return ss
+
+
+def _check_region_count(topo: SurfaceTopology, tag: str, surfs: list[SubSurface], edge_map):
+    """Raise unless a connected closed genus-0 surface has 1 + E - V + c regions."""
+    used = np.zeros(topo.n, dtype=bool)
+    used[topo.faces] = True
+    if int(used.sum()) - len(topo.faces) // 2 != 2:  # V - E + F with E = 3F/2
+        return
+    side = {key: i for i, s in enumerate(surfs) for key in s.owners}
+    links = [(i, side[(lp, -1)]) for (lp, sign), i in side.items() if sign == 1 and (lp, -1) in side]
+    a, b = np.asarray(links, dtype=np.int64).reshape(-1, 2).T
+    if min_labels(len(surfs), a, b).any():  # the regions do not join into one surface
+        return
+    ends = np.asarray(list(edge_map), dtype=np.int64).reshape(-1, 2)
+    verts, pairs = np.unique(ends, return_inverse=True)
+    pairs = pairs.reshape(-1, 2)
+    joined = min_labels(len(verts), pairs[:, 0], pairs[:, 1])
+    expect = 1 + len(ends) - len(verts) + int((joined == np.arange(len(verts))).sum())
+    if len(surfs) != expect:
+        raise TopologyError(
+            f"surface {tag}: {len(surfs)} sub-surfaces where its loops cut a sphere into {expect}"
+        )
+
+
+def _surface_subsurfaces(state: MergedState, source: int, first_id: int, loops, edge_map) -> list[SubSurface]:
+    """One merged surface's sub-surfaces from one edge table, flood and cycle pass.
+
+    A function of its own so that the surface's table is freed before the
+    next surface's is built.
+    """
+    tag = "AB"[source]
+    face_ids = state.surface_face_ids(source)
+    topo = SurfaceTopology(state.faces[face_ids])
+    labels = topo.flood_regions(edge_map)
+    per_region = [[] for _ in range(int(labels.max()) + 1 if len(labels) else 0)]
+    for cyc in topo.boundary_cycles(labels):
+        per_region[labels[cyc[0] // 3]].append(cyc)
+    members = np.split(face_ids[np.argsort(labels, kind="stable")], np.cumsum(np.bincount(labels))[:-1])
+    surfs = [
+        _region_subsurface(topo, tag, cycles, triangles, first_id + i, loops, edge_map)
+        for i, (cycles, triangles) in enumerate(zip(per_region, members))
+    ]
+    if len(topo.faces) and not topo.boundary.any():
+        _check_region_count(topo, tag, surfs, edge_map)
+    return surfs
 
 
 def build_subsurfaces(state: MergedState, loops, edge_map) -> list[SubSurface]:
     """Partition both surfaces into sub-surfaces along the loop walls."""
     out: list[SubSurface] = []
     for source in (0, 1):
-        data = _SurfaceData(state, source, edge_map)
-        labels = data.topo.flood_regions(data.edge_map)
-        for rid in range(int(labels.max()) + 1 if len(labels) else 0):
-            member = np.nonzero(labels == rid)[0]
-            out.append(_region_subsurface(data, member, len(out), loops))
-    return classify_subsurfaces(out)
-
-
-def classify_subsurfaces(surfs: list[SubSurface]) -> list[SubSurface]:
-    """Mark public sub-surfaces and sanity-check the per-surface counts.
-
-    On sphere-like surfaces at most one sub-surface is public; toroidal
-    surfaces cut by non-separating loops legitimately exceed that, so the
-    violation is logged as a warning, not raised.
-    """
-    for tag in ("A", "B"):
-        publics = []
-        for s in surfs:
-            if s.source != tag:
-                continue
-            s.is_public = s.cycles >= 2
-            if s.is_public:
-                publics.append(s.id)
-        if len(publics) > 1:
-            msg = f"surface {tag} has {len(publics)} public sub-surfaces: {publics}"
-            log.warning("%s (expected at most one on sphere-like surfaces)", msg)
-    return surfs
+        out.extend(_surface_subsurfaces(state, source, len(out), loops, edge_map))
+    return out

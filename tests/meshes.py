@@ -16,7 +16,9 @@ plane test was shared between the chunk and the pair).
 The weld oracle is the per-point first-fit scan that the cell-hash weld in
 meshbool.merge replaced, and the assembly oracle is the per-face loop that
 built the merged arrays before they were built from masks and repeats.
-The splitter's oracle, the old module with earcut's fallback passes, is
+The loop-completion oracle is close_open_loops_on_boundary, which flooded
+each open surface a second time before completed loops were read off the
+sub-surfaces' boundary cycles. The splitter's oracle, the old module with earcut's fallback passes, is
 tests/oracle_retriangulate.py.
 """
 from __future__ import annotations
@@ -30,8 +32,10 @@ import numpy as np
 
 from meshbool.errors import CoplanarPairError, TopologyError
 from meshbool.geometry import TriMesh
+from meshbool.loops import COMPLETED, OPEN, DanglingLoop, OrientedLoop
 from meshbool.merge import MergedState, clear_topology
 from meshbool.octree import OctreeConfig
+import oracle_halfedge
 from oracle_intersect import COPLANAR, NarrowPhaseReport, tri_tri_intersect
 
 
@@ -733,6 +737,32 @@ class OracleSurfaceTopology:
                     raise TopologyError("boundary walk did not close")
             cycles.append(cyc)
         return cycles
+
+
+def oracle_close_open_loops_on_boundary(loops, faces, next_id: int = 0):
+    """loops.close_open_loops_on_boundary as it was before completed loops
+    were read off the sub-surfaces: its own edge table and flood of one open
+    surface, walled by every loop that does not dangle, then the boundary
+    cycles of each region, one region at a time, that touch the surface
+    boundary. Run on the tables of tests/oracle_halfedge.py."""
+    topo = oracle_halfedge.SurfaceTopology(faces)
+    boundary_verts = set(topo.u[topo.boundary].tolist())
+    dangling, walls = [], []
+    for lp in loops:
+        if lp.kind == OPEN:
+            ends = (lp.verts[0], lp.verts[-1])
+            if not all(v in boundary_verts for v in ends):
+                dangling.append(DanglingLoop(lp.id, ends))
+                continue
+        walls.extend((u, v) if u < v else (v, u) for u, v in lp.vertex_pairs)
+    boundary = set(zip(topo.u[topo.boundary].tolist(), topo.v[topo.boundary].tolist()))
+    labels = topo.flood_regions(walls)
+    completed = []
+    for rid in range(int(labels.max()) + 1 if len(labels) else 0):
+        for cyc in topo.boundary_cycles(np.nonzero(labels == rid)[0]):
+            if any(e in boundary for e in cyc):
+                completed.append(OrientedLoop(next_id + len(completed), [u for u, _ in cyc], COMPLETED))
+    return completed, dangling
 
 
 # ---------------------------------------------------------------------------

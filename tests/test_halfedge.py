@@ -23,6 +23,7 @@ from meshbool.pipeline import _propagate_edge_points, run_pipeline
 from meshes import (
     OracleSurfaceTopology,
     blob_and_plane,
+    bumpy_pair,
     closed_cylinder,
     cube,
     grid_plane,
@@ -140,7 +141,9 @@ def assert_boundary_loops_agree(mesh):
 
 
 def assert_topology_agrees(faces, walls):
-    """Both raise TopologyError, or floods, boundaries and cycles all agree."""
+    """Both raise TopologyError, or the floods agree and the one labelled
+    boundary_cycles call gives each region the cycles that the frozen
+    table's walk gives its face set, region by region, in the same order."""
     try:
         want = OracleSurfaceTopology(faces)
     except TopologyError:
@@ -150,16 +153,15 @@ def assert_topology_agrees(faces, walls):
     got = SurfaceTopology(faces)
     labels = got.flood_regions(walls)
     assert np.array_equal(labels, want.flood_regions(walls))
-    for rid in range(int(labels.max()) + 1 if len(labels) else 0):
+    per_region = [[] for _ in range(int(labels.max()) + 1 if len(labels) else 0)]
+    for cyc in got.boundary_cycles(labels):
+        assert (labels[cyc // 3] == labels[cyc[0] // 3]).all()
+        per_region[labels[cyc[0] // 3]].append(_pairs(got, cyc))
+    walk = frozen.SurfaceTopology(faces)
+    for rid, cycles in enumerate(per_region):
         member = np.nonzero(labels == rid)[0]
-        assert _pairs(got, got.region_boundary(member)) == want.region_boundary(member)
-        try:
-            expect = want.boundary_cycles(member)
-        except TopologyError:
-            with pytest.raises(TopologyError):
-                got.boundary_cycles(member)
-            continue
-        assert [_pairs(got, cyc) for cyc in got.boundary_cycles(member)] == expect
+        assert sorted(e for cyc in cycles for e in cyc) == sorted(want.region_boundary(member))
+        assert cycles == walk.boundary_cycles(member)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -269,10 +271,11 @@ def _callers():
     return names
 
 
-@pytest.mark.parametrize("name", ["cube_sphere", "torus_pair"])
+@pytest.mark.parametrize("name", ["cube_sphere", "torus_pair", "vw"])
 def test_edge_tables_built_once_per_merged_surface(monkeypatch, name):
     """Closed and duplicate verdicts build no table; build_subsurfaces builds
-    one per merged surface; the rest are the propagation's neighbour tables."""
+    one per merged surface, open or closed, and loop completion none; the
+    rest are the propagation's neighbour tables."""
     built = []
     build = EdgeTable.__init__
 
@@ -282,12 +285,25 @@ def test_edge_tables_built_once_per_merged_surface(monkeypatch, name):
 
     monkeypatch.setattr(EdgeTable, "__init__", counted)
     state = run_pipeline(*PIPELINE_PAIRS[name]())
-    assert state.result is not None
+    assert (state.result is not None) == (name != "vw")
     per_surface = [c for c in built if "build_subsurfaces" in c]
     neighbours = [c for c in built if "_propagate_edge_points" in c]
     assert len(per_surface) == 2
     assert len(neighbours) == 2  # one per input surface
     assert len(built) == len(per_surface) + len(neighbours), built
+
+
+def test_one_flood_and_one_cycle_pass_per_merged_surface(monkeypatch):
+    """Many loops, one region pass: each merged surface of a bumpy pair
+    (dozens of regions) is flooded once and has its cycles read once."""
+    calls = []
+    for name in ("flood_regions", "boundary_cycles"):
+        method = getattr(SurfaceTopology, name)
+        monkeypatch.setattr(SurfaceTopology, name,
+                            lambda self, arg, _m=method, _n=name: calls.append(_n) or _m(self, arg))
+    state = run_pipeline(*bumpy_pair(2))
+    assert state.result is not None and len(state.subsurfaces) > 10
+    assert calls == ["flood_regions", "boundary_cycles"] * 2
 
 
 def test_min_labels_smallest_id_per_component():
@@ -362,7 +378,7 @@ def edited_octahedra(draw):
 
 def test_bowtie_boundary_passes_the_apex_twice():
     topo = SurfaceTopology(BOWTIE)
-    (cycle,) = topo.boundary_cycles(np.arange(len(BOWTIE)))
+    (cycle,) = topo.boundary_cycles(np.zeros(len(BOWTIE), dtype=np.int64))
     assert _pairs(topo, cycle) == [(0, 6), (6, 4), (4, 3), (3, 6), (6, 1), (1, 0)]
     assert_topology_agrees(np.asarray(BOWTIE), walls=set())
     assert_topology_agrees(np.asarray(BOWTIE), walls={(2, 6), (5, 6)})

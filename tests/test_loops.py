@@ -9,12 +9,20 @@ from meshbool.loops import (
     OPEN,
     SOFT_CLOSED,
     build_loops,
-    close_open_loops_on_boundary,
+    complete_open_loops,
     loop_edge_map,
     vertex_degrees,
 )
 from meshbool.pipeline import run_pipeline
-from meshes import cube, icosphere, strip_surface, tangent_cylinders, vw_pair
+from meshes import (
+    blob_and_plane,
+    cube,
+    icosphere,
+    oracle_close_open_loops_on_boundary,
+    strip_surface,
+    tangent_cylinders,
+    vw_pair,
+)
 
 
 def classify_loop(loop, deg: dict[int, int]) -> str:
@@ -127,9 +135,9 @@ def test_orientation_consecutive_pairs_are_chain_edges():
             assert (min(u, v), max(u, v)) in und
 
 
-def test_dangling_loop_detection():
-    # wide strip in the y=0 plane pierced mid-face by a small fin in the
-    # z=0 plane: the curve's endpoints land strictly inside strip triangles
+def strip_and_fin():
+    """A wide strip in the y=0 plane pierced mid-face by a small fin in the
+    z=0 plane: the curve's endpoints land strictly inside strip triangles."""
     strip = strip_surface([(-1.0, 0.0), (1.0, 0.0)], z0=-1.0, z1=1.0,
                           cols_per_span=8, n_z=5, source="A")
     fin = TriMesh(
@@ -139,16 +147,47 @@ def test_dangling_loop_detection():
         np.array([[0, 1, 2], [0, 2, 3]]),
         source="B",
     )
-    state = run_pipeline(strip, fin)
+    return strip, fin
+
+
+def test_dangling_loop_detection(caplog):
+    with caplog.at_level("WARNING", logger="meshbool.loops"):
+        state = run_pipeline(*strip_and_fin())
     assert len(state.loops) == 1 and state.loops[0].kind == OPEN
     assert len(state.dangling) >= 1
     assert any(d.loop_id == state.loops[0].id for d in state.dangling)
+    assert "loop 0 dangles at (49, 51); excluded from completion" in caplog.messages
 
 
-def test_close_open_loops_requires_boundary_endpoints():
+def test_completed_loops_require_boundary_endpoints():
     a, b = vw_pair()
     state = run_pipeline(a, b)
-    surf = TriMesh(state.merged.vertices, state.merged.surface_faces(0), source="A")
-    completed, dangling = close_open_loops_on_boundary(state.loops, surf)
+    side = [s for s in state.subsurfaces if s.source == "A"]
+    completed, dangling = complete_open_loops(state.loops, side, 0)
     assert len(completed) == 5
+    assert [lp.id for lp in completed] == list(range(5))
     assert dangling == []
+
+
+OPEN_RUNS = {"vw": vw_pair, "blob_and_plane": blob_and_plane, "strip_and_fin": strip_and_fin}
+
+
+@pytest.mark.parametrize("name", sorted(OPEN_RUNS))
+def test_completion_matches_frozen_oracle(name):
+    """Completed loops read off the sub-surfaces equal the second flood of
+    each open surface that completion ran before, loop for loop, and so do
+    the dangling loops. Every loop vertex is a plain int."""
+    state = run_pipeline(*OPEN_RUNS[name]())
+    completed, dangling = [], []
+    for source, mesh in enumerate((state.mesh_a, state.mesh_b)):
+        if mesh.closed:
+            continue
+        comp, dang = oracle_close_open_loops_on_boundary(
+            state.loops, state.merged.surface_faces(source), len(state.loops) + len(completed)
+        )
+        completed += comp
+        dangling += dang
+    assert completed and state.completed_loops == completed
+    assert state.dangling == dangling
+    for lp in state.loops + state.completed_loops:
+        assert all(type(v) is int for v in lp.verts), lp

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from collections import Counter
 
+from meshbool.errors import TopologyError
 from meshbool.geometry import TriMesh
+from meshbool.halfedge import SurfaceTopology
 from meshbool.loops import loop_edge_map
 from meshbool.pipeline import PipelineOptions, run_pipeline
-from meshbool.subsurfaces import classify_subsurfaces
-from meshes import cube, icosphere, tangent_cylinders, vw_pair
+from meshes import bumpy_pair, cube, icosphere, tangent_cylinders, torus_pair, vw_pair
 
 
 def prism(x=0.4, y=0.4, z=4.0, center=(0, 0, 0)):
@@ -21,8 +22,8 @@ def test_sphere_with_two_loops_band_is_public():
     state = run_pipeline(sphere, bar)
     a_surfs = [s for s in state.subsurfaces if s.source == "A"]
     assert len(a_surfs) == 3  # two caps and the band
-    publics = [s for s in a_surfs if s.is_public]
-    privates = [s for s in a_surfs if not s.is_public]
+    publics = [s for s in a_surfs if s.cycles >= 2]
+    privates = [s for s in a_surfs if s.cycles == 1]
     assert len(publics) == 1 and publics[0].cycles == 2
     assert len(privates) == 2
     owner_loops = {lp for (lp, sg) in publics[0].owners}
@@ -36,7 +37,7 @@ def test_single_loop_sphere_two_privates():
     assert len(state.loops) == 1
     a_surfs = [s for s in state.subsurfaces if s.source == "A"]
     assert len(a_surfs) == 2
-    assert all(not s.is_public for s in a_surfs)
+    assert all(s.cycles == 1 for s in a_surfs)
 
 
 def test_cylinders_four_subsurfaces_each():
@@ -44,7 +45,7 @@ def test_cylinders_four_subsurfaces_each():
     state = run_pipeline(a, b)
     counts = Counter(s.source for s in state.subsurfaces)
     assert counts == {"A": 4, "B": 4}
-    assert all(not s.is_public for s in state.subsurfaces)  # one cycle each
+    assert all(s.cycles == 1 for s in state.subsurfaces)
 
 
 def test_vw_five_subsurfaces_each_with_boundary():
@@ -74,26 +75,26 @@ def test_coverage_and_disjointness():
 
 def test_boundary_law_owner_loops_reproduced():
     """The directed boundary of each sub-surface equals its owner loops."""
-    from meshbool.halfedge import SurfaceTopology
-
     a = cube((0, 0, 0), 1.0, "A")
     b = cube((0.5, 0.5, 0.5), 1.0, "B")
     state = run_pipeline(a, b)
     merged = state.merged
-    edge_map = loop_edge_map(state.loops)
-    for s in state.subsurfaces:
-        surf = 0 if s.source == "A" else 1
+    for surf, tag in ((0, "A"), (1, "B")):
         face_ids = merged.surface_face_ids(surf)
-        local = {int(g): i for i, g in enumerate(face_ids)}
+        side = [s for s in state.subsurfaces if s.source == tag]
+        labels = np.empty(len(face_ids), dtype=np.int64)
+        for i, s in enumerate(side):
+            labels[np.searchsorted(face_ids, s.triangles)] = i
         topo = SurfaceTopology(merged.faces[face_ids])
-        member = np.asarray([local[int(t)] for t in s.triangles])
-        edges = topo.region_boundary(member)
-        boundary = zip(topo.u[edges].tolist(), topo.v[edges].tolist())
-        expect = set()
-        for lp_id, sign in s.owners:
-            for u, v in state.loops[lp_id].vertex_pairs:
-                expect.add((u, v) if sign > 0 else (v, u))
-        assert set(boundary) == expect
+        boundary = [set() for _ in side]
+        for cyc in topo.boundary_cycles(labels):
+            boundary[labels[cyc[0] // 3]] |= set(zip(topo.u[cyc].tolist(), topo.v[cyc].tolist()))
+        for s, got in zip(side, boundary):
+            expect = set()
+            for lp_id, sign in s.owners:
+                for u, v in state.loops[lp_id].vertex_pairs:
+                    expect.add((u, v) if sign > 0 else (v, u))
+            assert got == expect
 
 
 def test_partition_owns_both_sides_of_a_loop():
@@ -119,26 +120,62 @@ def test_public_private_counts_on_sphere_like_fixtures():
         state = run_pipeline(a, b)
         for tag in ("A", "B"):
             side = [s for s in state.subsurfaces if s.source == tag]
-            assert sum(s.is_public for s in side) <= 1  # at most one public
-            assert any(not s.is_public for s in side)   # at least one private
+            assert sum(s.cycles >= 2 for s in side) <= 1  # at most one public
+            assert any(s.cycles == 1 for s in side)      # at least one private
 
 
-def test_double_public_warning_names_both_public_ids(caplog):
-    """Non-separating loops on a torus leave two public sub-surfaces: a
-    warning, naming both, not an error."""
-    from meshes import torus_pair
-
+def test_torus_public_sub_surfaces_log_nothing(caplog):
+    """Non-separating loops on a torus leave two public sub-surfaces (two or
+    more boundary cycles each). The torus is not a sphere, so the region
+    count is not checked: nothing is raised and nothing is logged."""
     a, b = torus_pair(1.0, 0.35, n_major=24, n_minor=12)
-    state = run_pipeline(a, b, PipelineOptions(classify=False))
-    caplog.clear()
-    with caplog.at_level("WARNING", logger="meshbool.subsurfaces"):
-        classify_subsurfaces(state.subsurfaces)
-    publics = {tag: [s.id for s in state.subsurfaces if s.source == tag and s.is_public] for tag in "AB"}
-    doubles = {tag: ids for tag, ids in publics.items() if len(ids) > 1}
-    assert doubles
-    messages = [r.getMessage() for r in caplog.records]
-    for tag, ids in doubles.items():
-        assert [m for m in messages if m.startswith(f"surface {tag} ")] == [
-            f"surface {tag} has {len(ids)} public sub-surfaces: {ids} "
-            "(expected at most one on sphere-like surfaces)"
-        ]
+    with caplog.at_level("WARNING", logger="meshbool"):
+        state = run_pipeline(a, b, PipelineOptions(classify=False))
+    publics = {tag: [s.id for s in state.subsurfaces if s.source == tag and s.cycles >= 2] for tag in "AB"}
+    assert any(len(ids) > 1 for ids in publics.values())
+    assert caplog.records == []
+
+
+def _regions_cut_by_loops(state):
+    """1 + E - V + c of the loops' edge graph: its regions on a sphere."""
+    edges = np.asarray(list(loop_edge_map(state.loops)))
+    verts = np.unique(edges)
+    parent = {v: v for v in verts.tolist()}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in edges.tolist():
+        parent[find(u)] = find(v)
+    components = len({find(v) for v in parent})
+    return 1 + len(edges) - len(verts) + components
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (cube((-1, -1, -1), 2.0, "A"), icosphere(1.3, subdivisions=3, source="B")),
+    lambda: tangent_cylinders(1.0, n_theta=24, n_rings=9),
+    lambda: bumpy_pair(2),
+], ids=["cube_sphere", "cylinders", "bumpy"])
+def test_sphere_like_region_count_is_exact(make):
+    state = run_pipeline(*make())
+    expect = _regions_cut_by_loops(state)
+    for tag in "AB":
+        assert sum(s.source == tag for s in state.subsurfaces) == expect
+
+
+def test_regions_merged_across_a_loop_raise(monkeypatch):
+    """A flood that joins two regions across a loop leaves that loop without
+    owners and one region short of Euler's count: a TopologyError."""
+    flood = SurfaceTopology.flood_regions
+
+    def merged(self, walls):
+        labels = flood(self, walls)
+        return np.where(labels == 1, 0, labels - (labels > 1))
+
+    monkeypatch.setattr(SurfaceTopology, "flood_regions", merged)
+    a = cube((-1, -1, -1), 2.0, "A")
+    b = icosphere(1.3, subdivisions=3, source="B")
+    with pytest.raises(TopologyError, match=r"surface A: 6 sub-surfaces where its loops cut a sphere into 7"):
+        run_pipeline(a, b)
