@@ -5,17 +5,21 @@ segment endpoints) goes through one tolerance weld so both surfaces and the
 intersection edges share a single index space. The weld's result is that of
 a first-fit scan in index order: each point joins the first kept point
 within tol in its 27-cell neighbourhood of a tol-sized grid, or is kept.
-merge_vertices reaches it without a Python step per point. A cell hash
-(Teschner et al. 2003) finds every pair the scan could compare, and the
-pairs closer than tol are the edges of a graph. A point can only join a
-kept point it shares an edge with, so the scan never looks across a
-component and each component can be resolved on its own. When all members
-of a component lie within tol of its lowest index (the usual case: it holds
-for all 32,401 weld points of the spheres-fine benchmark), that member is
-kept first and is the only kept point a later member can find, so it
-becomes the vertex of all of them. Any other component, such as a chain
-of points 0.6 tol apart, runs through the scan itself, restricted to its
-own points.
+merge_vertices reaches it without a Python step per point. Exact copies of
+a point are grouped first: one stable sort by cell key, then a lexsort by
+coordinates of only the key runs that hold distinct points. A cell hash
+(Teschner et al. 2003) finds every pair the scan could compare, with one
+binary search per neighbour offset, and the pairs closer than tol are the
+edges of a graph. A point can only join a kept point it shares an edge
+with, so the scan never looks across a component and each component can be
+resolved on its own. When all members of a component lie within tol of its
+lowest index (the usual case: it holds for all 32,401 weld points of the
+spheres-fine benchmark), that member is kept first and is the only kept
+point a later member can find, so it becomes the vertex of all of them. Any
+other component, such as a chain of points 0.6 tol apart, runs through the
+scan itself, restricted to its own points. The pair search is quadratic in
+the distinct points that share one cell. A tol so small that a coordinate
+reaches 2**62 tol raises GeometryError, as the cells would leave int64.
 
 Clearing then enforces: no duplicate vertices, no degenerate triangles, no
 repeated directed edges within one surface, and children aligned with their
@@ -26,10 +30,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import TopologyError
+from .errors import GeometryError, TopologyError
 from .geometry import TriMesh, is_closed_manifold, triangle_areas
 from .halfedge import EdgeTable, edge_keys, min_labels
 
@@ -40,6 +45,8 @@ CLEARING_MAX_PASSES = 10
 # Cell hash of Teschner et al. (2003) with a sum in place of the xor: the key
 # is linear mod 2**64, so key(cell + offset) == key(cell) + key(offset).
 _CELL_HASH = np.array([73856093, 19349663, 83492791], dtype=np.int64)
+# Cells stay below this in magnitude, so they and their neighbours fit in int64.
+_CELL_LIMIT = 2.0**62
 # The 13 neighbour offsets after (0, 0, 0) plus itself: each cell pair once.
 _HALF_OFFSETS = np.array(
     [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
@@ -90,6 +97,25 @@ def _greedy_weld(raw: np.ndarray, cells: np.ndarray, ids: np.ndarray, tol2: floa
     return target
 
 
+def _sorted_copies(raw: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows in order of key, x, y, z and index, and a mask of the rows in
+    that order that differ from the one before. One stable sort by key, then
+    a lexsort of only the rows of key runs that hold more than one distinct
+    point."""
+    order = np.argsort(key, kind="stable")
+    skey, pts = key[order], raw[order]
+    new_run = np.r_[True, skey[1:] != skey[:-1]]
+    run = np.cumsum(new_run) - 1
+    mixed = np.zeros(run[-1] + 1, dtype=bool)
+    mixed[run[1:][~new_run[1:] & (pts[1:] != pts[:-1]).any(axis=1)]] = True
+    sub = np.nonzero(mixed[run])[0]
+    if len(sub):
+        o, q = order[sub], pts[sub]
+        perm = np.lexsort((o, q[:, 2], q[:, 1], q[:, 0], run[sub]))
+        order[sub], pts[sub] = o[perm], q[perm]
+    return order, np.r_[True, (pts[1:] != pts[:-1]).any(axis=1)]
+
+
 def merge_vertices(raw: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Weld points within tol, exactly as the first-fit scan does (see above).
 
@@ -100,24 +126,33 @@ def merge_vertices(raw: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"merge tolerance must be finite and > 0, got {tol!r}")
     n = len(raw)
+    if not n:
+        return raw.copy(), np.zeros(0, dtype=np.int64)
+    reach = np.abs(raw).max()
+    if not reach / tol < _CELL_LIMIT:
+        raise GeometryError(
+            f"merge tolerance {tol!r} is too small for coordinates up to {reach!r}: "
+            "weld cells would leave the int64 range"
+        )
     tol2 = tol * tol
     cells = np.floor(raw / tol).astype(np.int64)
     key = cells @ _CELL_HASH
-    # Exact duplicates share their lowest index as representative (lexsort is
-    # stable), so k copies of a point add k edges below instead of k^2 pairs.
-    order = np.lexsort((raw[:, 2], raw[:, 1], raw[:, 0], key))
-    first = np.ones(n, dtype=bool)
-    first[1:] = (raw[order[1:]] != raw[order[:-1]]).any(axis=1)
+    # Exact duplicates share their lowest index as representative, so k copies
+    # of a point add k edges below instead of k^2 pairs.
+    order, first = _sorted_copies(raw, key)
     rep = order[first]
     rep_of = np.empty(n, dtype=np.int64)
     rep_of[order] = rep[np.cumsum(first) - 1]
     ukey, ucell, upts = key[rep], cells[rep], raw[rep]
+    # Where each key's run of representatives ends, read at its start.
+    run_end = np.r_[np.nonzero(ukey[1:] != ukey[:-1])[0] + 1, len(rep)]
+    end_of = np.repeat(run_end, np.diff(np.r_[0, run_end]))
     pa, pb = [], []
     for off in _HALF_OFFSETS:
         # Points of cell c + off, one offset at a time; the cell check drops hash collisions.
         target = ukey + off @ _CELL_HASH
-        start = ukey.searchsorted(target)
-        cnt = ukey.searchsorted(target, side="right") - start
+        start = np.minimum(ukey.searchsorted(target), len(rep) - 1)
+        cnt = np.where(ukey[start] == target, end_of[start] - start, 0)
         a = np.repeat(np.arange(len(rep)), cnt)
         b = np.arange(len(a)) + np.repeat(start - np.cumsum(cnt) + cnt, cnt)
         ok = (ucell[b] == ucell[a] + off).all(axis=1) & ((a < b) | off.any())
@@ -235,28 +270,29 @@ def clear_topology(state: MergedState) -> MergedState:
 def build_merged_state(
     a: TriMesh,
     b: TriMesh,
-    replacements: dict,
+    splits,
     segments,
     tol: float,
 ) -> MergedState:
     """Assemble the global merged arrays from both meshes plus split output.
 
-    replacements maps ('A'|'B', face_id) -> (k, 3, 3) child coordinates for
-    every intersected face; untouched faces pass through. The end points of
-    segments, the narrow phase's SegmentTable, join the weld pool so the
-    intersection edges land in the same index space.
+    splits holds, for A and then B, the split faces' ids in ascending order,
+    each one's children as (k, 3) rows of the surface's point table, and that
+    (m, 3) table; untouched faces pass through. Each surface's children are
+    gathered from its table at once. The end points of segments, the narrow
+    phase's SegmentTable, join the weld pool so the intersection edges land
+    in the same index space.
     """
     raw_chunks = [a.vertices, b.vertices]
     cursor = len(a.vertices) + len(b.vertices)
     face_rows, parent_rows, source_rows, normal_rows = [], [], [], []
     # Rows: untouched A faces, A children by parent id, then the same for B.
-    for surf, mesh, offset in ((0, a, 0), (1, b, len(a.vertices))):
-        tag = "A" if surf == 0 else "B"
-        fids = np.array(sorted(fid for (t, fid) in replacements if t == tag), dtype=np.int64)
-        kids = [np.asarray(replacements[(tag, f)], dtype=np.float64).reshape(-1, 3, 3) for f in fids.tolist()]
+    for surf, mesh, offset, (fids, kids, table) in zip((0, 1), (a, b), (0, len(a.vertices)), splits):
+        fids = np.asarray(fids, dtype=np.int64)
         counts = np.array([len(k) for k in kids], dtype=np.int64)
         n_kept, n_kids = mesh.num_faces - len(fids), int(counts.sum())
-        raw_chunks += [k.reshape(-1, 3) for k in kids]
+        rows = np.fromiter(chain.from_iterable(chain.from_iterable(kids)), dtype=np.int64, count=3 * n_kids)
+        raw_chunks.append(table[rows])
         untouched = np.ones(mesh.num_faces, dtype=bool)
         untouched[fids] = False
         face_rows += [mesh.faces[untouched] + offset, cursor + np.arange(3 * n_kids).reshape(-1, 3)]

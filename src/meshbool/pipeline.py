@@ -4,6 +4,14 @@
 merge + clear, 4. form loops, 5. create sub-surfaces, 6. assemble and
 distinguish sub-blocks. Stages 1-3 work on coordinates; stages 4-6 operate
 purely on vertex indices.
+
+Stage 3 reads the narrow phase's SegmentTable by columns. Per surface it
+groups the segment ends by face, adds the points a neighbour's split puts on
+a shared edge (_propagate_edge_points), prepares all split faces in one
+numpy pass and splits them one by one; each split face gives its children as
+rows of the surface's point table, and build_merged_state gathers, welds and
+clears both surfaces at once. The Python loops of the stage run over split
+faces and their points only.
 """
 from __future__ import annotations
 
@@ -20,7 +28,7 @@ from . import subsurfaces as ssf
 from .errors import CoincidentInput, GeometryError, NotClosed, TopologyError
 from .geometry import (MERGE_TOL_REL, PLANE_TOL_REL, TriMesh, compact_submesh, row_dots, scene_scale,
                        signed_volume)
-from .halfedge import EdgeTable
+from .halfedge import pair_key
 from .intersect import SegmentTable, intersect_all
 from .merge import build_merged_state
 from .octree import OctreeConfig, build_octree, candidate_pairs, clip_to_shared_region
@@ -74,7 +82,12 @@ class PipelineState:
 
 def _propagate_edge_points(mesh: TriMesh, per_face: dict, tol: float) -> dict:
     """Points every face must embed because a neighbour subdivides the shared
-    edge there (keeps the re-triangulated surface free of T-junctions)."""
+    edge there (keeps the re-triangulated surface free of T-junctions).
+
+    per_face maps a split face to its segments as (p, q) end pairs. Returns
+    neighbour face -> points, filled by owner in per_face's order, each
+    owner's distinct ends in set order, then by edge and by neighbour id.
+    """
     owner, pts = [], []
     for fid, segs in per_face.items():
         for p in {tuple(q) for pq in segs for q in pq}:
@@ -96,16 +109,26 @@ def _propagate_edge_points(mesh: TriMesh, per_face: dict, tol: float) -> dict:
         hit = (tol < t * length) & (t * length < length - tol) & (np.sqrt(row_dots(off, off)) < tol)
     rows, ks = np.nonzero(hit & (length2 != 0.0))
     u, v = tri[rows, ks], tri[rows, (ks + 1) % 3]
-    # Neighbours come from an edge table over the faces holding two hit ends.
+    # Every use of a hit edge by a face holding two hit ends, from one search
+    # of the hit edges' undirected keys among those faces' edge keys. Both
+    # sides take n from the whole mesh, so the keys agree. The stable sort
+    # keeps each key's uses in face order.
     ends = np.zeros(len(mesh.vertices), dtype=bool)
     ends[u] = ends[v] = True
     near = np.nonzero(ends[mesh.faces].sum(axis=1) >= 2)[0]
-    table = EdgeTable(mesh.faces[near])
+    n = int(mesh.faces.max()) + 1
+    near_faces = mesh.faces[near]
+    keys = pair_key(near_faces, near_faces[:, [1, 2, 0]], n).ravel() >> 1
+    order = np.argsort(keys, kind="stable")
+    hit_keys = pair_key(u, v, n) >> 1
+    lo, hi = keys[order].searchsorted(np.stack((hit_keys, hit_keys + 1)))
+    cnt = hi - lo
+    src = np.repeat(rows, cnt)
+    nb = near[order[np.arange(len(src)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)] // 3]
+    keep = nb != np.asarray(owner)[src]
     extra: dict[int, list] = {}
-    for i, a, b in zip(rows.tolist(), u.tolist(), v.tolist()):
-        for nb in near[table.faces_on(a, b)].tolist():
-            if nb != owner[i]:
-                extra.setdefault(nb, []).append(p[i])
+    for f, i in zip(nb[keep].tolist(), src[keep].tolist()):
+        extra.setdefault(f, []).append(pts[i])
     return extra
 
 
@@ -156,23 +179,23 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
 
     t0 = time.perf_counter()
     table = state.segments
-    ends = list(zip(table.p0, table.p1))
-    replacements = {}
-    for tag, mesh, tri in (("A", a, table.tri_a), ("B", b, table.tri_b)):
-        per_face: dict[int, list] = {}
+    ends = np.stack((table.p0, table.p1), axis=1).tolist()
+    splits = []
+    for mesh, tri in ((a, table.tri_a), (b, table.tri_b)):
+        per_face: dict[int, list] = {}  # faces in order of first appearance in the table
         for fid, pq in zip(tri.tolist(), ends):
             per_face.setdefault(fid, []).append(pq)
         extra = _propagate_edge_points(mesh, per_face, merge_tol)
-        fids = sorted(set(per_face) | set(extra))
+        fids = sorted(per_face.keys() | extra.keys())
         segs = [per_face.get(fid, []) for fid in fids]
         points = [extra.get(fid, []) for fid in fids]
         tris = mesh.vertices[mesh.faces[fids]]
-        setups = prepare_splits(tris, segs, points, merge_tol)
-        for fid, tri, s, p, setup in zip(fids, tris, segs, points, setups):
-            replacements[(tag, fid)] = split_and_triangulate(
-                tri, s, merge_tol, parent_tri=fid, boundary_points=p, setup=setup
-            )
-    state.merged = build_merged_state(a, b, replacements, state.segments, merge_tol)
+        kids = []
+        for fid, tri, s, p, setup in zip(fids, tris, segs, points, prepare_splits(tris, segs, points, merge_tol)):
+            kids.append(split_and_triangulate(tri, s, merge_tol, parent_tri=fid, boundary_points=p, setup=setup))
+        # Every segment has a face on each surface, so fids is never empty here.
+        splits.append((fids, kids, setup.pts3))
+    state.merged = build_merged_state(a, b, splits, state.segments, merge_tol)
     state.timings.append((STAGES[2], time.perf_counter() - t0))
 
     t0 = time.perf_counter()

@@ -8,9 +8,13 @@ ear-clipped; closed loops floating inside a face become holes and are joined
 to the outer ring by bridge edges before clipping.
 
 The float work (frames, 2D coordinates, edge snaps, containment) is done for
-all split faces of a surface in one numpy pass, prepare_splits; the walk over
-one face then runs on Python floats and ints only. Dot products, norms and
-hypot stay in numpy, where they round as the same expression on one face did.
+all split faces of a surface in one numpy pass, prepare_splits, which also
+stacks the surface's point table: every split face's corners, boundary points
+and segment ends. Dot products, norms and hypot stay in numpy, where they
+round as the same expression on one face did. The walk over one face and the
+ear clipper then run on Python floats and ints only, with no numpy call: a
+split face's polygons and its children are rows of the point table, which
+build_merged_state gathers once per surface.
 
 The combinatorial ear-clipping core follows the well-known earcut algorithm,
 minus the z-order acceleration and minus collinear-vertex filtering: points
@@ -42,19 +46,25 @@ from .geometry import row_dots
 
 @dataclass
 class SplitPolygon:
-    """One face of a split triangle: 3D outer ring plus optional hole rings,
-    and the same rings in the parent triangle's CCW local frame."""
+    """One face of a split triangle: its outer ring and optional hole rings
+    as rows of the point table, and the same rings in the parent triangle's
+    CCW local frame as lists of (x, y). The unsplit triangle has no 2D ring."""
 
-    vertices: np.ndarray
+    rows: list
     parent_tri: int = -1
     holes: list = field(default_factory=list)
-    ring2d: np.ndarray | None = None
+    ring2d: list | None = None
     holes2d: list = field(default_factory=list)
+
+
+def _pairs(ring) -> list:
+    """A ring of (x, y) points as a list; an array's become Python floats."""
+    return ring.tolist() if hasattr(ring, "tolist") else list(ring)
 
 
 def shoelace(ring2d) -> float:
     """Signed area of a ring of (x, y) points, summed in ring order."""
-    pts = ring2d.tolist() if isinstance(ring2d, np.ndarray) else list(ring2d)
+    pts = _pairs(ring2d)
     s = 0.0
     for (x, y), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
         s += x * y1 - x1 * y
@@ -280,15 +290,14 @@ def ear_clip(loop2d, holes2d=()) -> list[tuple[int, int, int]]:
     Raises DegeneratePolygon when no ear is left, even under exact tests; a
     weakly simple polygon always has one.
     """
-    ring = np.asarray(loop2d, dtype=np.float64)
-    if len(ring) < 3:
+    pts = _pairs(loop2d)
+    if len(pts) < 3:
         raise DegeneratePolygon("polygon needs at least 3 vertices")
 
-    pts = ring.tolist()
     outer = _linked_list(pts, 0, clockwise=True)
     if outer is None or outer.next is outer.prev:
         raise DegeneratePolygon("polygon degenerates to fewer than 3 points")
-    holes = [np.asarray(h, dtype=np.float64).tolist() for h in holes2d]
+    holes = [_pairs(h) for h in holes2d]
     if holes:
         _eliminate_holes(outer, holes, accumulate([len(pts)] + [len(h) for h in holes]))
 
@@ -321,7 +330,9 @@ class FaceSetup:
     are the boundary points, then both ends of each segment; each has frame
     coordinates, its first boundary edge within the snap distance (-1 if
     none) with the clamped edge parameter and foot, and whether it lies in
-    the triangle once snapped. rows index pts3 for the corners and points."""
+    the triangle once snapped. rows index pts3, the point table of all faces
+    prepared together, for the corners and points: face f's corners are rows
+    3f, 3f + 1 and 3f + 2."""
 
     zero_area: bool
     fault: str | None
@@ -338,7 +349,9 @@ class FaceSetup:
 def prepare_splits(tris, segments, boundary_points, tol) -> Iterator[FaceSetup]:
     """The float work of splitting many faces, as one numpy pass: parent
     normals, frames, frame coordinates, edge snaps and containment. Yields
-    each face's setup in turn.
+    each face's setup in turn. The point table the setups share holds every
+    face's corners, then every face's boundary points, then both ends of
+    every segment, each in the order given.
 
     A face's frame has its origin at corner 0, its normal n is the corners'
     Newell normal turned towards the cross-product normal, u runs along the
@@ -435,10 +448,12 @@ def split_triangle(
     triangle's edges (subdivision points propagated from a neighbour's
     split, so shared edges stay watertight). setup is the face's entry of
     prepare_splits over these arguments; without it the face is prepared
-    alone. Without segments the triangle itself is the single face. Dangling
-    chord tails (chains ending strictly inside) do not bound any face and
-    are pruned. Raises GeometryError when a segment leaves the triangle or
-    the extracted faces fail to cover its area.
+    alone, and its point table is its corners, boundary points and segment
+    ends. The polygons' rows index setup.pts3. Without segments or boundary
+    points the triangle itself is the single face. Dangling chord tails
+    (chains ending strictly inside) do not bound any face and are pruned.
+    Raises GeometryError when a segment leaves the triangle or the extracted
+    faces fail to cover its area.
     """
     if setup is None:
         setup = next(prepare_splits([tri_coords], [segments], [boundary_points], tol))
@@ -447,7 +462,7 @@ def split_triangle(
     if setup.zero_area:
         raise DegenerateTriangle("cannot split a zero-area triangle")
     if not len(segments) and not len(boundary_points):
-        return [SplitPolygon(np.asarray(tri_coords, dtype=np.float64).reshape(3, 3).copy(), parent_tri)]
+        return [SplitPolygon(setup.rows[:3], parent_tri)]
     if setup.fault:
         raise DegeneratePolygon(setup.fault)
 
@@ -503,8 +518,8 @@ def split_triangle(
         for _, hole_area in face[1:]:
             area += hole_area
         total += area
-        ring3, *holes3 = (setup.pts3[[rows[i] for i in cyc]] for cyc, _ in face)
-        ring2d, *holes2d = (np.array([nodes2[i] for i in cyc]) for cyc, _ in face)
+        ring3, *holes3 = ([rows[i] for i in cyc] for cyc, _ in face)
+        ring2d, *holes2d = ([nodes2[i] for i in cyc] for cyc, _ in face)
         polys.append(SplitPolygon(ring3, parent_tri, holes3, ring2d=ring2d, holes2d=holes2d))
     area_tri = shoelace(setup.corners2)
     if abs(total - area_tri) > 1e-6 * abs(area_tri):
@@ -576,23 +591,24 @@ def _extract_faces(nodes2, adj):
     return faces
 
 
-def triangulate_polygon(poly: SplitPolygon) -> np.ndarray:
-    """Ear-clip one split face, as made by split_triangle, back into 3D
-    triangles, (k, 3, 3)."""
-    pts3 = np.concatenate([poly.vertices, *poly.holes], axis=0) if poly.holes else poly.vertices
+def triangulate_polygon(poly: SplitPolygon) -> list[tuple[int, int, int]]:
+    """Ear-clip one split face, as made by split_triangle, into triangles
+    given as row triples of its point table."""
     try:
         tris = ear_clip(poly.ring2d, poly.holes2d)
     except DegeneratePolygon as err:
         raise DegeneratePolygon(f"{err} (tri {poly.parent_tri})") from err
-    return pts3[np.asarray(tris, dtype=np.intp).reshape(-1, 3)]
+    rows = [r for ring in (poly.rows, *poly.holes) for r in ring]
+    return [(rows[i], rows[j], rows[k]) for i, j, k in tris]
 
 
 def split_and_triangulate(
     tri_coords, segments, tol, parent_tri: int = -1, boundary_points=(), setup: FaceSetup | None = None
-) -> np.ndarray:
-    """Split one triangle and return its replacement triangles as coordinates."""
+) -> list[tuple[int, int, int]]:
+    """Split one triangle and return its replacement triangles as (k, 3)
+    rows of the point table, setup.pts3 (see split_triangle). A triangle
+    left whole is its own corner rows, in corner order."""
     polys = split_triangle(tri_coords, segments, tol, parent_tri, boundary_points, setup)
-    if len(polys) == 1 and not polys[0].holes and len(polys[0].vertices) == 3:
-        return np.asarray(tri_coords, dtype=np.float64).reshape(1, 3, 3)
-    chunks = [triangulate_polygon(p) for p in polys]
-    return np.concatenate(chunks, axis=0)
+    if len(polys) == 1 and not polys[0].holes and len(polys[0].rows) == 3:
+        return [tuple(sorted(polys[0].rows))]
+    return [tri for p in polys for tri in triangulate_polygon(p)]

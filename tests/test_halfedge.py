@@ -274,8 +274,8 @@ def _callers():
 @pytest.mark.parametrize("name", ["cube_sphere", "torus_pair", "vw"])
 def test_edge_tables_built_once_per_merged_surface(monkeypatch, name):
     """Closed and duplicate verdicts build no table; build_subsurfaces builds
-    one per merged surface, open or closed, and loop completion none; the
-    rest are the propagation's neighbour tables."""
+    one per merged surface, open or closed, and loop completion none. The
+    propagation finds neighbours without a table."""
     built = []
     build = EdgeTable.__init__
 
@@ -289,8 +289,19 @@ def test_edge_tables_built_once_per_merged_surface(monkeypatch, name):
     per_surface = [c for c in built if "build_subsurfaces" in c]
     neighbours = [c for c in built if "_propagate_edge_points" in c]
     assert len(per_surface) == 2
-    assert len(neighbours) == 2  # one per input surface
-    assert len(built) == len(per_surface) + len(neighbours), built
+    assert len(neighbours) == 0
+    assert len(built) == len(per_surface), built
+
+
+def test_propagation_makes_no_edge_lookup_per_point(monkeypatch):
+    """The faces across every hit edge come from one key search, not from
+    a faces_on call per hit."""
+    calls = []
+    lookup = EdgeTable.faces_on
+    monkeypatch.setattr(EdgeTable, "faces_on", lambda self, u, v: calls.append((u, v)) or lookup(self, u, v))
+    state = run_pipeline(*bumpy_pair(3))
+    assert len(state.loops) > 10
+    assert calls == []
 
 
 def test_one_flood_and_one_cycle_pass_per_merged_surface(monkeypatch):

@@ -258,10 +258,21 @@ def test_weld_matches_oracle_on_fixture_runs(stage3_inputs, name):
     assert_same_weld(raw * 1e-3, tol * 1e-3)
 
 
+def replacements(splits):
+    """The oracle's form of the split output: ('A'|'B', face) -> the
+    children's (k, 3, 3) coordinates, gathered from the surface's point table."""
+    return {
+        (tag, fid): table[np.array(rows, dtype=np.intp).reshape(-1, 3)]
+        for tag, (fids, kids, table) in zip("AB", splits)
+        for fid, rows in zip(fids, kids)
+    }
+
+
 @pytest.mark.parametrize("name", ["cube_sphere", "torus_pair", "blob_and_plane", "vw"])
 def test_assembly_matches_oracle(stage3_inputs, name):
-    args = stage3_inputs[name]["assembly"]
-    got, want = build_merged_state(*args), oracle_build_merged_state(*args)
+    a, b, splits, segments, tol = args = stage3_inputs[name]["assembly"]
+    got = build_merged_state(*args)
+    want = oracle_build_merged_state(a, b, replacements(splits), segments, tol)
     for field in ("vertices", "faces", "face_source", "edges"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
@@ -274,16 +285,26 @@ DIRECTIONS = [
 ]
 
 
+# A cell offset whose hash key is 0: cells c and c + COLLISION share a key.
+COLLISION = np.array([merge._CELL_HASH[1], -merge._CELL_HASH[0], 0])
+
+
 @st.composite
 def weld_clouds(draw):
     """Clusters around cell-border centres k*tol (or one ulp below): members
     at 0, 0.3, 0.6, 0.99 and 1.01 tol, chains of 0.6 tol steps that make
-    components the scan must resolve, and exact duplicates, in drawn order."""
+    components the scan must resolve, and exact duplicates, in drawn order.
+    A cluster may sit COLLISION cells away, where its cells' keys equal those
+    of the cells around the origin, and a zero coordinate may be copied as
+    -0.0."""
     tol = draw(st.sampled_from([1e-9, 1e-6, 0.25]))
     k0 = round(draw(st.sampled_from([0.0, 1e-3, -1e-3, 1e3, -1e3])) / tol)
     pts = []
     for _ in range(draw(st.integers(1, 5))):
-        centre = (np.asarray(draw(st.tuples(*[st.integers(-2, 2)] * 3))) + k0) * tol
+        cell = np.asarray(draw(st.tuples(*[st.integers(-2, 2)] * 3))) + k0
+        if draw(st.booleans()):
+            cell = cell + COLLISION
+        centre = cell * tol
         if draw(st.booleans()):
             centre = np.nextafter(centre, -np.inf)
         pts.append(centre)
@@ -294,6 +315,8 @@ def weld_clouds(draw):
         pts += [centre + 0.6 * step * tol * d for step in range(1, draw(st.integers(0, 4)) + 1)]
     pts = np.asarray(pts)
     pts = np.concatenate([pts, pts[draw(st.lists(st.integers(0, len(pts) - 1), max_size=4))]])
+    signed = pts[draw(st.lists(st.integers(0, len(pts) - 1), max_size=4))]
+    pts = np.concatenate([pts, np.where(signed == 0.0, -0.0, signed)])
     return pts[draw(st.permutations(range(len(pts))))], tol
 
 
@@ -301,3 +324,22 @@ def weld_clouds(draw):
 @given(weld_clouds())
 def test_weld_matches_oracle_on_generated_clusters(cloud):
     assert_same_weld(*cloud)
+
+
+def test_colliding_cells_and_signed_zeros_weld_like_the_scan():
+    tol = 1e-6
+    near = np.array([[0.0, 0.0, 0.0], [0.5 * tol, 0.0, 0.0], [1.5 * tol, 0.0, 0.0]])
+    far = near + COLLISION * tol  # the same keys, other cells
+    assert (np.floor(far / tol).astype(np.int64) @ merge._CELL_HASH == [0, 0, 73856093]).all()
+    raw = np.concatenate([near, far, np.where(near == 0.0, -0.0, near), far[:1] * [1, 1, -1]])
+    assert merge_vertices(raw, tol)[1].tolist() == [0, 0, 1, 2, 2, 3, 0, 0, 1, 2]
+    assert_same_weld(raw, tol)
+
+
+def test_weld_matches_oracle_on_a_crowded_cell():
+    """1,000 distinct points in one tol-sized cell: the pair search compares
+    every two of them, and their component goes through the scan."""
+    tol = 1e-6
+    raw = (np.random.default_rng(7).random((1000, 3)) + [3.0, -2.0, 5.0]) * tol
+    assert len(np.unique(np.floor(raw / tol), axis=0)) == 1
+    assert_same_weld(raw, tol)

@@ -237,7 +237,7 @@ def test_threads_env_var_is_not_read(tmp_path, monkeypatch):
     assert signed_volume(load_mesh(out)) == pytest.approx(1.875, rel=1e-9)
 
 
-@pytest.mark.parametrize("tol", ["0", "nan", "-1.0", "inf"])
+@pytest.mark.parametrize("tol", ["0", "nan", "-1.0", "inf", "1e-20"])
 def test_bad_merge_tol_is_a_geometry_error(tmp_path, tol, capsys):
     pa, pb = write_pair(tmp_path, cube(), cube((0.5, 0.5, 0.5), 1.0))
     assert main(["union", pa, pb, "-o", str(tmp_path / "u.stl"), "--merge-tol", tol]) == 3

@@ -32,6 +32,23 @@ from meshes import (
 TRI = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
 
 
+def alone(tri, segments, tol, boundary_points=()):
+    """The setup of one face prepared alone: its point table is the corners,
+    the boundary points, then the segment ends."""
+    return next(retriangulate.prepare_splits([tri], [segments], [boundary_points], tol))
+
+
+def gather(table, rows):
+    """Child row triples as (k, 3, 3) coordinates of the point table."""
+    return table[np.array(rows, dtype=np.intp).reshape(-1, 3)]
+
+
+def children(tri, segments, tol, parent_tri=-1, boundary_points=()):
+    """split_and_triangulate's children of a face prepared alone, as coordinates."""
+    setup = alone(tri, segments, tol, boundary_points)
+    return gather(setup.pts3, split_and_triangulate(tri, segments, tol, parent_tri, boundary_points, setup))
+
+
 def poly_area3d(ring):
     ring = np.asarray(ring, dtype=float)
     total = np.zeros(3)
@@ -61,7 +78,8 @@ def test_split_rejects_the_setup_of_other_points():
 def test_no_segments_identity():
     polys = split_triangle(TRI, [], 1e-9)
     assert len(polys) == 1
-    assert np.array_equal(polys[0].vertices, TRI)
+    assert polys[0].rows == [0, 1, 2] and polys[0].ring2d is None
+    assert np.array_equal(alone(TRI, [], 1e-9).pts3[polys[0].rows], TRI)
 
 
 def test_two_noncrossing_chords_three_polygons_area_sum():
@@ -85,7 +103,7 @@ def test_interior_closed_loop_makes_hole_and_disk():
     assert len(polys) == 2
     holed = [p for p in polys if p.holes]
     assert len(holed) == 1 and len(holed[0].holes) == 1
-    tris = split_and_triangulate(TRI, segs, 1e-9)
+    tris = children(TRI, segs, 1e-9)
     area = sum(poly_area3d(t) for t in tris)
     assert area == pytest.approx(2.0, rel=1e-9)
 
@@ -100,7 +118,7 @@ def test_dangling_tail_pruned():
     segs = [(np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.5, 0.0]))]
     polys = split_triangle(TRI, segs, 1e-9)
     assert len(polys) == 1  # a slit does not divide the triangle
-    tris = split_and_triangulate(TRI, segs, 1e-9)
+    tris = children(TRI, segs, 1e-9)
     assert sum(poly_area3d(t) for t in tris) == pytest.approx(2.0, rel=1e-9)
 
 
@@ -109,8 +127,8 @@ def test_chord_inside_the_triangle_is_pruned_whole(inner):
     pts = [np.array([0.3, 0.3, 0.0]), np.array([0.5, 0.4, 0.0]), np.array([0.6, 0.7, 0.0])][: inner + 1]
     segs = list(zip(pts, pts[1:]))
     polys = split_triangle(TRI, segs, 1e-9)
-    assert len(polys) == 1 and len(polys[0].vertices) == 3
-    assert_same_rings(polys, oracle.split_triangle(TRI, segs, 1e-9))
+    assert len(polys) == 1 and len(polys[0].rows) == 3
+    assert_same_rings(polys, oracle.split_triangle(TRI, segs, 1e-9), alone(TRI, segs, 1e-9).pts3)
 
 
 def test_junction_star_splits_into_sectors():
@@ -186,7 +204,7 @@ def test_ear_clip_square_with_hole():
 
 def test_winding_preserved_through_split():
     segs = [(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))]
-    tris = split_and_triangulate(TRI, segs, 1e-9)
+    tris = children(TRI, segs, 1e-9)
     parent_n = np.cross(TRI[1] - TRI[0], TRI[2] - TRI[0])
     for t in tris:
         n = np.cross(t[1] - t[0], t[2] - t[0])
@@ -208,7 +226,7 @@ def test_ear_clip_without_an_ear_raises(ring):
 
 
 def test_triangulate_polygon_names_the_parent_triangle():
-    poly = SplitPolygon(np.c_[BOWTIE, np.zeros(4)], parent_tri=17, ring2d=BOWTIE)
+    poly = SplitPolygon([0, 1, 2, 3], parent_tri=17, ring2d=BOWTIE.tolist())
     with pytest.raises(DegeneratePolygon, match=r"no ear .*\(tri 17\)"):
         triangulate_polygon(poly)
 
@@ -256,17 +274,19 @@ def fixture_splits(name):
     return calls
 
 
-def assert_same_rings(got, want):
+def assert_same_rings(got, want, table):
     """Polygons byte-equal to the old splitter's, in the same order, each
-    ring with the same start and direction."""
+    ring with the same start and direction. The 3D rings are gathered from
+    table, the point table the polygons' rows index."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.parent_tri == w.parent_tri
         assert len(g.holes) == len(w.holes) and len(g.holes2d) == len(w.holes2d)
         assert (g.ring2d is None) == (w.ring2d is None)
-        pairs = [(g.vertices, w.vertices), *zip(g.holes, w.holes), *zip(g.holes2d, w.holes2d)]
+        pairs = [(table[g.rows], w.vertices), *((table[h], wh) for h, wh in zip(g.holes, w.holes)),
+                 *((np.array(h), wh) for h, wh in zip(g.holes2d, w.holes2d))]
         if g.ring2d is not None:
-            pairs.append((g.ring2d, w.ring2d))
+            pairs.append((np.array(g.ring2d), w.ring2d))
         for x, y in pairs:
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
@@ -278,8 +298,10 @@ def _geometric(kw):
 @pytest.mark.parametrize("name", sorted(SPLIT_RUNS))
 def test_split_rings_match_oracle_on_fixture_runs(name):
     for args, kw, _ in fixture_splits(name):
-        assert_same_rings(split_triangle(*args, **kw), oracle.split_triangle(*args, **_geometric(kw)))
-        assert_same_rings(split_triangle(*args, **_geometric(kw)), oracle.split_triangle(*args, **_geometric(kw)))
+        want = oracle.split_triangle(*args, **_geometric(kw))
+        assert_same_rings(split_triangle(*args, **kw), want, kw["setup"].pts3)
+        table = alone(args[0], args[1], args[2], kw["boundary_points"]).pts3
+        assert_same_rings(split_triangle(*args, **_geometric(kw)), want, table)
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_RUNS))
@@ -289,6 +311,7 @@ def test_split_matches_oracle_on_fixture_runs(name):
         # the old splitter on the geometric arguments alone.
         assert kw["setup"] is not None
         want = oracle.split_and_triangulate(*args, **_geometric(kw))
+        got = gather(kw["setup"].pts3, got)
         assert got.dtype == want.dtype and got.shape == want.shape, kw["parent_tri"]
         assert got.tobytes() == want.tobytes(), kw["parent_tri"]
 
@@ -530,7 +553,7 @@ def check_children(scene):
         return
     fell_back = any(passes)
     try:
-        got = split_and_triangulate(*args)
+        got = children(*args)
     except DegeneratePolygon:
         assert fell_back and not covers(tri, want)  # the fallbacks lost area here
         return
@@ -551,7 +574,7 @@ def check_rings(scene):
         with pytest.raises(type(err)):
             split_triangle(*args)
         return
-    assert_same_rings(split_triangle(*args), want)
+    assert_same_rings(split_triangle(*args), want, alone(tri, segments, tol, boundary).pts3)
 
 
 @settings(max_examples=400, deadline=None)
@@ -578,6 +601,35 @@ def test_split_rings_match_oracle_on_chain_scenes(scene):
     check_rings(scene)
 
 
+class NumpyLookups:
+    """Stands in for numpy in the splitter's module and records every name
+    looked up on it."""
+
+    def __init__(self):
+        self.names = []
+
+    def __getattr__(self, name):
+        self.names.append(name)
+        return getattr(np, name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chord_scenes())
+def test_split_of_a_prepared_face_makes_no_numpy_call(scene):
+    """Once prepare_splits has done a face's float work, the walk, the ear
+    clipper and the children's rows run on Python values alone."""
+    tri, segments, tol, boundary = scene
+    setup = alone(tri, segments, tol, boundary)
+    lookups = NumpyLookups()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retriangulate, "np", lookups)
+        try:
+            split_and_triangulate(tri, segments, tol, 5, boundary, setup)
+        except GeometryError:
+            pass
+    assert lookups.names == []
+
+
 # A chord along an edge, from a corner to a propagated point on it: the
 # chord and the boundary piece are one edge of the subdivision.
 ALONG_EDGE = (
@@ -591,7 +643,7 @@ ALONG_EDGE = (
 def test_split_rings_match_oracle_on_a_chord_along_an_edge():
     tri, segments, tol, boundary = ALONG_EDGE
     assert_same_rings(split_triangle(tri, segments, tol, 38, boundary),
-                      oracle.split_triangle(tri, segments, tol, 38, boundary))
+                      oracle.split_triangle(tri, segments, tol, 38, boundary), alone(tri, segments, tol, boundary).pts3)
     assert len(split_triangle(tri, segments, tol, 38, boundary)) == 1
 
 
@@ -624,7 +676,7 @@ def test_split_matches_oracle_where_the_frame_decides_a_tie():
     tri, segments, tol, boundary = FRAME_TIE
     segments = [tuple(np.asarray(pq)) for pq in segments]
     args = (np.asarray(tri), segments, tol, 5, np.asarray(boundary))
-    assert split_and_triangulate(*args).tobytes() == oracle.split_and_triangulate(*args).tobytes()
+    assert children(*args).tobytes() == oracle.split_and_triangulate(*args).tobytes()
 
 
 # Faces found by the chord-chain strategy on which the first cycle finds no
