@@ -111,9 +111,6 @@ class TriMesh:
             self._closed = len(boundary_edges(self.faces)) == 0 and self.num_faces > 0
         return self._closed
 
-    def face_coords(self, i: int) -> np.ndarray:
-        return self.vertices[self.faces[i]]
-
     def reversed(self) -> "TriMesh":
         return TriMesh(self.vertices, self.faces[:, ::-1].copy(), self.source, self.name)
 

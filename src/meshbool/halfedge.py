@@ -17,26 +17,26 @@ every directed edge once and its reverse once (no u == v edge fits); a
 repeated directed edge is two equal neighbours; a boundary edge is a key
 whose partner (k ^ 1, or k itself when u == v) is missing.
 
-EdgeTable does one argsort of the keys and reads adjacency off the runs of
-equal keys. A run stands for its lowest edge id, so the sort need not be
-stable; order only groups the edges of a key.
+SurfaceTopology is the edge table of a surface with no repeated directed
+edge. It sorts the keys once, stably, so the lowest edge id leads each run of
+equal keys, and raises TopologyError when two keys are equal, naming the
+lowest edge id that repeats an earlier one. Every key then occurs at most
+once:
 
-- first[e]: the lowest edge id with the same key as e.
-- duplicate: first[e] != e, every occurrence of a key after its first. It is
-  empty on a surface whose faces agree on winding; a set bit means two faces
-  traverse one edge in the same direction.
-- twin[e]: the first edge of the run holding e's partner key, which is the
-  neighbouring run when it exists; -1 when there is none. Without duplicates
-  the twin is unique and twin[twin[e]] == e.
+- twin[e]: the edge holding e's partner key, which sits next to e in the
+  sorted keys when it exists; e itself when u == v; -1 when there is none.
+  twin[twin[e]] == e.
 - boundary: twin < 0, the directed edges whose reverse does not occur.
+- pairs: the sorted positions i whose keys i and i + 1 are 2c and 2c + 1,
+  an edge and its reverse, read as equal neighbours of the codes key >> 1.
 
-SurfaceTopology requires an empty duplicate mask and adds what sub-surface
-construction and TriMesh.boundary_loops need: one region flood (components
-over twin pairs that are not walls, labelled by hook-and-compress so region
-ids follow the lowest face id), and the boundary cycles of every region of a
-labelling at once. The successor of every region-boundary edge is found in
-one numpy pass; the only Python loop emits the cycles and visits each
-boundary edge once.
+On that table it does what sub-surface construction and
+TriMesh.boundary_loops need: one region flood (components over twin pairs
+that are not walls, labelled by hook-and-compress so region ids follow the
+lowest face id), and the boundary cycles of every region of a labelling at
+once. The successor of every region-boundary edge is found in one numpy
+pass; the only Python loop emits the cycles and visits each boundary edge
+once.
 """
 from __future__ import annotations
 
@@ -91,63 +91,47 @@ def paired(sorted_keys: np.ndarray) -> bool:
     return len(lo) == len(hi) and bool(((hi - lo == 1) & (lo % 2 == 0)).all())
 
 
-class EdgeTable:
+class SurfaceTopology:
     def __init__(self, faces: np.ndarray):
         self.faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
         self.u = self.faces.ravel()
         self.v = self.faces[:, [1, 2, 0]].ravel()
         self.n = int(self.faces.max()) + 1 if len(self.faces) else 0
         key = edge_keys(self.faces)
-        self.order = np.argsort(key)
+        self.order = np.argsort(key, kind="stable")
         self.keys = key[self.order]
-        run_start = np.ones(len(key), dtype=bool)
-        run_start[1:] = self.keys[1:] != self.keys[:-1]
-        run = np.cumsum(run_start) - 1
-        lead = np.minimum.reduceat(self.order, np.nonzero(run_start)[0])  # lowest edge id per run
-        self.first = np.empty_like(self.order)
-        self.first[self.order] = lead[run]
-        # Neighbouring runs r, r + 1 are partners when they hold 2c and 2c + 1.
-        run_key = self.keys[run_start]
-        pair = (run_key[1:] ^ 1) == run_key[:-1]
-        partner = np.full(len(lead), -1, dtype=np.int64)
-        partner[:-1][pair] = lead[1:][pair]
-        partner[1:][pair] = lead[:-1][pair]
-        own = self.u[lead] == self.v[lead]  # a u == v edge is its own reverse
-        partner[own] = lead[own]
-        self.twin = np.empty_like(self.order)
-        self.twin[self.order] = partner[run]
-        self.boundary = self.twin < 0
-        self.duplicate = self.first != np.arange(len(key))
-
-    def faces_on(self, u: int, v: int) -> np.ndarray:
-        """Faces using the edge {u, v} in either direction, once per use, in face order."""
-        key = pair_key(u, v, self.n)
-        lo = self.keys.searchsorted(key & ~1)
-        hi = self.keys.searchsorted(key | 1, side="right")
-        return np.sort(self.order[lo:hi]) // 3
-
-
-class SurfaceTopology(EdgeTable):
-    def __init__(self, faces: np.ndarray):
-        super().__init__(faces)
-        if self.duplicate.any():
-            e = int(np.argmax(self.duplicate))
+        again = self.keys[1:] == self.keys[:-1]
+        if again.any():
+            e = int(self.order[1:][again].min())
             raise TopologyError(f"directed edge {(int(self.u[e]), int(self.v[e]))} used twice")
+        code = self.keys >> 1
+        i = self.pairs = np.nonzero(code[1:] == code[:-1])[0]
+        self.twin = np.full(len(key), -1, dtype=np.int64)
+        self.twin[self.order[i]] = self.order[i + 1]
+        self.twin[self.order[i + 1]] = self.order[i]
+        own = np.nonzero(self.u == self.v)[0]  # a u == v edge is its own reverse
+        self.twin[own] = own
+        self.boundary = self.twin < 0
 
     def flood_regions(self, walls) -> np.ndarray:
         """Label faces by flooding across shared edges not listed in walls.
 
         walls holds undirected vertex pairs as (min, max) tuples. Every face
         gets a label; label order follows the lowest face id per region.
+        Each wall's code min * n + max is searched among the twin pairs'
+        sorted codes, and a hit takes both directed edges out of the flood.
         """
-        e = np.nonzero(~self.boundary)[0]
+        i = self.pairs
         w = np.asarray(list(walls), dtype=np.int64).reshape(-1, 2)
+        # An id outside [0, n) would alias another pair's code.
         w = w[(w.min(axis=1) >= 0) & (w.max(axis=1) < self.n)]
         if len(w):
-            u, v = self.u[e], self.v[e]
-            crossed = np.minimum(u, v) * self.n + np.maximum(u, v)
-            e = e[~np.isin(crossed, w[:, 0] * self.n + w[:, 1])]
-        roots = min_labels(len(self.faces), e // 3, self.twin[e] // 3)  # lowest face id per region
+            code = self.keys[i] >> 1
+            c = w[:, 0] * self.n + w[:, 1]
+            lo, hi = code.searchsorted(c), code.searchsorted(c, side="right")
+            i = np.delete(i, lo[hi > lo])
+        # roots: the lowest face id of each face's region.
+        roots = min_labels(len(self.faces), self.order[i] // 3, self.order[i + 1] // 3)
         return np.unique(roots, return_inverse=True)[1]
 
     def boundary_cycles(self, labels) -> list[np.ndarray]:

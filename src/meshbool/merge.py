@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import GeometryError, TopologyError
 from .geometry import TriMesh, is_closed_manifold, triangle_areas
-from .halfedge import EdgeTable, edge_keys, min_labels
+from .halfedge import edge_keys, min_labels
 
 log = logging.getLogger(__name__)
 
@@ -185,15 +185,26 @@ def compute_extrema(vertices: np.ndarray) -> np.ndarray:
 
 
 def _directed_edge_duplicates(faces: np.ndarray) -> dict[tuple[int, int], list[int]]:
-    """Repeated directed edges -> ids of the faces using them, in face order."""
-    srt = np.sort(edge_keys(faces))
+    """Repeated directed edges -> ids of the faces using them, in face order.
+
+    Edges come in the order of their lowest repeat. A stable sort of the keys
+    puts each run's lowest edge id first, so every later member of a run
+    repeats it.
+    """
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    key = edge_keys(faces)
+    srt = np.sort(key)
     if not (srt[1:] == srt[:-1]).any():
         return {}
-    table = EdgeTable(faces)
+    order = np.argsort(key, kind="stable")
+    srt = key[order]
+    again = np.r_[False, srt[1:] == srt[:-1]]
+    lead = np.empty_like(order)
+    lead[order] = order[np.maximum.accumulate(np.where(again, 0, np.arange(len(order))))]
     bad: dict[tuple[int, int], list[int]] = {}
-    for e in np.nonzero(table.duplicate)[0].tolist():
-        edge = (int(table.u[e]), int(table.v[e]))
-        bad.setdefault(edge, [int(table.first[e]) // 3]).append(e // 3)
+    for e in np.sort(order[again]).tolist():
+        edge = (int(faces.flat[e]), int(faces[e // 3, (e + 1) % 3]))
+        bad.setdefault(edge, [int(lead[e]) // 3]).append(e // 3)
     return bad
 
 
@@ -211,29 +222,27 @@ def clear_topology(state: MergedState) -> MergedState:
     area_tol = state.tol * state.tol
     present = {surf for surf in (0, 1) if (source == surf).any()}
 
-    for _ in range(CLEARING_MAX_PASSES):
-        keep = ~(
-            (faces[:, 0] == faces[:, 1])
-            | (faces[:, 1] == faces[:, 2])
-            | (faces[:, 2] == faces[:, 0])
-        )
-        keep &= triangle_areas(verts, faces) > area_tol
-        faces, source = faces[keep], source[keep]
+    # Dropping faces moves no vertex, so one filter finds every degenerate face.
+    areas = triangle_areas(verts, faces)
+    keep = ~(
+        (faces[:, 0] == faces[:, 1])
+        | (faces[:, 1] == faces[:, 2])
+        | (faces[:, 2] == faces[:, 0])
+    )
+    keep &= areas > area_tol
+    faces, source, areas = faces[keep], source[keep], areas[keep]
 
+    for _ in range(CLEARING_MAX_PASSES):
         drop = np.zeros(len(faces), dtype=bool)
         for surf in (0, 1):
             ids = np.nonzero(source == surf)[0]
-            dup = _directed_edge_duplicates(faces[ids])
-            if not dup:
-                continue
-            areas = triangle_areas(verts, faces[ids])
-            for e, locals_ in dup.items():
-                victim = min(locals_, key=lambda li: (areas[li], li))
+            for e, locals_ in _directed_edge_duplicates(faces[ids]).items():
+                victim = min(locals_, key=lambda li: (areas[ids[li]], li))
                 drop[ids[victim]] = True
                 log.warning("clearing: dropped face %d duplicating edge %s", ids[victim], e)
         if not drop.any():
             break
-        faces, source = faces[~drop], source[~drop]
+        faces, source, areas = faces[~drop], source[~drop], areas[~drop]
     else:
         leftovers = []
         for surf in (0, 1):

@@ -901,7 +901,7 @@ def oracle_build_merged_state(a: TriMesh, b: TriMesh, replacements: dict, segmen
             raw_chunks.append(np.asarray(children, dtype=np.float64).reshape(-1, 3))
             idx = np.arange(cursor, cursor + 3 * k).reshape(k, 3)
             cursor += 3 * k
-            tri = mesh.face_coords(fid)
+            tri = mesh.vertices[mesh.faces[fid]]
             pn = np.cross(tri[1] - tri[0], tri[2] - tri[0])
             for row in idx:
                 face_rows.append(row)

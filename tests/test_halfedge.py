@@ -6,6 +6,7 @@ order, on the fixture meshes, on both merged surfaces of full pipeline runs
 and on generated face arrays with duplicated, flipped and dropped faces,
 edges shared by three faces and boundaries that pass one vertex twice.
 """
+import re
 import sys
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from meshbool.errors import GeometryError, TopologyError
 from meshbool.geometry import TriMesh, boundary_edges, is_closed_manifold
-from meshbool.halfedge import EdgeTable, SurfaceTopology, edge_keys, min_labels
+from meshbool.halfedge import SurfaceTopology, edge_keys, min_labels
 from meshbool.loops import loop_edge_map
 from meshbool.merge import _directed_edge_duplicates
 from meshbool.pipeline import _propagate_edge_points, run_pipeline
@@ -98,12 +99,19 @@ def _points(extra):
 
 
 def assert_table_agrees(faces):
-    """Every field and lookup of the table equals the frozen table's."""
-    got, want = EdgeTable(faces), frozen.EdgeTable(faces)
-    for name in ("first", "twin", "boundary", "duplicate"):
+    """Without a repeated directed edge, twins and boundary equal the frozen
+    table's. With one, the table refuses the surface and names the frozen
+    table's first duplicate: the lowest edge id that repeats an earlier one."""
+    want = frozen.EdgeTable(faces)
+    if want.duplicate.any():
+        e = int(np.argmax(want.duplicate))
+        used_twice = f"directed edge {(int(want.u[e]), int(want.v[e]))} used twice"
+        with pytest.raises(TopologyError, match=re.escape(used_twice)):
+            SurfaceTopology(faces)
+        return
+    got = SurfaceTopology(faces)
+    for name in ("twin", "boundary"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    for u, v in _undirected(faces).tolist():
-        assert np.array_equal(got.faces_on(u, v), want.faces_on(u, v)), (u, v)
 
 
 def assert_edge_helpers_agree(faces, n_vertices):
@@ -126,7 +134,7 @@ def assert_boundary_loops_agree(mesh):
     cycles close and cover every boundary edge once. A repeated directed
     edge, which the walk may pass over, is a TopologyError.
     """
-    if EdgeTable(mesh.faces).duplicate.any():
+    if frozen.EdgeTable(mesh.faces).duplicate.any():
         with pytest.raises(TopologyError, match="used twice"):
             mesh.boundary_loops()
         return
@@ -235,13 +243,8 @@ def test_propagated_points_at_the_tolerances_match_oracle(picks):
 
 
 def test_table_invariants_on_open_and_repeated_edges():
-    table = EdgeTable([[0, 1, 2], [0, 1, 3], [2, 1, 0]])
-    assert table.duplicate.tolist() == [False, False, False, True] + [False] * 5
-    assert table.first[3] == 0
-    assert table.twin[0] == 7 and table.twin[7] == 0
-    assert table.faces_on(0, 1).tolist() == [0, 1, 2]
     with pytest.raises(TopologyError, match=r"\(0, 1\) used twice"):
-        SurfaceTopology(table.faces)
+        SurfaceTopology([[0, 1, 2], [0, 1, 3], [2, 1, 0]])
 
 
 def test_edge_keys_pair_each_edge_with_its_reverse():
@@ -258,7 +261,7 @@ def test_edge_keys_refuse_ids_past_the_key_range():
     with pytest.raises(GeometryError, match=r"2\*\*31"):
         edge_keys(np.array([[0, 1, 2**31]]))
     with pytest.raises(GeometryError, match=r"2\*\*31"):
-        EdgeTable(np.array([[0, 1, 2**31]]))
+        SurfaceTopology(np.array([[0, 1, 2**31]]))
 
 
 def _callers():
@@ -277,13 +280,13 @@ def test_edge_tables_built_once_per_merged_surface(monkeypatch, name):
     one per merged surface, open or closed, and loop completion none. The
     propagation finds neighbours without a table."""
     built = []
-    build = EdgeTable.__init__
+    build = SurfaceTopology.__init__
 
     def counted(self, faces):
         built.append(_callers())
         build(self, faces)
 
-    monkeypatch.setattr(EdgeTable, "__init__", counted)
+    monkeypatch.setattr(SurfaceTopology, "__init__", counted)
     state = run_pipeline(*PIPELINE_PAIRS[name]())
     assert (state.result is not None) == (name != "vw")
     per_surface = [c for c in built if "build_subsurfaces" in c]
@@ -291,17 +294,6 @@ def test_edge_tables_built_once_per_merged_surface(monkeypatch, name):
     assert len(per_surface) == 2
     assert len(neighbours) == 0
     assert len(built) == len(per_surface), built
-
-
-def test_propagation_makes_no_edge_lookup_per_point(monkeypatch):
-    """The faces across every hit edge come from one key search, not from
-    a faces_on call per hit."""
-    calls = []
-    lookup = EdgeTable.faces_on
-    monkeypatch.setattr(EdgeTable, "faces_on", lambda self, u, v: calls.append((u, v)) or lookup(self, u, v))
-    state = run_pipeline(*bumpy_pair(3))
-    assert len(state.loops) > 10
-    assert calls == []
 
 
 def test_one_flood_and_one_cycle_pass_per_merged_surface(monkeypatch):
@@ -393,6 +385,17 @@ def test_bowtie_boundary_passes_the_apex_twice():
     assert _pairs(topo, cycle) == [(0, 6), (6, 4), (4, 3), (3, 6), (6, 1), (1, 0)]
     assert_topology_agrees(np.asarray(BOWTIE), walls=set())
     assert_topology_agrees(np.asarray(BOWTIE), walls={(2, 6), (5, 6)})
+
+
+def test_wall_ids_past_the_vertex_range_are_no_walls():
+    """Cutting the octahedron's equator apart needs the walls (0, 2), (1, 2),
+    (1, 3) and (0, 3). Here (1, 2) is missing, and the wall (0, 8) has the
+    same code 0 * 6 + 8 == 1 * 6 + 2; it names no edge of the surface, so the
+    surface stays one region."""
+    walls = {(0, 2), (1, 3), (0, 3), (0, 8)}
+    assert SurfaceTopology(OCTAHEDRON).flood_regions(walls).tolist() == [0] * 8
+    assert SurfaceTopology(OCTAHEDRON).flood_regions(walls - {(0, 8)} | {(1, 2)}).max() == 1
+    assert_topology_agrees(np.asarray(OCTAHEDRON), walls)
 
 
 def test_boundary_loops_split_at_a_bowtie_vertex():

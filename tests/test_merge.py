@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshbool import merge, pipeline
+from meshbool import halfedge, merge, pipeline
 from meshbool.errors import TopologyError
 from meshbool.geometry import TriMesh, is_closed_manifold
 from meshbool.intersect import intersect_all
@@ -106,6 +106,20 @@ def test_clear_same_edge_configuration():
             e = (tri[k], tri[(k + 1) % 3])
             assert e not in seen
             seen.add(e)
+
+
+def test_clearing_names_repeated_edges_without_a_table(monkeypatch):
+    """The repair reads the repeated edges off one stable sort of the keys:
+    no edge table (SurfaceTopology, or any other class of halfedge) is built."""
+    built = []
+    for cls in [c for c in vars(halfedge).values()
+                if isinstance(c, type) and c.__module__ == halfedge.__name__]:
+        monkeypatch.setattr(cls, "__init__",
+                            lambda self, faces, _build=cls.__init__: built.append(self) or _build(self, faces))
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0], [0.5, -0.001, 0]])
+    cleared = clear_topology(_state_from_faces(verts, [[0, 1, 2], [0, 1, 3]]))
+    assert cleared.faces.tolist() == [[0, 1, 2]]
+    assert built == []
 
 
 def test_clear_idempotent_on_clean_cube():

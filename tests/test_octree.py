@@ -186,7 +186,7 @@ def test_capacity_monotonicity_keeps_true_pairs():
     truth = set()
     for i in range(a.num_faces):
         for j in range(b.num_faces):
-            res = tri_tri_intersect(a.face_coords(i), b.face_coords(j), 1e-12)
+            res = tri_tri_intersect(a.vertices[a.faces[i]], b.vertices[b.faces[j]], 1e-12)
             if res is not None and not getattr(res, "degenerate", False):
                 truth.add((i, j))
     for cap, got in sets.items():
