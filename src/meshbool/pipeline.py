@@ -7,11 +7,11 @@ purely on vertex indices.
 
 Stage 3 reads the narrow phase's SegmentTable by columns. Per surface it
 groups the segment ends by face, adds the points a neighbour's split puts on
-a shared edge (_propagate_edge_points), prepares all split faces in one
-numpy pass and splits them one by one; each split face gives its children as
-rows of the surface's point table, and build_merged_state gathers, welds and
-clears both surfaces at once. The Python loops of the stage run over split
-faces and their points only.
+a shared edge (_propagate_edge_points), prepares and walks all split faces
+in one numpy pass and triangulates them one by one; each split face gives
+its children as rows of the surface's point table, and build_merged_state
+gathers, welds and clears both surfaces at once. The Python loops of the
+stage run over split faces and their points only.
 """
 from __future__ import annotations
 

@@ -7,14 +7,17 @@ meeting at junction vertices and with nested closed loops. Faces are then
 ear-clipped; closed loops floating inside a face become holes and are joined
 to the outer ring by bridge edges before clipping.
 
-The float work (frames, 2D coordinates, edge snaps, containment) is done for
-all split faces of a surface in one numpy pass, prepare_splits, which also
-stacks the surface's point table: every split face's corners, boundary points
-and segment ends. Dot products, norms and hypot stay in numpy, where they
-round as the same expression on one face did. The walk over one face and the
-ear clipper then run on Python floats and ints only, with no numpy call: a
-split face's polygons and its children are rows of the point table, which
-build_merged_state gathers once per surface.
+All split faces of a surface are prepared in one numpy pass, prepare_splits,
+which also stacks the surface's point table: every split face's corners,
+boundary points and segment ends. The float work (frames, 2D coordinates,
+edge snaps, containment) keeps dot products, norms and hypot in numpy, where
+they round as the same expression on one face did. The walk is batched over
+the faces too: weld, snap, tail prune, turn table, face cycles and their
+areas. Only a face whose graph has more than one component places its holes
+in Python, face by face. split_triangle then assembles a face's polygons or
+raises its error, and the ear clipper runs on Python floats and ints with no
+numpy call: a split face's polygons and its children are rows of the point
+table, which build_merged_state gathers once per surface.
 
 The combinatorial ear-clipping core follows the well-known earcut algorithm,
 minus the z-order acceleration and minus collinear-vertex filtering: points
@@ -42,6 +45,7 @@ import numpy as np
 
 from .errors import DegeneratePolygon, DegenerateTriangle, GeometryError, NotSimple
 from .geometry import row_dots
+from .halfedge import min_labels
 
 
 @dataclass
@@ -326,45 +330,71 @@ def _project(rel: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(slots=True)
 class FaceSetup:
-    """The float work of one face's split, made by prepare_splits. Points
-    are the boundary points, then both ends of each segment; each has frame
-    coordinates, its first boundary edge within the snap distance (-1 if
-    none) with the clamped edge parameter and foot, and whether it lies in
-    the triangle once snapped. rows index pts3, the point table of all faces
-    prepared together, for the corners and points: face f's corners are rows
+    """One face's split, made by prepare_splits. size counts the points it
+    was given (boundary points and segment ends). Each polygon is a face of
+    the split as (rows, ring2d, holes, holes2d): its outer ring and hole
+    rings as rows of pts3, the point table of all faces prepared together,
+    and in the face's 2D frame. fault is the (error class, message) of the
+    face's first failing check, raised when the face is split; "{tri}" in
+    the message stands for its parent triangle. Face f's corners are rows
     3f, 3f + 1 and 3f + 2."""
 
     zero_area: bool
-    fault: str | None
-    corners2: list
-    points2: list
-    edge: list
-    t: list
-    foot: list
-    inside: list
-    rows: list
+    size: int
+    fault: tuple | None
+    corners: list
+    polygons: list
     pts3: np.ndarray
 
 
 def prepare_splits(tris, segments, boundary_points, tol) -> Iterator[FaceSetup]:
-    """The float work of splitting many faces, as one numpy pass: parent
-    normals, frames, frame coordinates, edge snaps and containment. Yields
-    each face's setup in turn. The point table the setups share holds every
-    face's corners, then every face's boundary points, then both ends of
-    every segment, each in the order given.
-
-    A face's frame has its origin at corner 0, its normal n is the corners'
-    Newell normal turned towards the cross-product normal, u runs along the
-    longest edge and v = n x u, so the corners stay CCW in 2D. Every product
-    uses the numpy kernel the same expression runs on a single face, so each
-    float equals the one a face-by-face computation gives.
+    """Split many faces in one numpy pass and yield each face's setup in
+    turn. The point table the setups share holds every face's corners, then
+    every face's boundary points, then both ends of every segment, each in
+    the order given. _project_points does the float work, and _walk builds
+    and walks the planar subdivisions of every face that has points and a
+    frame.
     """
     tris = np.asarray(tris, dtype=np.float64).reshape(-1, 3, 3)
     nf = len(tris)
-    nb = [len(pts) for pts in boundary_points]
-    ns = [len(segs) for segs in segments]
+    nb = np.asarray([len(pts) for pts in boundary_points], dtype=np.int64)
+    ns = np.asarray([len(segs) for segs in segments], dtype=np.int64)
     bpts = np.asarray([p for pts in boundary_points for p in pts], dtype=np.float64).reshape(-1, 1, 3)
     spts = np.asarray([pq for segs in segments for pq in segs], dtype=np.float64).reshape(-1, 2, 3)
+    pts3 = np.concatenate([tris.reshape(-1, 3), bpts.reshape(-1, 3), spts.reshape(-1, 3)])
+    zero, why, corners2, points = _project_points(tris, bpts, spts, nb, ns, tol)
+    size = nb + 2 * ns
+    faults = [(DegeneratePolygon, w) if w else None for w in why.tolist()]
+    walked = np.nonzero((size > 0) & ~zero & (why == ""))[0]
+    slots, polygons = [-1] * nf, None
+    if len(walked):
+        firsts = np.cumsum(size) - size
+        walk_faults, polygons = _walk(walked, corners2[walked], firsts[walked], size[walked], nb[walked], points, tol)
+        for slot, f in enumerate(walked.tolist()):
+            faults[f], slots[f] = walk_faults[slot], slot
+
+    def setups():  # a face's lists are made when it is reached, and dropped after it
+        for f, (zero_area, count) in enumerate(zip(zero.tolist(), size.tolist())):
+            polys = polygons(slots[f]) if slots[f] >= 0 else []
+            yield FaceSetup(zero_area, count, faults[f], [3 * f, 3 * f + 1, 3 * f + 2], polys, pts3)
+
+    return setups()
+
+
+def _project_points(tris, bpts, spts, nb, ns, tol):
+    """The float work of the split: parent normals, frames, frame
+    coordinates, edge snaps and containment. A face's frame has its origin
+    at corner 0, its normal n is the corners' Newell normal turned towards
+    the cross-product normal, u runs along the longest edge and v = n x u,
+    so the corners stay CCW in 2D. Every product uses the numpy kernel the
+    same expression runs on a single face, so each float equals the one a
+    face-by-face computation gives.
+
+    Returns whether each face has zero area, the reason its frame fails
+    ("" if none), its corners in 2D, and the points of all faces, face by
+    face (boundary points, then segment ends), as the columns _walk reads.
+    """
+    nf = len(tris)
     bface, sface = np.repeat(np.arange(nf), nb), np.repeat(np.arange(nf), ns)
     with np.errstate(divide="ignore", invalid="ignore"):
         normal = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
@@ -410,18 +440,281 @@ def prepare_splits(tris, segments, boundary_points, tol) -> Iterator[FaceSetup]:
         rel = pos[:, None] - a
         cross = ab[..., 0] * rel[..., 1] - ab[..., 1] * rel[..., 0]
         inside = ~(cross < -(snap * diameter)[pf, None]).any(axis=1)
-    pts3 = np.concatenate([tris.reshape(-1, 3), bpts.reshape(-1, 3), spts.reshape(-1, 3)])
-    fault = np.select([newell == 0.0, un == 0.0], ["zero-area polygon", "degenerate longest edge"], "")
-    per_point = (p2, edge, np.clip(t[k], 0.0, 1.0), pos, inside, 3 * nf + order)
-    ends = np.cumsum([0] + [b + 2 * s for b, s in zip(nb, ns)]).tolist()
+    why = np.select([newell == 0.0, un == 0.0], ["zero-area polygon", "degenerate longest edge"], "")
+    return nn == 0.0, why, corners2, (p2, pos, edge, np.clip(t[k], 0.0, 1.0), inside, 3 * nf + order)
 
-    def setups():  # a face's lists are made when it is reached, and dropped after it
-        for f, (zero, why) in enumerate(zip((nn == 0.0).tolist(), fault.tolist())):
-            pp, ee, tt, ff, ii, rr = (x[ends[f]:ends[f + 1]].tolist() for x in per_point)
-            rows = [3 * f, 3 * f + 1, 3 * f + 2] + rr
-            yield FaceSetup(zero, why or None, corners2[f].tolist(), pp, ee, tt, ff, ii, rows, pts3)
 
-    return setups()
+def _rounds(length):
+    """Round j of a lock-step pass over rows of the given lengths: the rows
+    still running (length > j), longest first. A row takes part in as many
+    rounds as its length, so the rounds cost the rows' total length, not
+    the number of rows times the longest."""
+    order = np.argsort(-length, kind="stable")
+    stop = -length[order]
+    for j in range(int(length.max(initial=0))):
+        yield j, order[:np.searchsorted(stop, -j)]
+
+
+def _weld(x, y, base, size, tol):
+    """Each point joins the first node within tol, or starts one; the nodes
+    are the corners, then the earlier points that started one, unsnapped.
+    x and y hold every face's entries from its base on: 3 corners, then its
+    size points. One round per point position, over the faces that have a
+    point there, so a face with many points costs no other face a round.
+    Returns each entry's node id, the nodes numbered in entry order over all
+    faces, and whether the entry started its node."""
+    tol2 = tol * tol
+    # The scalar test (x - qx) ** 2 + (y - qy) ** 2 <= tol2 squares with
+    # pow(), which differs from x * x in the last bit on a few inputs. x * x
+    # only picks the pairs within twice the bound (or below 1e-300, where
+    # subnormal squares round coarsely), and pow() decides among them.
+    near = max(2.0 * tol2, 1e-300)
+    starts = np.zeros(len(x), dtype=bool)
+    starts[(base[:, None] + np.arange(3)).ravel()] = True
+    joins = np.arange(len(x))
+    for k, act in _rounds(size):
+        q = base[act] + 3 + k
+        prior = base[act, None] + np.arange(3 + k)
+        dx, dy = x[q, None] - x[prior], y[q, None] - y[prior]
+        r, c = np.nonzero((dx * dx + dy * dy <= near) & starts[prior])
+        ok = np.float_power(dx[r, c], 2.0) + np.float_power(dy[r, c], 2.0) <= tol2
+        hit = np.zeros(dx.shape, dtype=bool)
+        hit[r[ok], c[ok]] = True
+        found = hit.any(axis=1)
+        joins[q[found]] = prior[found, hit[found].argmax(axis=1)]
+        starts[q] = ~found
+    return (np.cumsum(starts) - 1)[joins], starts
+
+
+def _walk(walked, corners2, firsts, size, nb, points, tol):
+    """The planar subdivisions of the walked faces, built and walked all at
+    once. points holds every face's points in face order (boundary points,
+    then segment ends) as columns: frame coordinates, snapped position,
+    first boundary edge within the snap distance (-1 if none) with its
+    clamped parameter, containment once snapped and point-table row; a
+    walked face's points start at its entry of firsts. Returns each walked
+    face's fault, and a function that makes the polygons of the k-th walked
+    face, so that only the face being split holds Python lists. Only a face
+    whose graph has more than one component runs Python code of its own
+    here (_place_holes).
+    """
+    nw = len(walked)
+    xy, row, face, a, b, outside = _subdivisions(walked, corners2, firsts, size, nb, points, tol)
+    nodes, length, area = _cycles(xy, face, a, b, nw)
+    first = np.cumsum(length) - length
+    lead = nodes[first]  # each cycle's first node
+    cface = face[lead]
+    comp = min_labels(len(xy), a, b)
+    live = np.zeros(len(xy), dtype=bool)
+    live[a] = live[b] = True
+    multi = np.bincount(face[live & (comp == np.arange(len(xy)))], minlength=nw) > 1
+    multi &= ~outside  # such a face fails before its holes are placed
+
+    # A one-component face's polygons are its positive cycles in order.
+    pos = np.nonzero((area > 0) & ~multi[cface])[0]
+    count = np.bincount(cface[pos], minlength=nw)
+    pos_first = np.cumsum(count) - count
+    total = np.zeros(nw)
+    for j, act in _rounds(count):
+        total[act] = total[act] + area[pos[pos_first[act] + j]]
+
+    keep = np.nonzero((area > 0) | multi[cface])[0]
+    klen = length[keep]
+    kept = nodes[np.arange(klen.sum()) + np.repeat(first[keep] - (np.cumsum(klen) - klen), klen)]
+    rows, ring2d = row[kept], xy[kept]
+    cyc_end = np.cumsum(np.bincount(cface[keep], minlength=nw))
+    node_end = np.concatenate([[0], np.cumsum(klen)])[cyc_end]
+    lengths, cyc_end, node_end = klen.tolist(), cyc_end.tolist(), node_end.tolist()
+
+    def cycles(k):
+        """Walked face k's kept cycles as (rows, ring2d, [], []), in walk order."""
+        c, n = (cyc_end[k - 1], node_end[k - 1]) if k else (0, 0)
+        face_rows, face_xy = rows[n:node_end[k]].tolist(), ring2d[n:node_end[k]].tolist()
+        out, s = [], 0
+        for m in lengths[c:cyc_end[k]]:
+            out.append((face_rows[s:s + m], face_xy[s:s + m], [], []))
+            s += m
+        return out
+
+    placed = {}
+    floating = np.zeros(nw, dtype=bool)
+    for k in np.nonzero(multi)[0].tolist():
+        mine = keep[cyc_end[k - 1] if k else 0:cyc_end[k]]
+        outer = comp[np.searchsorted(face, k)]  # of corner 0, the face's first node
+        got = _place_holes(cycles(k), area[mine].tolist(), comp[lead[mine]].tolist(), outer)
+        if got is None:
+            floating[k] = True
+        else:
+            placed[k], total[k] = got
+
+    c, cn = corners2, corners2[:, [1, 2, 0]]
+    terms = c[..., 0] * cn[..., 1] - cn[..., 0] * c[..., 1]
+    tri_area = 0.5 * (0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2])
+    short = np.abs(total - tri_area) > 1e-6 * np.abs(tri_area)
+    faults = [None] * nw
+    for k in np.nonzero(outside | floating | short)[0].tolist():
+        if outside[k]:
+            faults[k] = (GeometryError, "intersection point outside triangle {tri}")
+        elif floating[k]:
+            faults[k] = (GeometryError, "floating loop not contained in any face")
+        else:
+            faults[k] = (GeometryError,
+                         f"split faces cover {total[k]:.3e} of triangle area {tri_area[k]:.3e} (tri {{tri}})")
+    return faults, lambda k: placed[k] if k in placed else cycles(k)
+
+
+def _subdivisions(walked, corners2, firsts, size, nb, points, tol):
+    """Nodes and edges of the walked faces' planar subdivisions. Node ids
+    run face by face: the corners, then the points that started a node.
+    Edges are the segments' node pairs and each triangle edge's chain
+    through the nodes snapped onto it, (a, b) with a < b, sorted, with
+    dangling tails pruned. Returns the nodes' 2D positions, point-table rows
+    and faces, the edges, and whether a face has a node outside it."""
+    pxy, ppos, pedge, pt, pinside, prow = points
+    nw = len(walked)
+    per = 3 + size
+    base = np.cumsum(per) - per
+    owner = np.repeat(np.arange(nw), per)  # each entry's face: its corners, then its points
+    local = np.arange(len(owner)) - base[owner]
+    corner_at, point_at = np.nonzero(local < 3)[0], np.nonzero(local >= 3)[0]
+    p = firsts[owner[point_at]] + local[point_at] - 3
+    x, y = np.empty(len(owner)), np.empty(len(owner))
+    x[corner_at], y[corner_at] = corners2[..., 0].ravel(), corners2[..., 1].ravel()
+    x[point_at], y[point_at] = pxy[p, 0], pxy[p, 1]
+    node, starts = _weld(x, y, base, size, tol)
+
+    n = int(starts.sum())
+    face = owner[starts]
+    corner = node[corner_at]
+    new = starts[point_at]
+    sw, sp, snode = owner[point_at[new]], p[new], node[point_at[new]]
+    xy = np.empty((n, 2))
+    xy[corner], xy[snode] = corners2.reshape(-1, 2), ppos[sp]
+    row = np.empty(n, dtype=np.int64)
+    row[corner], row[snode] = (3 * walked[:, None] + np.arange(3)).ravel(), prow[sp]
+    boundary = np.ones(n, dtype=bool)
+    boundary[snode] = pedge[sp] >= 0
+    outside = np.bincount(sw[~pinside[sp]], minlength=nw) > 0
+
+    # Segment edges, then per triangle edge e the chain: corner e, the nodes
+    # snapped onto it by (t, id), corner e + 1.
+    seg = local[point_at] - 3 - nb[owner[point_at]]
+    end0 = point_at[(seg >= 0) & (seg % 2 == 0)]
+    on = pedge[sp] >= 0
+    chain = np.concatenate([np.arange(3 * nw), np.arange(3 * nw), 3 * sw[on] + pedge[sp[on]]])
+    cnode = np.concatenate([corner, corner.reshape(-1, 3)[:, [1, 2, 0]].ravel(), snode[on]])
+    key = np.concatenate([np.full(3 * nw, -1.0), np.full(3 * nw, 2.0), pt[sp[on]]])
+    o = np.lexsort((cnode, key, chain))
+    link = chain[o][1:] == chain[o][:-1]
+    a = np.concatenate([node[end0], cnode[o][:-1][link]])
+    b = np.concatenate([node[end0 + 1], cnode[o][1:][link]])
+    a, b = a[a != b], b[a != b]
+    pair = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    a, b = pair // n, pair % n
+
+    # Prune dangling tails: interior nodes of degree one, until none is left.
+    while True:
+        tip = (np.bincount(a, minlength=n) + np.bincount(b, minlength=n) == 1) & ~boundary
+        if not tip.any():
+            return xy, row, face, a, b, outside
+        keep = ~(tip[a] | tip[b])
+        a, b = a[keep], b[keep]
+
+
+def _turns(xy, a, b):
+    """The directed edge that follows each of a -> b, then b -> a, on its
+    cycle: around each node the outgoing edges are sorted by angle, then by
+    neighbour, and after u -> v comes the edge before v -> u. Only a node
+    of degree three or more needs the angle, taken with math.atan2
+    (np.arctan2 differs from it in the last bit)."""
+    ne = len(a)
+    i = np.arange(2 * ne)
+    tail, head = np.concatenate([a, b]), np.concatenate([b, a])
+    angle = np.zeros(2 * ne)
+    j = np.nonzero(np.bincount(tail)[tail] > 2)[0]
+    d = xy[head[j]] - xy[tail[j]]
+    angle[j] = list(map(math.atan2, d[:, 1].tolist(), d[:, 0].tolist()))
+    angle += 0.0  # -0.0 to 0.0, which it ties with
+    srt = np.lexsort((head, angle, tail))
+    lo = np.searchsorted(tail[srt], tail[srt])
+    hi = np.searchsorted(tail[srt], tail[srt], side="right")
+    rank = np.empty(2 * ne, dtype=np.int64)
+    rank[srt] = i
+    before = srt[np.where(rank > lo[rank], rank - 1, hi[rank] - 1)]  # v -> w: v's next edge clockwise
+    return before[np.concatenate([i[ne:], i[:ne]])]
+
+
+def _cycles(xy, face, a, b, nw):
+    """The face cycles of the subdivisions with edges (a, b): their nodes,
+    cycle after cycle, with their lengths and signed areas. A cycle follows
+    _turns and starts at its first directed edge in the order: its face's
+    (a < b) edges sorted, then the same edges reversed. Cycles come in that
+    order, face by face."""
+    ne = len(a)
+    i = np.arange(2 * ne)
+    tail, head, nxt = np.concatenate([a, b]), np.concatenate([b, a]), _turns(xy, a, b)
+
+    # A cycle's label is the smallest place in the start order among its
+    # edges, spread by pointer doubling. Walking from the labels in lock
+    # step gives each cycle's nodes.
+    ef = face[a]
+    e0 = np.searchsorted(ef, np.arange(nw))
+    k = i[:ne] - e0[ef]
+    place = np.concatenate([2 * e0[ef] + k, 2 * e0[ef] + np.bincount(ef, minlength=nw)[ef] + k])
+    label, jump = place, nxt
+    while True:
+        low = np.minimum(label, label[jump])
+        if np.array_equal(low, label):
+            break
+        label, jump = low, jump[jump]
+    starts, length = np.unique(label, return_counts=True)
+    at = np.empty(2 * ne, dtype=np.int64)
+    at[place] = i
+    cur = at[starts]
+    first = np.cumsum(length) - length
+
+    # Signed areas, added term by term in ring order, as the scalar
+    # shoelace adds them.
+    nodes = np.empty(2 * ne, dtype=np.int64)
+    s = np.zeros(len(cur))
+    for j, act in _rounds(length):
+        e = cur[act]
+        u, v = tail[e], head[e]
+        nodes[first[act] + j] = u
+        s[act] = s[act] + (xy[u, 0] * xy[v, 1] - xy[v, 0] * xy[u, 1])
+        cur[act] = nxt[e]
+    return nodes, length, 0.5 * s
+
+
+def _place_holes(cycles, areas, comps, outer):
+    """Polygons and their area total of a split whose graph has more than
+    one component, or None when a floating loop lies in no face. cycles
+    are its (rows, ring2d, [], []) in walk order, with their signed areas
+    and the components of their first nodes; outer is the boundary's
+    component. Every positive cycle is a face. The contour of a floating
+    component, its cycles of area <= 0, becomes a hole of the smallest face
+    of another component that contains its first node."""
+    pos = [k for k, area in enumerate(areas) if area > 0]
+    holes = {k: [] for k in pos}
+    for k, area in enumerate(areas):
+        if area > 0 or comps[k] == outer:
+            continue
+        best, best_area = None, math.inf
+        for p in pos:
+            if comps[p] != comps[k] and areas[p] < best_area and _point_in_ring(cycles[k][1][0], cycles[p][1]):
+                best, best_area = p, areas[p]
+        if best is None:
+            return None
+        holes[best].append(k)
+    total = 0.0
+    for p in pos:
+        area = areas[p]
+        for h in holes[p]:
+            area += areas[h]
+        total += area
+    polys = [(cycles[p][0], cycles[p][1], [cycles[h][0] for h in holes[p]], [cycles[h][1] for h in holes[p]])
+             for p in pos]
+    return polys, total
 
 
 def _point_in_ring(p, ring):
@@ -457,138 +750,17 @@ def split_triangle(
     """
     if setup is None:
         setup = next(prepare_splits([tri_coords], [segments], [boundary_points], tol))
-    elif len(setup.points2) != len(boundary_points) + 2 * len(segments):
+    elif setup.size != len(boundary_points) + 2 * len(segments):
         raise GeometryError(f"setup does not match the points of triangle {parent_tri}")
     if setup.zero_area:
         raise DegenerateTriangle("cannot split a zero-area triangle")
     if not len(segments) and not len(boundary_points):
-        return [SplitPolygon(setup.rows[:3], parent_tri)]
+        return [SplitPolygon(setup.corners, parent_tri)]
     if setup.fault:
-        raise DegeneratePolygon(setup.fault)
-
-    # Weld: each point joins the first node within tol, or starts a node.
-    tol2 = tol * tol
-    nodes2 = list(setup.corners2)
-    made = []  # the point that started each node past the corners
-    ids = []
-    for k, (x, y) in enumerate(setup.points2):
-        for nid, (qx, qy) in enumerate(nodes2):
-            if (x - qx) ** 2 + (y - qy) ** 2 <= tol2:
-                break
-        else:
-            nid = len(nodes2)
-            nodes2.append((x, y))
-            made.append(k)
-        ids.append(nid)
-    nb = len(boundary_points)
-    edges = {(min(a, b), max(a, b)) for a, b in zip(ids[nb::2], ids[nb + 1::2]) if a != b}
-
-    # Snap nodes onto the boundary edges they touch so collinearity tests in
-    # the ear clipper see exact geometry; keep original 3D coordinates.
-    on_edge: tuple[list, list, list] = ([], [], [])
-    for nid, k in enumerate(made, 3):
-        if not setup.inside[k]:
-            raise GeometryError(f"intersection point outside triangle {parent_tri}")
-        if setup.edge[k] >= 0:
-            nodes2[nid] = setup.foot[k]
-            on_edge[setup.edge[k]].append((setup.t[k], nid))
-    for e in range(3):
-        chain = [e] + [nid for _, nid in sorted(on_edge[e])] + [(e + 1) % 3]
-        edges.update((min(a, b), max(a, b)) for a, b in zip(chain, chain[1:]))
-
-    adj: dict[int, list[int]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    # Prune dangling chord tails: interior nodes of degree one.
-    boundary = {0, 1, 2}.union(*([nid for _, nid in lst] for lst in on_edge))
-    tips = [v for v, nbrs in adj.items() if len(nbrs) == 1 and v not in boundary]
-    while tips:
-        v = tips.pop()
-        for w in adj.pop(v):
-            adj[w].remove(v)
-            if len(adj[w]) == 1 and w not in boundary:
-                tips.append(w)
-
-    polys = []
-    total = 0.0
-    rows = setup.rows[:3] + [setup.rows[3 + k] for k in made]
-    for face in _extract_faces(nodes2, adj):
-        area = face[0][1]
-        for _, hole_area in face[1:]:
-            area += hole_area
-        total += area
-        ring3, *holes3 = ([rows[i] for i in cyc] for cyc, _ in face)
-        ring2d, *holes2d = ([nodes2[i] for i in cyc] for cyc, _ in face)
-        polys.append(SplitPolygon(ring3, parent_tri, holes3, ring2d=ring2d, holes2d=holes2d))
-    area_tri = shoelace(setup.corners2)
-    if abs(total - area_tri) > 1e-6 * abs(area_tri):
-        raise GeometryError(
-            f"split faces cover {total:.3e} of triangle area {area_tri:.3e} (tri {parent_tri})"
-        )
-    return polys
-
-
-def _extract_faces(nodes2, adj):
-    """Faces of the planar subdivision given as node -> neighbours, each a
-    list of (cycle, signed area) pairs: the outer cycle, then its holes.
-
-    A cycle leaves each node by the clockwise neighbour of the edge it came
-    in on. At a node of degree two or less that needs no angle sort.
-    """
-    turn = {}
-    for v, ring in adj.items():
-        if len(ring) > 2:
-            x, y = nodes2[v]
-            ring = sorted(ring, key=lambda w: (math.atan2(nodes2[w][1] - y, nodes2[w][0] - x), w))
-        for k, w in enumerate(ring):
-            turn[w, v] = ring[k - 1]
-
-    edges = sorted((a, b) for a, ring in adj.items() for b in ring if a < b)
-    cycles = []
-    for u, v in edges + [(b, a) for a, b in edges]:
-        cyc = []
-        w = turn.pop((u, v), None)
-        while w is not None:
-            cyc.append(u)
-            u, v = v, w
-            w = turn.pop((u, v), None)
-        if cyc:
-            cycles.append((cyc, shoelace([nodes2[i] for i in cyc])))
-
-    def reach(root):
-        seen, stack = {root}, [root]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    pos = [c for c in cycles if c[1] > 0]
-    faces = [[c] for c in pos]
-    if len(reach(0)) == len(adj):
-        return faces  # one component: every other cycle is its outer contour
-    comp = {}
-    for v in adj:
-        if v not in comp:
-            comp.update(dict.fromkeys(reach(v), v))
-    for cyc, area in cycles:
-        if area > 0 or comp[cyc[0]] == comp[0]:
-            continue  # a face, or the unbounded contour of the boundary component
-        probe = nodes2[cyc[0]]
-        best = None
-        best_area = math.inf
-        for fi, (pcyc, parea) in enumerate(pos):
-            if comp[pcyc[0]] == comp[cyc[0]]:
-                continue
-            if parea < best_area and _point_in_ring(probe, [nodes2[i] for i in pcyc]):
-                best = fi
-                best_area = parea
-        if best is None:
-            raise GeometryError("floating loop not contained in any face")
-        faces[best].append((cyc, area))
-    return faces
+        error, message = setup.fault
+        raise error(message.format(tri=parent_tri))
+    return [SplitPolygon(rows, parent_tri, holes, ring2d=ring2d, holes2d=holes2d)
+            for rows, ring2d, holes, holes2d in setup.polygons]
 
 
 def triangulate_polygon(poly: SplitPolygon) -> list[tuple[int, int, int]]:

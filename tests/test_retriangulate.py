@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracle_retriangulate as oracle
 from meshbool import pipeline, retriangulate
-from meshbool.errors import DegeneratePolygon, GeometryError
+from meshbool.errors import DegeneratePolygon, DegenerateTriangle, GeometryError
 from meshbool.pipeline import run_pipeline
 from meshbool.retriangulate import (
     SplitPolygon,
@@ -19,6 +19,7 @@ from meshbool.retriangulate import (
 )
 from meshes import (
     blob_and_plane,
+    bumpy_pair,
     cube,
     icosphere,
     lobed_blob,
@@ -599,6 +600,76 @@ def test_split_rings_match_oracle_on_chord_chains(scene):
 @given(chain_scenes())
 def test_split_rings_match_oracle_on_chain_scenes(scene):
     check_rings(scene)
+
+
+def outcome(tri, segments, tol, fid, boundary, setup):
+    """A face's split as the error it raises, or as its polygons' bytes:
+    3D rings gathered from setup's point table and 2D rings, in order."""
+    try:
+        polys = split_triangle(tri, segments, tol, fid, boundary, setup)
+    except GeometryError as err:
+        return type(err), str(err)
+    return [(p.parent_tri, setup.pts3[p.rows].tobytes(), [setup.pts3[h].tobytes() for h in p.holes],
+             None if p.ring2d is None else np.array(p.ring2d).tobytes(),
+             [np.array(h).tobytes() for h in p.holes2d]) for p in polys]
+
+
+SQUARE = [np.array(p) for p in ([0.3, 0.3, 0.0], [0.7, 0.3, 0.0], [0.7, 0.7, 0.0], [0.3, 0.7, 0.0])]
+WAVE = [np.array([r * np.cos(a), r * np.sin(a), 0.0])  # edge 0 to edge 2 in 60 zigzag segments
+        for a, r in zip(np.linspace(0.0, np.pi / 2, 61), [1.0, 0.95] * 30 + [1.0])]
+PACKED_FACES = {  # faces every packed batch holds, with the error each raises
+    "no points": ((TRI, [], []), None),
+    "long chain": ((TRI, [(WAVE[i], WAVE[i + 1]) for i in range(60)], []), None),
+    "zero area": ((np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+                   [(np.array([0.5, 0.0, 0.0]), np.array([1.5, 0.0, 0.0]))], []), DegenerateTriangle),
+    "point outside": ((TRI, [(np.array([3.0, 3.0, 0.0]), np.array([4.0, 4.0, 0.0]))], []), GeometryError),
+    "floating loop": ((TRI, [(SQUARE[i], SQUARE[(i + 1) % 4]) for i in range(4)], []), None),
+}
+NON_FINITE = (np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, np.nan, 0.0]]),
+              [(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))], [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(chord_scenes(), chain_scenes()), min_size=1, max_size=5), st.randoms())
+def test_packed_faces_split_as_each_face_alone(scenes, rand):
+    """Faces prepared in one batch split exactly as each prepared alone, and
+    a face's error is raised when that face is split, not before."""
+    tol = scenes[0][2]
+    faces = [(None, (tri, segments, boundary)) for tri, segments, _, boundary in scenes]
+    faces += [(name, face) for name, (face, _) in PACKED_FACES.items()] + [(None, NON_FINITE)]
+    rand.shuffle(faces)
+    setups = list(retriangulate.prepare_splits(*zip(*(face for _, face in faces)), tol))
+    for fid, ((name, (tri, segments, boundary)), setup) in enumerate(zip(faces, setups)):
+        got = outcome(tri, segments, tol, fid, boundary, setup)
+        assert got == outcome(tri, segments, tol, fid, boundary, alone(tri, segments, tol, boundary))
+        if name is not None:
+            error = PACKED_FACES[name][1]
+            assert got[0] is error if error else isinstance(got, list), name
+
+
+def recorded_splits(make):
+    """run_pipeline on make()'s meshes: the arguments of every
+    split_and_triangulate call, and the number of _place_holes calls."""
+    calls, placed = [], []
+    place = retriangulate._place_holes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "split_and_triangulate", lambda *args, **kw: calls.append((args, kw)) or
+                   split_and_triangulate(*args, **kw))
+        mp.setattr(retriangulate, "_place_holes", lambda *args: placed.append(args) or place(*args))
+        run_pipeline(*make())
+    return calls, len(placed)
+
+
+@pytest.mark.parametrize("name", ["bumpy_band", "cube_sphere"])
+def test_only_faces_with_floating_components_reach_hole_placement(name):
+    """The batch decides every face whose graph is one component; the
+    Python hole placement sees exactly the faces with more than one, which
+    the old splitter gives holes. A crossing without floating loops sends
+    none there."""
+    calls, placed = recorded_splits(bumpy_pair if name == "bumpy_band" else SPLIT_RUNS[name])
+    holed = sum(any(p.holes for p in oracle.split_triangle(*args, **_geometric(kw))) for args, kw in calls)
+    assert placed == holed
+    assert (placed > 0) if name == "bumpy_band" else (placed == 0)
 
 
 class NumpyLookups:
