@@ -163,14 +163,38 @@ def scene_scale(a: TriMesh, b: TriMesh, cube: Aabb | None = None) -> float:
     return max(float((hi - lo).max()), 1e-30)
 
 
+def _face_cross(vertices: np.ndarray, faces: np.ndarray, edges: bool = True) -> tuple:
+    """Each face's (v1 - v0) x (v2 - v0), or v1 x v2 when edges is False, and
+    v0, as (x, y, z) columns gathered per corner; np.cross's own products
+    (a1*b2 - a2*b1, ...), so the columns equal np.cross's bit for bit."""
+    p = [[c[f] for c in vertices.T] for f in np.asarray(faces).reshape(-1, 3).T]
+    a, b = ([p[k][i] - p[0][i] for i in range(3)] for k in (1, 2)) if edges else p[1:]
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]), p[0]
+
+
+def _lengths(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return np.sqrt((x * x + y * y) + z * z)  # in np.linalg.norm's order
+
+
 def triangle_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Non-unit face normals (cross products), (m, 3)."""
-    p = vertices[faces]
-    return np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    return np.stack(_face_cross(vertices, faces)[0], axis=1)
 
 
 def triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    return 0.5 * np.linalg.norm(triangle_normals(vertices, faces), axis=1)
+    return 0.5 * _lengths(*_face_cross(vertices, faces)[0])
+
+
+def unit_normals(vertices: np.ndarray, faces: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Unit face normals as an (m, 3) array of dtype, each column divided by
+    the normal's length in float64 and then cast; a zero normal stays zero."""
+    cols = _face_cross(vertices, faces)[0]
+    lens = _lengths(*cols)
+    lens[lens == 0] = 1.0
+    out = np.empty((len(lens), 3), dtype=dtype)
+    for k, c in enumerate(cols):
+        out[:, k] = c / lens
+    return out
 
 
 def signed_volume(mesh: TriMesh) -> float:
@@ -181,13 +205,14 @@ def signed_volume(mesh: TriMesh) -> float:
     """
     if not mesh.closed:
         raise NotClosed("signed_volume requires a closed surface")
-    p = mesh.vertices[mesh.faces]
-    return float(np.einsum("ij,ij->i", p[:, 0], np.cross(p[:, 1], p[:, 2])).sum() / 6.0)
+    (cx, cy, cz), (x0, y0, z0) = _face_cross(mesh.vertices, mesh.faces, edges=False)
+    return float(((x0 * cx + y0 * cy) + z0 * cz).sum() / 6.0)
 
 
 def compact_submesh(vertices: np.ndarray, faces: np.ndarray, source="A", name="") -> TriMesh:
-    """Build a TriMesh from a face subset, dropping unreferenced vertices."""
-    if len(faces) == 0:
-        return TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64), source, name)
-    used, inverse = np.unique(np.asarray(faces, dtype=np.int64).ravel(), return_inverse=True)
-    return TriMesh(vertices[used], inverse.reshape(-1, 3), source, name)
+    """Build a TriMesh from a face subset, dropping unreferenced vertices; the
+    rest keep their order, renumbered by a running count of a used mask."""
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    used = np.zeros(len(vertices), dtype=bool)
+    used[faces] = True
+    return TriMesh(vertices[used], (np.cumsum(used) - 1)[faces], source, name)

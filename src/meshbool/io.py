@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyInput, IoError, ParseError
-from .geometry import TriMesh, triangle_normals
+from .geometry import TriMesh, unit_normals
 
 log = logging.getLogger(__name__)
 
@@ -191,17 +191,10 @@ def save_mesh(mesh: TriMesh, path, format: str | None = None) -> None:
         raise IoError(f"{path}: {exc}") from exc
 
 
-def _facet_normals(mesh: TriMesh) -> np.ndarray:
-    n = triangle_normals(mesh.vertices, mesh.faces)
-    lens = np.linalg.norm(n, axis=1)
-    lens[lens == 0] = 1.0
-    return n / lens[:, None]
-
-
 def _save_stl_binary(mesh: TriMesh, path) -> None:
     count = mesh.num_faces
     rec = np.zeros((count, 50), dtype=np.uint8)
-    rec[:, 0:12] = _facet_normals(mesh).astype("<f4").view(np.uint8).reshape(count, 12)
+    rec[:, 0:12] = unit_normals(mesh.vertices, mesh.faces, "<f4").view(np.uint8).reshape(count, 12)
     tris = mesh.vertices.astype("<f4")[mesh.faces]
     rec[:, 12:48] = tris.reshape(count, 9).view(np.uint8).reshape(count, 36)
     with open(path, "wb") as fh:
@@ -210,7 +203,7 @@ def _save_stl_binary(mesh: TriMesh, path) -> None:
 
 
 def _save_stl_ascii(mesh: TriMesh, path) -> None:
-    normals = _facet_normals(mesh)
+    normals = unit_normals(mesh.vertices, mesh.faces)
     with open(path, "w") as fh:
         fh.write(f"solid {mesh.name or 'meshbool'}\n")
         for tri, n in zip(mesh.vertices[mesh.faces], normals):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshbool.errors import EmptyInput, NotClosed
 from meshbool.geometry import (
@@ -10,9 +12,12 @@ from meshbool.geometry import (
     is_closed_manifold,
     mesh_aabb,
     signed_volume,
+    triangle_areas,
+    triangle_normals,
+    unit_normals,
 )
 from meshbool.halfedge import SurfaceTopology
-from meshes import cube, icosphere, oracle_volume
+from meshes import cube, icosphere, lobed_blob, oracle_volume, torus_pair
 
 
 def test_mesh_aabb_cube():
@@ -110,3 +115,96 @@ def test_compact_submesh_and_components():
     )
     labels = SurfaceTopology(two.faces).flood_regions(walls=())
     assert np.bincount(labels).tolist() == [12, 12]
+
+
+# ---------------------------------------------------------------------------
+# The face-geometry kernel against the row formulas it replaced
+# ---------------------------------------------------------------------------
+
+
+def old_normals(vertices, faces):
+    p = vertices[faces]
+    return np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+
+
+def old_unit_normals(vertices, faces):
+    n = old_normals(vertices, faces)
+    lens = np.linalg.norm(n, axis=1)
+    lens[lens == 0] = 1.0
+    return n / lens[:, None]
+
+
+def old_volume(mesh):
+    p = mesh.vertices[mesh.faces]
+    return float(np.einsum("ij,ij->i", p[:, 0], np.cross(p[:, 1], p[:, 2])).sum() / 6.0)
+
+
+def volume_bound(mesh):
+    """Both add the same products per face, three terms in another order
+    (einsum pairs the first and last), then sum the faces pairwise. Bound:
+    4 ulps of S / 6, S the sum of the terms' magnitudes; 9,000 shifted and
+    scaled icospheres differ by at most 0.5 of those ulps. (The worst case
+    grows with log2 of the face count.)"""
+    p = mesh.vertices[mesh.faces]
+    return 4 * np.spacing(np.abs(p[:, 0] * np.cross(p[:, 1], p[:, 2])).sum() / 6.0)
+
+
+def kernel_meshes():
+    """Closed fixtures, a soup with zero-area faces (a repeated corner, a
+    collinear triple, one point three times) and a face with a -0.0 corner."""
+    torus = torus_pair(1.0, 0.35, n_major=24, n_minor=12)[0]
+    yield from (cube(), icosphere(1.3, subdivisions=3), torus, lobed_blob())
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0], [-0.0, 0.5, 3]])
+    yield TriMesh(verts, [[0, 1, 3], [0, 0, 3], [0, 1, 2], [4, 4, 4], [4, 1, 3]])
+
+
+def assert_kernel_matches(mesh):
+    v, f = mesh.vertices, mesh.faces
+    n = old_normals(v, f)
+    assert triangle_normals(v, f).tobytes() == n.tobytes()
+    assert triangle_areas(v, f).tobytes() == (0.5 * np.linalg.norm(n, axis=1)).tobytes()
+    want = old_unit_normals(v, f)
+    assert unit_normals(v, f).tobytes() == want.tobytes()
+    assert unit_normals(v, f, "<f4").tobytes() == want.astype("<f4").tobytes()
+    if mesh.closed:
+        assert abs(signed_volume(mesh) - old_volume(mesh)) <= volume_bound(mesh)
+
+
+@pytest.mark.parametrize("scale", [2.0**-40, 1.0, 2.0**40])
+def test_face_kernel_matches_the_row_formulas(scale):
+    meshes = list(kernel_meshes())
+    assert (old_normals(meshes[-1].vertices, meshes[-1].faces) == 0).all(axis=1).sum() == 3
+    for mesh in meshes:
+        assert_kernel_matches(TriMesh(mesh.vertices * scale, mesh.faces))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2.0**-40, 1.0, 2.0**40]))
+def test_face_kernel_matches_the_row_formulas_on_random_soups(seed, scale):
+    rng = np.random.default_rng(seed)
+    verts = rng.standard_normal((30, 3)) * rng.choice([1e-3, 1.0, 1e3], size=(30, 1)) * scale
+    assert_kernel_matches(TriMesh(verts, rng.integers(0, 30, size=(80, 3))))
+    shifted = icosphere(1.0, subdivisions=2)
+    assert_kernel_matches(TriMesh((shifted.vertices + rng.uniform(-5, 5, 3)) * scale, shifted.faces))
+
+
+def old_compact(vertices, faces):
+    used, inverse = np.unique(np.asarray(faces, dtype=np.int64).ravel(), return_inverse=True)
+    return vertices[used], inverse.reshape(-1, 3)
+
+
+@pytest.mark.parametrize("pick", ["unsorted", "repeated", "empty", "all"])
+def test_compact_submesh_matches_unique(pick):
+    ico = icosphere(1.0, subdivisions=2)
+    rng = np.random.default_rng(5)
+    faces = {
+        "unsorted": ico.faces[rng.permutation(ico.num_faces)[:50]],
+        "repeated": np.concatenate([ico.faces[[7, 3, 7]], [[9, 9, 2], [2, 2, 2]]]),
+        "empty": np.zeros((0, 3), dtype=np.int64),
+        "all": ico.faces,
+    }[pick]
+    got = compact_submesh(ico.vertices, faces, source="R", name="x")
+    verts, want = old_compact(ico.vertices, faces)
+    assert got.vertices.tobytes() == verts.tobytes() and got.vertices.shape == verts.shape
+    assert got.faces.dtype == np.int64 and np.array_equal(got.faces, want)
+    assert (got.source, got.name) == ("R", "x")

@@ -6,10 +6,10 @@ import pytest
 
 from meshbool.cli import main
 from meshbool.errors import EmptyInput, ParseError
-from meshbool.geometry import signed_volume
+from meshbool.geometry import TriMesh, signed_volume
 from meshbool.io import _index_soup, dump_debug, load_mesh, save_mesh, sniff_format
 from meshbool.pipeline import run_pipeline
-from meshes import cube, tangent_cylinders
+from meshes import cube, icosphere, tangent_cylinders
 
 
 def test_binary_stl_roundtrip_cube(tmp_path):
@@ -25,6 +25,26 @@ def test_binary_stl_roundtrip_cube(tmp_path):
     save_mesh(back, again)
     twice = load_mesh(again)
     assert np.array_equal(np.sort(back.vertices, axis=0), np.sort(twice.vertices, axis=0))
+
+
+@pytest.mark.parametrize("scale", [2.0**-40, 1.0, 2.0**40])
+def test_stl_facets_match_the_row_formula(tmp_path, scale):
+    """Facet normals in both STL forms equal those of np.cross, divided by
+    np.linalg.norm (zero normals by 1), byte for byte, zero-area faces too."""
+    ico = icosphere(1.3, subdivisions=2)
+    faces = np.concatenate([ico.faces, [[0, 0, 5], [3, 3, 3]]])
+    mesh = TriMesh(ico.vertices * scale + [0.25, -1.0, 3.0], faces)
+    p = mesh.vertices[mesh.faces]
+    n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    lens = np.linalg.norm(n, axis=1)
+    lens[lens == 0] = 1.0
+    want = n / lens[:, None]
+    save_mesh(mesh, tmp_path / "b.stl")
+    rec = np.frombuffer((tmp_path / "b.stl").read_bytes()[84:], dtype=np.uint8).reshape(-1, 50)
+    assert rec[:, :12].tobytes() == want.astype("<f4").tobytes()
+    save_mesh(mesh, tmp_path / "a.stl", format="stl_ascii")
+    lines = [ln for ln in (tmp_path / "a.stl").read_text().splitlines() if "facet normal" in ln]
+    assert lines == [f"  facet normal {x:.9g} {y:.9g} {z:.9g}" for x, y, z in want]
 
 
 def test_ascii_stl_roundtrip(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshbool import halfedge, merge, pipeline
-from meshbool.errors import TopologyError
+from meshbool.errors import GeometryError, TopologyError
 from meshbool.geometry import TriMesh, is_closed_manifold
 from meshbool.intersect import intersect_all
 from meshbool.merge import (
@@ -357,3 +357,137 @@ def test_weld_matches_oracle_on_a_crowded_cell():
     raw = (np.random.default_rng(7).random((1000, 3)) + [3.0, -2.0, 5.0]) * tol
     assert len(np.unique(np.floor(raw / tol), axis=0)) == 1
     assert_same_weld(raw, tol)
+
+
+# ---------------------------------------------------------------------------
+# The sweep in front of the cell-hash search
+# ---------------------------------------------------------------------------
+
+
+def _across(d):
+    """A unit vector at right angles to d."""
+    v = np.cross(d, [1.0, 0.0, 0.0])
+    return v / np.linalg.norm(v)
+
+
+ALONG, ACROSS = merge._SWEEP, _across(merge._SWEEP)
+
+
+@st.composite
+def sweep_clouds(draw):
+    """Points that test the sweep's bound: pairs 1 - 2**-k or 1 + 2**-k tol
+    apart along the sweep axis or across it, exact copies, 0.6 tol chains
+    (their components go through the scan), the sign and axis images of a
+    point, which an axis-aligned sort would tie, and pairs many tol apart
+    across the sweep axis, whose projections tie up to rounding. Coordinates
+    and tol are scaled by 2**-40, 1 or 2**40."""
+    tol = draw(st.sampled_from([1e-9, 1e-3]))
+    pts = []
+    for _ in range(draw(st.integers(1, 4))):
+        centre = np.asarray(draw(st.tuples(*[st.integers(-40, 40)] * 3)), dtype=float) * 0.37 * tol
+        pts.append(centre)
+        kind = draw(st.sampled_from(["pair", "copy", "chain", "mirror", "tie"]))
+        if kind == "pair":
+            f = 1 + draw(st.sampled_from([-1, 1])) * 2.0 ** -draw(st.integers(20, 52))
+            pts.append(centre + f * tol * draw(st.sampled_from([ALONG, ACROSS, -ALONG])))
+        elif kind == "copy":
+            pts += [centre] * draw(st.integers(1, 3))
+        elif kind == "chain":
+            d = draw(st.sampled_from([ALONG, ACROSS]))
+            pts += [centre + 0.6 * step * tol * d for step in range(1, draw(st.integers(2, 5)))]
+        elif kind == "mirror":
+            perm = draw(st.permutations(range(3)))
+            pts += [centre[perm] * sign for sign in ([1, 1, 1], [-1, 1, 1], [1, -1, -1])]
+        else:
+            pts.append(centre + draw(st.sampled_from([2.0, 50.0])) * tol * ACROSS)
+    pts = np.asarray(pts)
+    pts = pts[draw(st.permutations(range(len(pts))))]
+    scale = draw(st.sampled_from([2.0**-40, 1.0, 2.0**40]))
+    return pts * scale, tol * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_clouds())
+def test_sweep_welds_like_the_scan(cloud):
+    assert_same_weld(*cloud)
+
+
+def test_sweep_ties_and_bound_edges():
+    """A pair 50 tol apart across the sweep axis projects to nearly the same
+    value and must not weld; pairs 2**-30 tol under and over tol apart along
+    the axis weld and stay apart as in the scan."""
+    tol = 1e-6
+    p = np.array([0.3, -0.2, 0.7])
+    q = p + 50 * tol * ACROSS
+    proj = lambda r: (r[0] * ALONG[0] + r[1] * ALONG[1]) + r[2] * ALONG[2]
+    assert abs(proj(q) - proj(p)) < 1e-3 * tol
+    assert merge_vertices(np.array([p, q]), tol)[1].tolist() == [0, 1]
+    for f, want in ((1 - 2.0**-30, [0, 0]), (1 + 2.0**-30, [0, 1])):
+        pair = np.array([p, p + f * tol * ALONG])
+        assert merge_vertices(pair, tol)[1].tolist() == want
+        assert_same_weld(pair, tol)
+
+
+def test_sweep_bound_covers_projection_rounding():
+    """Far from the origin, a pair the scan welds can project more than tol
+    apart: the sweep's rounding allowance must keep such a pair near."""
+    tol = 1e-6
+    proj = lambda r: (r[0] * ALONG[0] + r[1] * ALONG[1]) + r[2] * ALONG[2]
+    pairs = [np.array([p, p + (1 - 2.0**-40) * tol * ALONG])
+             for p in np.array([1000.0, -700.0, 1300.0]) + 0.37 * np.arange(50)[:, None]]
+    wide = [pair for pair in pairs if abs(proj(pair[1]) - proj(pair[0])) > tol
+            and oracle_merge_vertices(pair, tol)[1].tolist() == [0, 0]]
+    assert wide
+    for pair in wide:
+        assert_same_weld(pair, tol)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_weld_rejects_non_finite_points(bad):
+    raw = np.zeros((3, 3))
+    raw[1, 2] = bad
+    with pytest.raises(GeometryError, match="too small"):
+        merge_vertices(raw, 1e-6)
+
+
+def test_weld_rejects_a_tol_the_cells_cannot_hold():
+    raw = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(GeometryError, match="int64 range"):
+        merge_vertices(raw, 2.0**-63)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        merge_vertices(raw, -2.0**-63)
+
+
+def _neighbour_kinds(raw, tol):
+    """Per point: has an exact copy, has a distinct point within tol (the
+    scan's squared distance), by brute force over all pairs."""
+    copy, close = np.zeros(len(raw), dtype=bool), np.zeros(len(raw), dtype=bool)
+    for lo in range(0, len(raw), 256):
+        blk = raw[lo:lo + 256, None, :]
+        sq = np.float_power(blk - raw[None, :, :], 2)
+        same = (blk == raw[None, :, :]).all(axis=2)
+        close[lo:lo + 256] = (((sq[..., 0] + sq[..., 1]) + sq[..., 2] < tol * tol) & ~same).any(axis=1)
+        same[np.arange(len(same)), lo + np.arange(len(same))] = False
+        copy[lo:lo + 256] = same.any(axis=1)
+    return copy, close
+
+
+def test_only_points_near_another_point_reach_the_search(monkeypatch):
+    """A change that sends isolated points back to the cell-hash search, or
+    that keeps a point with a distinct point within tol away from it, fails
+    here. The pool is that of a cube_sphere run."""
+    pools, searched = [], []
+    weld, search = merge.merge_vertices, merge._weld_search
+    monkeypatch.setattr(merge, "merge_vertices", lambda raw, tol: pools.append((raw, tol)) or weld(raw, tol))
+    monkeypatch.setattr(merge, "_weld_search", lambda pts, tol: searched.append(pts) or search(pts, tol))
+    run_pipeline(*STAGE3_RUNS["cube_sphere"]())
+    (raw, tol), = pools
+    reached = {tuple(p) for pts in searched for p in pts.tolist()}
+    copy, close = _neighbour_kinds(raw, tol)
+    rows = raw.tolist()
+    isolated = [rows[i] for i in np.nonzero(~copy & ~close)[0]]
+    assert isolated and not any(tuple(p) in reached for p in isolated)
+    assert close.any() and all(tuple(rows[i]) in reached for i in np.nonzero(close)[0])
+    # runs of exact copies with nothing else near them skip the search too
+    copies_only = np.nonzero(copy & ~close)[0]
+    assert len(copies_only) and sum(tuple(rows[i]) not in reached for i in copies_only) > len(copies_only) // 2
