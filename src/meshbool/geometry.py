@@ -158,9 +158,8 @@ def scene_scale(a: TriMesh, b: TriMesh, cube: Aabb | None = None) -> float:
     broad phase produced one, otherwise the combined bounding extent."""
     if cube is not None and not cube.is_empty:
         return float(cube.extent.max())
-    lo = np.minimum(mesh_aabb(a).lo, mesh_aabb(b).lo)
-    hi = np.maximum(mesh_aabb(a).hi, mesh_aabb(b).hi)
-    return max(float((hi - lo).max()), 1e-30)
+    box_a, box_b = mesh_aabb(a), mesh_aabb(b)
+    return max(float((np.maximum(box_a.hi, box_b.hi) - np.minimum(box_a.lo, box_b.lo)).max()), 1e-30)
 
 
 def _face_cross(vertices: np.ndarray, faces: np.ndarray, edges: bool = True) -> tuple:

@@ -5,30 +5,26 @@ segment endpoints) goes through one tolerance weld so both surfaces and the
 intersection edges share a single index space. The weld's result is that of
 a first-fit scan in index order: each point joins the first kept point
 within tol in its 27-cell neighbourhood of a tol-sized grid, or is kept.
-merge_vertices reaches it without a Python step per point.
+merge_vertices reaches it with a Python step only for the few points below.
 
-A sort and sweep (Cohen et al. 1995) along one fixed direction comes
-first. Two points the scan finds within tol are less than tol (1 + 4 eps)
-apart, so their computed projections differ by at most tol (1 + 2**-40) +
-2**-45 max|coordinate|. A run of exact copies (adjacent in projection order)
-farther than that from the runs on both sides has no other point within
-tol: the scan keeps its first copy and joins the rest to it. Only the other
-runs' points, in index order, reach the search below (797 of 32,401 on the
-spheres-fine benchmark, seed 1).
-
-In the search, exact copies of a point are grouped first: one stable sort
-by cell key, then a lexsort by coordinates of only the key runs that hold
-distinct points. A cell hash (Teschner et al. 2003) finds every pair the
-scan could compare, with one binary search per neighbour offset, and the
-pairs closer than tol are the edges of a graph. A point can only join a kept point it shares an edge
-with, so the scan never looks across a component and each component can be
-resolved on its own. When all members of a component lie within tol of its
-lowest index (the usual case), that member is kept first and is the only kept
-point a later member can find, so it becomes the vertex of all of them. Any
-other component, such as a chain of points 0.6 tol apart, runs through the
-scan itself, restricted to its own points. The pair search is quadratic in
-the distinct points that share one cell. A tol so small that a coordinate
-reaches 2**62 tol raises GeometryError, as the cells would leave int64.
+A sort and sweep (Cohen et al. 1995) along one fixed direction splits the
+points into groups. Exact copies form runs in projection order, and two
+neighbouring runs whose projections differ by at most tol (1 + 2**-40) +
+2**-45 max|coordinate| share a group. Points in different groups never weld:
+a pair the scan welds is less than tol (1 + 4 eps) apart, so its computed
+projections are within that bound; so is every run sorted between them, so
+both lie in one group (ties in the sort included). A group whose members all
+pass the scan's test against its lowest index (within tol, and in that
+index's 27 cells) welds to it: that index is scanned first and kept, each
+later member finds it, and no other point of the group is kept. A run of
+copies needs no test. Every other group, such as a chain of points 0.6 tol
+apart, goes in index order through the scan itself (0 of 32,401 points on
+the spheres-fine benchmark, seed 1; 14 of 56,412 on bumpy-band). The scan
+costs points times the kept points around them. Its worst case is one giant
+group: many points whose projections leave no gap wider than tol, as on a
+plane normal to the sweep direction, where a 180 x 180 grid given twice takes
+~0.4 s. A tol so small that a coordinate reaches 2**62 tol raises
+GeometryError, as the scan's cells would leave int64.
 
 Clearing then enforces: no duplicate vertices, no degenerate triangles, no
 repeated directed edges within one surface, and children aligned with their
@@ -45,23 +41,14 @@ import numpy as np
 
 from .errors import GeometryError, TopologyError
 from .geometry import TriMesh, is_closed_manifold, triangle_areas, triangle_normals
-from .halfedge import edge_keys, min_labels
+from .halfedge import edge_keys
 
 log = logging.getLogger(__name__)
 
 CLEARING_MAX_PASSES = 10
 
-# Cell hash of Teschner et al. (2003) with a sum in place of the xor: the key
-# is linear mod 2**64, so key(cell + offset) == key(cell) + key(offset).
-_CELL_HASH = np.array([73856093, 19349663, 83492791], dtype=np.int64)
 # Cells stay below this in magnitude, so they and their neighbours fit in int64.
 _CELL_LIMIT = 2.0**62
-# The 13 neighbour offsets after (0, 0, 0) plus itself: each cell pair once.
-_HALF_OFFSETS = np.array(
-    [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-     if (dx, dy, dz) >= (0, 0, 0)],
-    dtype=np.int64,
-)
 # The weld's sweep direction: a fixed unit vector along no axis or diagonal,
 # so the mirror pairs of symmetric inputs rarely project to the same value.
 _SWEEP = np.array([0.5377, 0.6513, 0.5354])
@@ -89,44 +76,26 @@ class MergedState:
         return np.nonzero(self.face_source == source)[0]
 
 
-def _greedy_weld(raw: np.ndarray, cells: np.ndarray, ids: np.ndarray, tol2: float) -> np.ndarray:
-    """The first-fit scan over ids in index order: a point joins the first kept
+def _greedy_weld(raw: np.ndarray, tol: float) -> np.ndarray:
+    """The first-fit scan over raw in index order: a point joins the first kept
     point within tol met in its 27-cell neighbourhood, scanned in (dx, dy, dz)
-    order, or is kept itself. Returns the kept point each id maps to."""
+    order, or is kept itself. Returns the row each point maps to."""
+    tol2 = tol * tol
+    pts = raw.tolist()
     grid: dict[tuple[int, int, int], list[int]] = {}
-    target = np.empty(len(ids), dtype=np.int64)
-    for k, i in enumerate(ids.tolist()):
-        cx, cy, cz = cells[i].tolist()
-        p = raw[i]
+    target = []
+    for i, (cx, cy, cz) in enumerate(np.floor(raw / tol).astype(np.int64).tolist()):
+        x, y, z = pts[i]
         found = next((
             j for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
             for j in grid.get((cx + dx, cy + dy, cz + dz), ())
-            if (p[0] - raw[j][0]) ** 2 + (p[1] - raw[j][1]) ** 2 + (p[2] - raw[j][2]) ** 2 < tol2
+            if (x - pts[j][0]) ** 2 + (y - pts[j][1]) ** 2 + (z - pts[j][2]) ** 2 < tol2
         ), -1)
         if found < 0:
             found = i
             grid.setdefault((cx, cy, cz), []).append(i)
-        target[k] = found
-    return target
-
-
-def _sorted_copies(raw: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows in order of key, x, y, z and index, and a mask of the rows in
-    that order that differ from the one before. One stable sort by key, then
-    a lexsort of only the rows of key runs that hold more than one distinct
-    point."""
-    order = np.argsort(key, kind="stable")
-    skey, pts = key[order], raw[order]
-    new_run = np.r_[True, skey[1:] != skey[:-1]]
-    run = np.cumsum(new_run) - 1
-    mixed = np.zeros(run[-1] + 1, dtype=bool)
-    mixed[run[1:][~new_run[1:] & (pts[1:] != pts[:-1]).any(axis=1)]] = True
-    sub = np.nonzero(mixed[run])[0]
-    if len(sub):
-        o, q = order[sub], pts[sub]
-        perm = np.lexsort((o, q[:, 2], q[:, 1], q[:, 0], run[sub]))
-        order[sub], pts[sub] = o[perm], q[perm]
-    return order, np.r_[True, (pts[1:] != pts[:-1]).any(axis=1)]
+        target.append(found)
+    return np.array(target, dtype=np.int64)
 
 
 def merge_vertices(raw: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -147,68 +116,34 @@ def merge_vertices(raw: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
             f"merge tolerance {tol!r} is too small for coordinates up to {reach!r}: "
             "weld cells would leave the int64 range"
         )
-    # The sweep (see above): runs of exact copies in projection order, and
-    # which runs lie within tol plus rounding of a neighbouring run.
+    # Groups (see above): runs of exact copies in projection order, split
+    # where two neighbouring runs lie farther apart than tol plus rounding.
     proj = (raw[:, 0] * _SWEEP[0] + raw[:, 1] * _SWEEP[1]) + raw[:, 2] * _SWEEP[2]
     order = np.argsort(proj)
     x, y, z = (c[order] for c in raw.T)
     lead = np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1]) | (z[1:] != z[:-1])]
     starts = np.nonzero(lead)[0]
-    close = np.diff(proj[order[starts]]) <= tol * (1 + 2.0**-40) + 2.0**-45 * reach
-    near = np.zeros(len(starts), dtype=bool)
-    near[1:][close] = near[:-1][close] = True
-    run = np.cumsum(lead) - 1
+    far = np.r_[True, np.diff(proj[order[starts]]) > tol * (1 + 2.0**-40) + 2.0**-45 * reach]
+    group = (np.cumsum(far) - 1)[np.cumsum(lead) - 1]
     label = np.empty(n, dtype=np.int64)
-    label[order] = np.minimum.reduceat(order, starts)[run]
-    ids = np.sort(order[near[run]])
+    label[order] = np.minimum.reduceat(order, starts[far])[group]
+    # The root rule on groups of two or more runs: the scan's own test of
+    # each member against the group's lowest index (within tol, and at most
+    # one cell away on each axis).
+    multi = np.diff(np.r_[np.nonzero(far)[0], len(starts)]) > 1
+    pos = np.nonzero(multi[group])[0]
+    member = order[pos]
+    p, q = raw[member], raw[label[member]]
+    sq = np.float_power(p - q, 2)  # pow(), like the scan's scalar ** 2
+    joins = ((sq[:, 0] + sq[:, 1]) + sq[:, 2] < tol * tol) & (
+        np.abs(np.floor(p / tol) - np.floor(q / tol)) <= 1).all(axis=1)
+    scanned = np.zeros(len(multi), dtype=bool)
+    scanned[group[pos[~joins]]] = True
+    ids = np.sort(order[scanned[group]])
     if len(ids):
-        label[ids] = ids[_weld_search(raw[ids], tol)]
+        label[ids] = ids[_greedy_weld(raw[ids], tol)]
     kept = label == np.arange(n)
     return raw[kept], (np.cumsum(kept) - 1)[label]
-
-
-def _weld_search(raw: np.ndarray, tol: float) -> np.ndarray:
-    """The first-fit scan's result on raw: the kept point each point maps to.
-    Cell-hash pairs, their components, and the scan on chained components."""
-    n = len(raw)
-    tol2 = tol * tol
-    cells = np.floor(raw / tol).astype(np.int64)
-    key = cells @ _CELL_HASH
-    # Exact duplicates share their lowest index as representative, so k copies
-    # of a point add k edges below instead of k^2 pairs.
-    order, first = _sorted_copies(raw, key)
-    rep = order[first]
-    rep_of = np.empty(n, dtype=np.int64)
-    rep_of[order] = rep[np.cumsum(first) - 1]
-    ukey, ucell, upts = key[rep], cells[rep], raw[rep]
-    # Where each key's run of representatives ends, read at its start.
-    run_end = np.r_[np.nonzero(ukey[1:] != ukey[:-1])[0] + 1, len(rep)]
-    end_of = np.repeat(run_end, np.diff(np.r_[0, run_end]))
-    pa, pb = [], []
-    for off in _HALF_OFFSETS:
-        # Points of cell c + off, one offset at a time; the cell check drops hash collisions.
-        target = ukey + off @ _CELL_HASH
-        start = np.minimum(ukey.searchsorted(target), len(rep) - 1)
-        cnt = np.where(ukey[start] == target, end_of[start] - start, 0)
-        a = np.repeat(np.arange(len(rep)), cnt)
-        b = np.arange(len(a)) + np.repeat(start - np.cumsum(cnt) + cnt, cnt)
-        ok = (ucell[b] == ucell[a] + off).all(axis=1) & ((a < b) | off.any())
-        a, b = a[ok], b[ok]
-        sq = np.float_power(upts[a] - upts[b], 2)  # pow(), like the scan's scalar ** 2
-        hit = (sq[:, 0] + sq[:, 1]) + sq[:, 2] < tol2
-        pa.append(rep[a[hit]])
-        pb.append(rep[b[hit]])
-    pa, pb = np.concatenate(pa), np.concatenate(pb)
-    label = min_labels(n, np.concatenate([pa, rep_of]), np.concatenate([pb, np.arange(n)]))
-    # A component goes through the scan unless each member touches its root.
-    lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
-    touches_root = label == np.arange(n)
-    touches_root[hi[lo == label[hi]]] = True
-    chained = np.zeros(n, dtype=bool)
-    chained[label[~touches_root[rep_of]]] = True
-    ids = np.nonzero(chained[label])[0]
-    label[ids] = _greedy_weld(raw, cells, ids, tol2)
-    return label
 
 
 def compute_extrema(vertices: np.ndarray) -> np.ndarray:

@@ -9,6 +9,11 @@ or bench/*.py, or when ALLOWED lists it. The check goes by name only: an
 attribute of the same name on another object counts as a use. A second
 implementation that only tests call fails here: keep it in the tests as an
 oracle instead. Sources are parsed with ast; nothing is imported from bench/.
+
+Every private (_-prefixed, not dunder) module-level function, class and
+constant in src/meshbool is read somewhere in src/meshbool: as a loaded
+name, an attribute or an imported name. Tests do not count, so a helper
+that survives only for a test fails here.
 """
 import ast
 from pathlib import Path
@@ -63,7 +68,6 @@ def test_every_public_definition_has_a_use():
     assert not unused, f"public definitions no code uses: {unused}"
 
 
-
 def test_every_public_method_has_a_use():
     used = attribute_names(SOURCES + BENCH)
     unused = []
@@ -76,3 +80,33 @@ def test_every_public_method_has_a_use():
                         and node.name not in used and (path.stem, f"{cls.name}.{node.name}") not in ALLOWED):
                     unused.append(f"{path.stem}.{cls.name}.{node.name}")
     assert not unused, f"public methods no code uses: {unused}"
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The module's top-level _-prefixed function, class and constant names."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def read_names() -> set[str]:
+    """Names src/meshbool reads: loads, attributes and imports."""
+    read = attribute_names(SOURCES)
+    for node in _nodes(SOURCES):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_private_definition_is_read():
+    read = read_names()
+    unread = [f"{path.stem}.{name}" for path in SOURCES
+              for name in private_definitions(ast.parse(path.read_text())) if name not in read]
+    assert not unread, f"private definitions src/meshbool never reads: {unread}"

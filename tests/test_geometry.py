@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshbool import geometry
 from meshbool.errors import EmptyInput, NotClosed
 from meshbool.geometry import (
     Aabb,
@@ -11,6 +12,7 @@ from meshbool.geometry import (
     compact_submesh,
     is_closed_manifold,
     mesh_aabb,
+    scene_scale,
     signed_volume,
     triangle_areas,
     triangle_normals,
@@ -39,6 +41,14 @@ def test_mesh_aabb_translation_equivariance():
 def test_mesh_aabb_empty_mesh():
     with pytest.raises(EmptyInput):
         mesh_aabb(TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)))
+
+
+def test_scene_scale_builds_each_box_once(monkeypatch):
+    built = []
+    monkeypatch.setattr(geometry, "mesh_aabb", lambda m, _box=mesh_aabb: built.append(m) or _box(m))
+    a, b = cube((0, 0, 0), 1.0, "A"), cube((0.5, -2.0, 0.25), 1.5, "B")
+    assert scene_scale(a, b) == 3.0  # y spans -2 to 1
+    assert built == [a, b]
 
 
 def test_aabb_intersection_examples():

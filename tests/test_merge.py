@@ -188,7 +188,7 @@ def test_clearing_convergence_error_reported():
 
 
 # ---------------------------------------------------------------------------
-# The cell-hash weld and the array-built merged state against the seed loops
+# The weld and the array-built merged state against the seed loops
 # ---------------------------------------------------------------------------
 
 
@@ -299,8 +299,10 @@ DIRECTIONS = [
 ]
 
 
-# A cell offset whose hash key is 0: cells c and c + COLLISION share a key.
-COLLISION = np.array([merge._CELL_HASH[1], -merge._CELL_HASH[0], 0])
+# A cell offset that once collided in the weld's cell hash (since deleted):
+# under the keys 73856093 x + 19349663 y + 83492791 z, cells c and
+# c + COLLISION shared a key.
+COLLISION = np.array([19349663, -73856093, 0])
 
 
 @st.composite
@@ -344,15 +346,14 @@ def test_colliding_cells_and_signed_zeros_weld_like_the_scan():
     tol = 1e-6
     near = np.array([[0.0, 0.0, 0.0], [0.5 * tol, 0.0, 0.0], [1.5 * tol, 0.0, 0.0]])
     far = near + COLLISION * tol  # the same keys, other cells
-    assert (np.floor(far / tol).astype(np.int64) @ merge._CELL_HASH == [0, 0, 73856093]).all()
     raw = np.concatenate([near, far, np.where(near == 0.0, -0.0, near), far[:1] * [1, 1, -1]])
     assert merge_vertices(raw, tol)[1].tolist() == [0, 0, 1, 2, 2, 3, 0, 0, 1, 2]
     assert_same_weld(raw, tol)
 
 
 def test_weld_matches_oracle_on_a_crowded_cell():
-    """1,000 distinct points in one tol-sized cell: the pair search compares
-    every two of them, and their component goes through the scan."""
+    """1,000 distinct points in one tol-sized cell: they form one group that
+    the root rule cannot settle, so all of them go through the scan."""
     tol = 1e-6
     raw = (np.random.default_rng(7).random((1000, 3)) + [3.0, -2.0, 5.0]) * tol
     assert len(np.unique(np.floor(raw / tol), axis=0)) == 1
@@ -360,7 +361,7 @@ def test_weld_matches_oracle_on_a_crowded_cell():
 
 
 # ---------------------------------------------------------------------------
-# The sweep in front of the cell-hash search
+# The sweep's groups, the root rule and the scan
 # ---------------------------------------------------------------------------
 
 
@@ -458,36 +459,68 @@ def test_weld_rejects_a_tol_the_cells_cannot_hold():
         merge_vertices(raw, -2.0**-63)
 
 
-def _neighbour_kinds(raw, tol):
-    """Per point: has an exact copy, has a distinct point within tol (the
-    scan's squared distance), by brute force over all pairs."""
-    copy, close = np.zeros(len(raw), dtype=bool), np.zeros(len(raw), dtype=bool)
-    for lo in range(0, len(raw), 256):
-        blk = raw[lo:lo + 256, None, :]
-        sq = np.float_power(blk - raw[None, :, :], 2)
-        same = (blk == raw[None, :, :]).all(axis=2)
-        close[lo:lo + 256] = (((sq[..., 0] + sq[..., 1]) + sq[..., 2] < tol * tol) & ~same).any(axis=1)
-        same[np.arange(len(same)), lo + np.arange(len(same))] = False
-        copy[lo:lo + 256] = same.any(axis=1)
-    return copy, close
+def _scanned(monkeypatch):
+    """Wrap merge._greedy_weld; returns the list of the rows each call got."""
+    seen, scan = [], merge._greedy_weld
+    monkeypatch.setattr(merge, "_greedy_weld", lambda raw, tol: seen.append(raw.tolist()) or scan(raw, tol))
+    return seen
 
 
-def test_only_points_near_another_point_reach_the_search(monkeypatch):
-    """A change that sends isolated points back to the cell-hash search, or
-    that keeps a point with a distinct point within tol away from it, fails
-    here. The pool is that of a cube_sphere run."""
-    pools, searched = [], []
-    weld, search = merge.merge_vertices, merge._weld_search
+def test_only_groups_the_root_rule_cannot_settle_reach_the_scan(monkeypatch):
+    """A change that sends isolated points, exact copies or groups within tol
+    of their lowest index to the scan, or that settles a chain without it,
+    fails here."""
+    pools = []
+    weld = merge.merge_vertices
     monkeypatch.setattr(merge, "merge_vertices", lambda raw, tol: pools.append((raw, tol)) or weld(raw, tol))
-    monkeypatch.setattr(merge, "_weld_search", lambda pts, tol: searched.append(pts) or search(pts, tol))
+    scanned = _scanned(monkeypatch)
     run_pipeline(*STAGE3_RUNS["cube_sphere"]())
     (raw, tol), = pools
-    reached = {tuple(p) for pts in searched for p in pts.tolist()}
-    copy, close = _neighbour_kinds(raw, tol)
-    rows = raw.tolist()
-    isolated = [rows[i] for i in np.nonzero(~copy & ~close)[0]]
-    assert isolated and not any(tuple(p) in reached for p in isolated)
-    assert close.any() and all(tuple(rows[i]) in reached for i in np.nonzero(close)[0])
-    # runs of exact copies with nothing else near them skip the search too
-    copies_only = np.nonzero(copy & ~close)[0]
-    assert len(copies_only) and sum(tuple(rows[i]) not in reached for i in copies_only) > len(copies_only) // 2
+    verts, remap = merge_vertices(raw, tol)
+    # the root rule welds distinct points, and none of them is scanned
+    assert (verts[remap] != raw).any(axis=1).any()
+    assert not any(scanned)
+    tol = 1e-6
+    isolated = np.array([[0.0, 0.0, 0.0], [5 * tol, 0.0, 0.0], [0.0, -7 * tol, 3 * tol]])
+    root = np.array([0.3, -0.2, 0.7])
+    group = root + tol * np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.6, 0.0], [-0.4, 0.0, -0.5]])
+    chain = 2.0 + 0.6 * tol * np.arange(3)[:, None] * DIRECTIONS[4]
+    settled = np.concatenate([isolated, isolated[[2, 0]], group, group[[1]]])
+    scanned.clear()
+    assert_same_weld(settled, tol)
+    assert not any(scanned)
+    assert_same_weld(np.concatenate([settled, chain]), tol)
+    assert scanned == [chain.tolist()]
+
+
+def test_root_rule_checks_cells_like_the_scan():
+    """A pair that passes the distance test two cells apart: the scan never
+    compares it, so the root rule must not weld it either."""
+    tols = (1e-6 * (1 + k * 2.0**-30) for k in range(1, 20000))
+    tol = next((t for t in tols if np.float64(t) ** 2 < t * t), None)
+    if tol is None:
+        pytest.skip("pow(x, 2) == x * x for every candidate on this platform")
+    pair = np.array([[-1e-30, 0.0, 0.0], [tol, 0.0, 0.0]])
+    assert np.float_power(pair[1] - pair[0], 2).sum() < tol * tol
+    assert np.floor(pair[:, 0] / tol).tolist() == [-1, 1]
+    assert merge_vertices(pair, tol)[1].tolist() == [0, 1]
+    assert_same_weld(pair, tol)
+
+
+def test_weld_matches_oracle_on_a_giant_group(monkeypatch):
+    """The worst case: a grid on the plane normal to the sweep direction
+    projects into one group, which the root rule cannot settle. Every point is
+    given twice, some have a partner 0.5 tol away and one row is a 0.6 tol
+    chain; the scan must resolve them all."""
+    tol = 1e-6
+    u = ACROSS
+    v = np.cross(ALONG, u)
+    g = 3 * tol * np.arange(30)
+    grid = (g[:, None, None] * u + g[None, :, None] * v).reshape(-1, 3) + [0.3, -0.2, 0.7]
+    partners = grid[::7] + 0.5 * tol * (u + v) / math.sqrt(2)
+    chain = grid[-1] + 0.6 * tol * np.arange(1, 6)[:, None] * u
+    raw = np.concatenate([grid, partners, grid, chain])
+    raw = raw[np.random.default_rng(3).permutation(len(raw))]
+    scanned = _scanned(monkeypatch)
+    assert_same_weld(raw, tol)
+    assert sum(map(len, scanned)) == len(raw)
