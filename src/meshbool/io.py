@@ -29,14 +29,15 @@ def sniff_format(path) -> str:
         return "obj"
     if ext != ".stl":
         raise ParseError(f"{path}: unsupported extension {ext!r}")
-    data = p.read_bytes()
-    if len(data) < 84:
+    with open(p, "rb") as fh:  # only the 84-byte preamble is read
+        head, size = fh.read(84), p.stat().st_size
+    if len(head) < 84:
         return "stl_ascii"
-    if data[:5].lower() == b"solid":
+    if head[:5].lower() == b"solid":
         # Some binary exporters also start with 'solid'; trust the facet
         # count arithmetic over the keyword.
-        (count,) = struct.unpack_from("<I", data, 80)
-        if len(data) == 84 + 50 * count:
+        (count,) = struct.unpack_from("<I", head, 80)
+        if size == 84 + 50 * count:
             return "stl_binary"
         return "stl_ascii"
     return "stl_binary"

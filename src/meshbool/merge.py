@@ -185,7 +185,8 @@ def clear_topology(state: MergedState) -> MergedState:
     Degenerate faces (repeated index or area below tol^2) are dropped and
     repeated directed edges within one surface are repaired by deleting the
     smallest-area offender, re-checking until stable or the pass budget runs
-    out.
+    out. A closed manifold repeats no directed edge, so only surfaces that
+    were open or fail that check go through the repair.
     """
     verts = state.vertices
     faces = state.faces
@@ -203,9 +204,11 @@ def clear_topology(state: MergedState) -> MergedState:
     keep &= areas > area_tol
     faces, source, areas = faces[keep], source[keep], areas[keep]
 
+    closed = (state.a_closed, state.b_closed)
+    repair = [s for s in (0, 1) if not (closed[s] and is_closed_manifold(TriMesh(verts, faces[source == s])))]
     for _ in range(CLEARING_MAX_PASSES):
         drop = np.zeros(len(faces), dtype=bool)
-        for surf in (0, 1):
+        for surf in repair:
             ids = np.nonzero(source == surf)[0]
             for e, locals_ in _directed_edge_duplicates(faces[ids]).items():
                 victim = min(locals_, key=lambda li: (areas[ids[li]], li))
@@ -216,7 +219,7 @@ def clear_topology(state: MergedState) -> MergedState:
         faces, source, areas = faces[~drop], source[~drop], areas[~drop]
     else:
         leftovers = []
-        for surf in (0, 1):
+        for surf in repair:
             leftovers += list(_directed_edge_duplicates(faces[source == surf]))
         if leftovers:
             raise TopologyError(f"clearing did not converge, repeated edges remain: {leftovers[:5]}")
@@ -240,7 +243,7 @@ def clear_topology(state: MergedState) -> MergedState:
         sf = out.surface_faces(surf)
         if len(sf) == 0:
             raise TopologyError(f"surface {tag} lost all triangles during clearing")
-        if was_closed and not is_closed_manifold(TriMesh(verts, sf, source=tag)):
+        if was_closed and surf in repair and not is_closed_manifold(TriMesh(verts, sf, source=tag)):
             raise TopologyError(f"surface {tag} is no longer a closed manifold after clearing")
     if len(out.faces) and int(out.faces.max()) >= len(verts):
         raise TopologyError("dangling vertex index after merge")

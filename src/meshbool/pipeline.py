@@ -7,11 +7,12 @@ purely on vertex indices.
 
 Stage 3 reads the narrow phase's SegmentTable by columns. Per surface it
 groups the segment ends by face, adds the points a neighbour's split puts on
-a shared edge (_propagate_edge_points), prepares and walks all split faces
-in one numpy pass and triangulates them one by one; each split face gives
-its children as rows of the surface's point table, and build_merged_state
-gathers, welds and clears both surfaces at once. The Python loops of the
-stage run over split faces and their points only.
+a shared edge (_propagate_edge_points), and prepares and walks all split
+faces in one numpy pass, which gives one point table per surface and one
+record per face. Each record is triangulated on its own into children as
+rows of that table, and build_merged_state gathers, welds and clears both
+surfaces at once. The Python loops of the stage run over split faces and
+their points only.
 """
 from __future__ import annotations
 
@@ -160,7 +161,7 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
         del tree
     state.timings.append((STAGES[0], time.perf_counter() - t0))
 
-    scale = scene_scale(a, b, cube)
+    scale = scale0 if cube.is_empty else scene_scale(a, b, cube)  # an empty cube falls back to the boxes
     plane_tol = PLANE_TOL_REL * scale
     merge_tol = options.merge_tol if options.merge_tol is not None else MERGE_TOL_REL * scale
 
@@ -189,12 +190,9 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
         fids = sorted(per_face.keys() | extra.keys())
         segs = [per_face.get(fid, []) for fid in fids]
         points = [extra.get(fid, []) for fid in fids]
-        tris = mesh.vertices[mesh.faces[fids]]
-        kids = []
-        for fid, tri, s, p, setup in zip(fids, tris, segs, points, prepare_splits(tris, segs, points, merge_tol)):
-            kids.append(split_and_triangulate(tri, s, merge_tol, parent_tri=fid, boundary_points=p, setup=setup))
-        # Every segment has a face on each surface, so fids is never empty here.
-        splits.append((fids, kids, setup.pts3))
+        table, setups = prepare_splits(mesh.vertices[mesh.faces[fids]], segs, points, merge_tol)
+        kids = [split_and_triangulate(setup, fid) for fid, setup in zip(fids, setups)]
+        splits.append((fids, kids, table))
     state.merged = build_merged_state(a, b, splits, state.segments, merge_tol)
     state.timings.append((STAGES[2], time.perf_counter() - t0))
 

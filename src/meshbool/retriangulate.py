@@ -8,16 +8,16 @@ ear-clipped; closed loops floating inside a face become holes and are joined
 to the outer ring by bridge edges before clipping.
 
 All split faces of a surface are prepared in one numpy pass, prepare_splits,
-which also stacks the surface's point table: every split face's corners,
-boundary points and segment ends. The float work (frames, 2D coordinates,
-edge snaps, containment) keeps dot products, norms and hypot in numpy, where
-they round as the same expression on one face did. The walk is batched over
-the faces too: weld, snap, tail prune, turn table, face cycles and their
-areas. Only a face whose graph has more than one component places its holes
-in Python, face by face. split_triangle then assembles a face's polygons or
-raises its error, and the ear clipper runs on Python floats and ints with no
-numpy call: a split face's polygons and its children are rows of the point
-table, which build_merged_state gathers once per surface.
+which returns the surface's one point table and one record per face, a
+FaceSetup: the face's fault or its polygons as rows of that table. The float
+work (frames, 2D coordinates, edge snaps, containment) keeps dot products,
+norms and hypot in numpy, where they round as the same expression on one face
+did. The walk is batched over the faces too: weld, snap, tail prune, turn
+table, face cycles and their areas. Only a face whose graph has more than one
+component places its holes in Python, face by face. split_and_triangulate
+raises a face's fault or ear-clips its polygons on Python floats and ints
+with no numpy call, into rows of the point table, which build_merged_state
+gathers once per surface.
 
 The combinatorial ear-clipping core follows the well-known earcut algorithm,
 minus the z-order acceleration and minus collinear-vertex filtering: points
@@ -37,7 +37,7 @@ lose area.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
@@ -46,19 +46,6 @@ import numpy as np
 from .errors import DegeneratePolygon, DegenerateTriangle, GeometryError, NotSimple
 from .geometry import row_dots
 from .halfedge import min_labels
-
-
-@dataclass
-class SplitPolygon:
-    """One face of a split triangle: its outer ring and optional hole rings
-    as rows of the point table, and the same rings in the parent triangle's
-    CCW local frame as lists of (x, y). The unsplit triangle has no 2D ring."""
-
-    rows: list
-    parent_tri: int = -1
-    holes: list = field(default_factory=list)
-    ring2d: list | None = None
-    holes2d: list = field(default_factory=list)
 
 
 def _pairs(ring) -> list:
@@ -330,30 +317,27 @@ def _project(rel: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(slots=True)
 class FaceSetup:
-    """One face's split, made by prepare_splits. size counts the points it
-    was given (boundary points and segment ends). Each polygon is a face of
-    the split as (rows, ring2d, holes, holes2d): its outer ring and hole
-    rings as rows of pts3, the point table of all faces prepared together,
-    and in the face's 2D frame. fault is the (error class, message) of the
-    face's first failing check, raised when the face is split; "{tri}" in
-    the message stands for its parent triangle. Face f's corners are rows
-    3f, 3f + 1 and 3f + 2."""
+    """One face's split, made by prepare_splits: fault, the (error class,
+    message) of its first failing check, "{tri}" standing for the parent; or
+    polygons, each (rows, ring2d, holes, holes2d): the outer and hole rings
+    as rows of the point table and in the face's 2D frame. A face with no
+    points is one polygon, its corner rows, with no 2D ring."""
 
-    zero_area: bool
-    size: int
     fault: tuple | None
-    corners: list
     polygons: list
-    pts3: np.ndarray
 
 
-def prepare_splits(tris, segments, boundary_points, tol) -> Iterator[FaceSetup]:
-    """Split many faces in one numpy pass and yield each face's setup in
-    turn. The point table the setups share holds every face's corners, then
-    every face's boundary points, then both ends of every segment, each in
-    the order given. _project_points does the float work, and _walk builds
-    and walks the planar subdivisions of every face that has points and a
-    frame.
+def prepare_splits(tris, segments, boundary_points, tol) -> tuple[np.ndarray, Iterator[FaceSetup]]:
+    """Split many faces in one numpy pass. A face's segments are (p0, p1)
+    pairs on it within tol; its boundary points, which a neighbour's split
+    puts on a shared edge, are embedded so that edge stays watertight. Chord
+    tails that end inside bound no face and are pruned. Returns the point
+    table the faces share: every face's corners (face f's are rows 3f to
+    3f + 2), boundary points, then segment ends, each in the order given;
+    and a generator of each face's setup in turn, so that only the face
+    being split holds Python lists. A face's fault is zero area, no frame, a
+    point outside it, a floating loop in no face, or faces that do not cover
+    it. _project_points does the float work; _walk walks the subdivisions.
     """
     tris = np.asarray(tris, dtype=np.float64).reshape(-1, 3, 3)
     nf = len(tris)
@@ -361,7 +345,7 @@ def prepare_splits(tris, segments, boundary_points, tol) -> Iterator[FaceSetup]:
     ns = np.asarray([len(segs) for segs in segments], dtype=np.int64)
     bpts = np.asarray([p for pts in boundary_points for p in pts], dtype=np.float64).reshape(-1, 1, 3)
     spts = np.asarray([pq for segs in segments for pq in segs], dtype=np.float64).reshape(-1, 2, 3)
-    pts3 = np.concatenate([tris.reshape(-1, 3), bpts.reshape(-1, 3), spts.reshape(-1, 3)])
+    table = np.concatenate([tris.reshape(-1, 3), bpts.reshape(-1, 3), spts.reshape(-1, 3)])
     zero, why, corners2, points = _project_points(tris, bpts, spts, nb, ns, tol)
     size = nb + 2 * ns
     faults = [(DegeneratePolygon, w) if w else None for w in why.tolist()]
@@ -373,12 +357,16 @@ def prepare_splits(tris, segments, boundary_points, tol) -> Iterator[FaceSetup]:
         for slot, f in enumerate(walked.tolist()):
             faults[f], slots[f] = walk_faults[slot], slot
 
-    def setups():  # a face's lists are made when it is reached, and dropped after it
+    def setups():
         for f, (zero_area, count) in enumerate(zip(zero.tolist(), size.tolist())):
-            polys = polygons(slots[f]) if slots[f] >= 0 else []
-            yield FaceSetup(zero_area, count, faults[f], [3 * f, 3 * f + 1, 3 * f + 2], polys, pts3)
+            if zero_area:
+                yield FaceSetup((DegenerateTriangle, "cannot split a zero-area triangle"), [])
+            elif not count:
+                yield FaceSetup(None, [([3 * f, 3 * f + 1, 3 * f + 2], None, [], [])])
+            else:  # a face without a fault was walked
+                yield FaceSetup(faults[f], [] if faults[f] else polygons(slots[f]))
 
-    return setups()
+    return table, setups()
 
 
 def _project_points(tris, bpts, spts, nb, ns, tol):
@@ -731,56 +719,24 @@ def _point_in_ring(p, ring):
     return inside
 
 
-def split_triangle(
-    tri_coords, segments, tol, parent_tri: int = -1, boundary_points=(), setup: FaceSetup | None = None
-) -> list[SplitPolygon]:
-    """Partition a triangle into faces bounded by its intersection chords.
-
-    segments is a list of (p0, p1) 3D endpoint pairs lying on the triangle
-    (within tol). boundary_points are extra vertices to embed on the
-    triangle's edges (subdivision points propagated from a neighbour's
-    split, so shared edges stay watertight). setup is the face's entry of
-    prepare_splits over these arguments; without it the face is prepared
-    alone, and its point table is its corners, boundary points and segment
-    ends. The polygons' rows index setup.pts3. Without segments or boundary
-    points the triangle itself is the single face. Dangling chord tails
-    (chains ending strictly inside) do not bound any face and are pruned.
-    Raises GeometryError when a segment leaves the triangle or the extracted
-    faces fail to cover its area.
-    """
-    if setup is None:
-        setup = next(prepare_splits([tri_coords], [segments], [boundary_points], tol))
-    elif setup.size != len(boundary_points) + 2 * len(segments):
-        raise GeometryError(f"setup does not match the points of triangle {parent_tri}")
-    if setup.zero_area:
-        raise DegenerateTriangle("cannot split a zero-area triangle")
-    if not len(segments) and not len(boundary_points):
-        return [SplitPolygon(setup.corners, parent_tri)]
+def split_and_triangulate(setup: FaceSetup, parent_tri: int = -1) -> list[tuple[int, int, int]]:
+    """One face's children, as row triples of the point table prepare_splits
+    returned with setup: each polygon ear-clipped. A face left whole, one
+    hole-free polygon of three rows, is its rows in ascending order. Raises
+    the face's fault, or DegeneratePolygon from ear clipping, naming
+    parent_tri."""
     if setup.fault:
         error, message = setup.fault
         raise error(message.format(tri=parent_tri))
-    return [SplitPolygon(rows, parent_tri, holes, ring2d=ring2d, holes2d=holes2d)
-            for rows, ring2d, holes, holes2d in setup.polygons]
-
-
-def triangulate_polygon(poly: SplitPolygon) -> list[tuple[int, int, int]]:
-    """Ear-clip one split face, as made by split_triangle, into triangles
-    given as row triples of its point table."""
-    try:
-        tris = ear_clip(poly.ring2d, poly.holes2d)
-    except DegeneratePolygon as err:
-        raise DegeneratePolygon(f"{err} (tri {poly.parent_tri})") from err
-    rows = [r for ring in (poly.rows, *poly.holes) for r in ring]
-    return [(rows[i], rows[j], rows[k]) for i, j, k in tris]
-
-
-def split_and_triangulate(
-    tri_coords, segments, tol, parent_tri: int = -1, boundary_points=(), setup: FaceSetup | None = None
-) -> list[tuple[int, int, int]]:
-    """Split one triangle and return its replacement triangles as (k, 3)
-    rows of the point table, setup.pts3 (see split_triangle). A triangle
-    left whole is its own corner rows, in corner order."""
-    polys = split_triangle(tri_coords, segments, tol, parent_tri, boundary_points, setup)
-    if len(polys) == 1 and not polys[0].holes and len(polys[0].rows) == 3:
-        return [tuple(sorted(polys[0].rows))]
-    return [tri for p in polys for tri in triangulate_polygon(p)]
+    polys = setup.polygons
+    if len(polys) == 1 and not polys[0][2] and len(polys[0][0]) == 3:
+        return [tuple(sorted(polys[0][0]))]
+    children = []
+    for rows, ring2d, holes, holes2d in polys:
+        try:
+            tris = ear_clip(ring2d, holes2d)
+        except DegeneratePolygon as err:
+            raise DegeneratePolygon(f"{err} (tri {parent_tri})") from err
+        rows = [r for ring in (rows, *holes) for r in ring]
+        children += [(rows[i], rows[j], rows[k]) for i, j, k in tris]
+    return children

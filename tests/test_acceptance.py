@@ -14,7 +14,7 @@ from meshbool.intersect import intersect_all
 from meshbool.loops import HARD_CLOSED, OPEN, SOFT_CLOSED, vertex_degrees
 from meshbool.octree import find_candidates
 from meshbool.pipeline import run_pipeline
-from meshbool.retriangulate import ear_clip, split_triangle
+from meshbool.retriangulate import ear_clip, prepare_splits
 from meshes import (
     blob_and_plane,
     cube,
@@ -218,7 +218,8 @@ def test_criterion_7_retriangulation_laws():
 
     tri = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
     chord = [(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))]
-    assert len(split_triangle(tri, chord, 1e-9)) == 2
+    _, setups = prepare_splits([tri], [chord], [()], 1e-9)
+    assert len(next(setups).polygons) == 2
     report(7, "ear clipping: n-2 triangles and area conserved at 1e-10 on 200 "
               "random polygons; single chord divides a triangle into 2 polygons")
 

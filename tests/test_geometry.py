@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshbool import geometry
+from meshbool import geometry, octree
 from meshbool.errors import EmptyInput, NotClosed
 from meshbool.geometry import (
     Aabb,
@@ -19,6 +19,7 @@ from meshbool.geometry import (
     unit_normals,
 )
 from meshbool.halfedge import SurfaceTopology
+from meshbool.pipeline import run_pipeline
 from meshes import cube, icosphere, lobed_blob, oracle_volume, torus_pair
 
 
@@ -49,6 +50,23 @@ def test_scene_scale_builds_each_box_once(monkeypatch):
     a, b = cube((0, 0, 0), 1.0, "A"), cube((0.5, -2.0, 0.25), 1.5, "B")
     assert scene_scale(a, b) == 3.0  # y spans -2 to 1
     assert built == [a, b]
+
+
+def test_disjoint_run_derives_the_scene_scale_once(monkeypatch):
+    """Inputs whose boxes do not overlap give an empty root cube, and the run
+    keeps the scale it derived before the broad phase: two boxes for that
+    scale, two for the clip and two for the trivial path's repeated clip."""
+    built = []
+
+    def counted(mesh):
+        built.append(mesh)
+        return mesh_aabb(mesh)
+
+    monkeypatch.setattr(geometry, "mesh_aabb", counted)
+    monkeypatch.setattr(octree, "mesh_aabb", counted)
+    state = run_pipeline(cube((0, 0, 0), 1.0, "A"), cube((3.0, 0.5, 0.25), 1.0, "B"))
+    assert state.trivial and len(state.result.union) == 2
+    assert len(built) == 6
 
 
 def test_aabb_intersection_examples():

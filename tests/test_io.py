@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from meshbool import io
 from meshbool.cli import main
 from meshbool.errors import EmptyInput, ParseError
 from meshbool.geometry import TriMesh, signed_volume
@@ -93,6 +94,39 @@ def test_truncated_binary_stl(tmp_path):
     path.write_bytes(data[:-10])
     with pytest.raises(ParseError):
         load_mesh(path)
+
+
+class CountedReads:
+    """A file that records the length of every read."""
+
+    def __init__(self, fh, sizes):
+        self.fh, self.sizes = fh, sizes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def read(self, *args):
+        data = self.fh.read(*args)
+        self.sizes.append(len(data))
+        return data
+
+
+def test_sniff_reads_only_the_preamble_of_a_binary_stl_named_solid(tmp_path, monkeypatch):
+    """A binary STL whose header starts with 'solid' is still binary, told
+    by the facet count against the file size, from at most 84 bytes."""
+    path = tmp_path / "solid.stl"
+    save_mesh(cube(), path)
+    path.write_bytes(b"solid" + path.read_bytes()[5:])
+    sizes = []
+    with monkeypatch.context() as mp:
+        mp.setattr(io, "open", lambda *args, **kw: CountedReads(open(*args, **kw), sizes), raising=False)
+        mp.setattr(type(path), "read_bytes", lambda self: pytest.fail("the whole file was read"))
+        assert sniff_format(path) == "stl_binary"
+    assert 0 < sum(sizes) <= 84
+    assert load_mesh(path).num_faces == 12
 
 
 def test_binary_facet_count_matches_records(tmp_path):

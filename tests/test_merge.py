@@ -132,6 +132,18 @@ def test_clear_idempotent_on_clean_cube():
     assert np.array_equal(once.faces, c.faces)
 
 
+@pytest.mark.parametrize("name, searched", [("cube_sphere", False), ("vw", True)])
+def test_only_surfaces_that_are_not_closed_manifolds_are_searched_for_repeated_edges(monkeypatch, name, searched):
+    """A closed manifold repeats no directed edge, so clearing searches a
+    surface for repeated edges only when it was open or fails that check:
+    never on a closed fixture run, on every pass of an open one."""
+    calls = []
+    find = merge._directed_edge_duplicates
+    monkeypatch.setattr(merge, "_directed_edge_duplicates", lambda faces: calls.append(len(faces)) or find(faces))
+    run_pipeline(*STAGE3_RUNS[name]())
+    assert bool(calls) == searched
+
+
 def test_compute_extrema_cube():
     c = cube()
     ext = compute_extrema(c.vertices)

@@ -10,13 +10,7 @@ import oracle_retriangulate as oracle
 from meshbool import pipeline, retriangulate
 from meshbool.errors import DegeneratePolygon, DegenerateTriangle, GeometryError
 from meshbool.pipeline import run_pipeline
-from meshbool.retriangulate import (
-    SplitPolygon,
-    ear_clip,
-    split_and_triangulate,
-    split_triangle,
-    triangulate_polygon,
-)
+from meshbool.retriangulate import FaceSetup, ear_clip, split_and_triangulate
 from meshes import (
     blob_and_plane,
     bumpy_pair,
@@ -34,9 +28,17 @@ TRI = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
 
 
 def alone(tri, segments, tol, boundary_points=()):
-    """The setup of one face prepared alone: its point table is the corners,
-    the boundary points, then the segment ends."""
-    return next(retriangulate.prepare_splits([tri], [segments], [boundary_points], tol))
+    """The point table and setup of one face prepared alone: the table is
+    the corners, the boundary points, then the segment ends."""
+    table, setups = retriangulate.prepare_splits([tri], [segments], [boundary_points], tol)
+    return table, next(setups)
+
+
+def polygons(tri, segments, tol, boundary_points=()):
+    """The polygons of a face prepared alone, which must have no fault."""
+    _, setup = alone(tri, segments, tol, boundary_points)
+    assert setup.fault is None
+    return setup.polygons
 
 
 def gather(table, rows):
@@ -46,8 +48,8 @@ def gather(table, rows):
 
 def children(tri, segments, tol, parent_tri=-1, boundary_points=()):
     """split_and_triangulate's children of a face prepared alone, as coordinates."""
-    setup = alone(tri, segments, tol, boundary_points)
-    return gather(setup.pts3, split_and_triangulate(tri, segments, tol, parent_tri, boundary_points, setup))
+    table, setup = alone(tri, segments, tol, boundary_points)
+    return gather(table, split_and_triangulate(setup, parent_tri))
 
 
 def poly_area3d(ring):
@@ -58,29 +60,21 @@ def poly_area3d(ring):
     return 0.5 * np.linalg.norm(total)
 
 
-# --- split_triangle -------------------------------------------------------
+# --- prepare_splits -------------------------------------------------------
 
 
 def test_single_chord_two_polygons():
     segs = [(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))]
-    polys = split_triangle(TRI, segs, 1e-9)
-    assert len(polys) == 2
-
-
-def test_split_rejects_the_setup_of_other_points():
-    one = [(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))]
-    two = one + [(np.array([0.5, 0.0, 0.0]), np.array([0.0, 0.5, 0.0]))]
-    setup = next(retriangulate.prepare_splits([TRI], [one], [()], 1e-9))
-    assert len(split_triangle(TRI, one, 1e-9, 7, (), setup)) == 2
-    with pytest.raises(GeometryError, match="triangle 7"):
-        split_triangle(TRI, two, 1e-9, 7, (), setup)
+    assert len(polygons(TRI, segs, 1e-9)) == 2
 
 
 def test_no_segments_identity():
-    polys = split_triangle(TRI, [], 1e-9)
-    assert len(polys) == 1
-    assert polys[0].rows == [0, 1, 2] and polys[0].ring2d is None
-    assert np.array_equal(alone(TRI, [], 1e-9).pts3[polys[0].rows], TRI)
+    table, setup = alone(TRI, [], 1e-9)
+    assert setup.fault is None and len(setup.polygons) == 1
+    rows, ring2d, holes, holes2d = setup.polygons[0]
+    assert rows == [0, 1, 2] and ring2d is None and holes == holes2d == []
+    assert np.array_equal(table[rows], TRI)
+    assert split_and_triangulate(setup) == [(0, 1, 2)]
 
 
 def test_two_noncrossing_chords_three_polygons_area_sum():
@@ -88,9 +82,9 @@ def test_two_noncrossing_chords_three_polygons_area_sum():
         (np.array([0.5, 0.0, 0.0]), np.array([0.0, 0.5, 0.0])),
         (np.array([1.5, 0.0, 0.0]), np.array([0.0, 1.5, 0.0])),
     ]
-    polys = split_triangle(TRI, segs, 1e-9)
+    polys = polygons(TRI, segs, 1e-9)
     assert len(polys) == 3
-    total = sum(oracle_shoelace(p.ring2d) for p in polys)
+    total = sum(oracle_shoelace(p[1]) for p in polys)
     assert total == pytest.approx(2.0, rel=1e-12)
 
 
@@ -100,10 +94,10 @@ def test_interior_closed_loop_makes_hole_and_disk():
         np.array([0.7, 0.7, 0.0]), np.array([0.3, 0.7, 0.0]),
     ]
     segs = [(square[i], square[(i + 1) % 4]) for i in range(4)]
-    polys = split_triangle(TRI, segs, 1e-9)
+    polys = polygons(TRI, segs, 1e-9)
     assert len(polys) == 2
-    holed = [p for p in polys if p.holes]
-    assert len(holed) == 1 and len(holed[0].holes) == 1
+    holed = [p for p in polys if p[2]]
+    assert len(holed) == 1 and len(holed[0][2]) == 1
     tris = children(TRI, segs, 1e-9)
     area = sum(poly_area3d(t) for t in tris)
     assert area == pytest.approx(2.0, rel=1e-9)
@@ -111,14 +105,13 @@ def test_interior_closed_loop_makes_hole_and_disk():
 
 def test_segment_outside_triangle_raises():
     segs = [(np.array([3.0, 3.0, 0.0]), np.array([4.0, 4.0, 0.0]))]
-    with pytest.raises(GeometryError):
-        split_triangle(TRI, segs, 1e-9)
+    with pytest.raises(GeometryError, match="outside triangle 7"):
+        split_and_triangulate(alone(TRI, segs, 1e-9)[1], 7)
 
 
 def test_dangling_tail_pruned():
     segs = [(np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.5, 0.0]))]
-    polys = split_triangle(TRI, segs, 1e-9)
-    assert len(polys) == 1  # a slit does not divide the triangle
+    assert len(polygons(TRI, segs, 1e-9)) == 1  # a slit does not divide the triangle
     tris = children(TRI, segs, 1e-9)
     assert sum(poly_area3d(t) for t in tris) == pytest.approx(2.0, rel=1e-9)
 
@@ -127,9 +120,9 @@ def test_dangling_tail_pruned():
 def test_chord_inside_the_triangle_is_pruned_whole(inner):
     pts = [np.array([0.3, 0.3, 0.0]), np.array([0.5, 0.4, 0.0]), np.array([0.6, 0.7, 0.0])][: inner + 1]
     segs = list(zip(pts, pts[1:]))
-    polys = split_triangle(TRI, segs, 1e-9)
-    assert len(polys) == 1 and len(polys[0].rows) == 3
-    assert_same_rings(polys, oracle.split_triangle(TRI, segs, 1e-9), alone(TRI, segs, 1e-9).pts3)
+    table, setup = alone(TRI, segs, 1e-9)
+    assert len(setup.polygons) == 1 and len(setup.polygons[0][0]) == 3
+    assert_same_rings(setup, oracle.split_triangle(TRI, segs, 1e-9), table)
 
 
 def test_junction_star_splits_into_sectors():
@@ -139,9 +132,9 @@ def test_junction_star_splits_into_sectors():
         np.array([1.5, 0.5, 0.0]), np.array([0.5, 1.5, 0.0]),  # on the hypotenuse
     ]
     segs = [(center, s) for s in spokes]
-    polys = split_triangle(TRI, segs, 1e-9)
+    polys = polygons(TRI, segs, 1e-9)
     assert len(polys) == 4
-    total = sum(oracle_shoelace(p.ring2d) for p in polys)
+    total = sum(oracle_shoelace(p[1]) for p in polys)
     assert total == pytest.approx(2.0, rel=1e-12)
 
 
@@ -226,17 +219,17 @@ def test_ear_clip_without_an_ear_raises(ring):
     assert len(oracle.ear_clip(ring, validate=False)) == (1 if ring is BOWTIE else 0)
 
 
-def test_triangulate_polygon_names_the_parent_triangle():
-    poly = SplitPolygon([0, 1, 2, 3], parent_tri=17, ring2d=BOWTIE.tolist())
+def test_polygon_without_an_ear_names_the_parent_triangle():
+    setup = FaceSetup(None, [([0, 1, 2, 3], BOWTIE.tolist(), [], [])])
     with pytest.raises(DegeneratePolygon, match=r"no ear .*\(tri 17\)"):
-        triangulate_polygon(poly)
+        split_and_triangulate(setup, 17)
 
 
 def test_split_and_triangulate_names_the_parent_triangle(monkeypatch):
     monkeypatch.setattr(retriangulate, "_is_ear", lambda *args: False)
     segs = [(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))]
     with pytest.raises(DegeneratePolygon, match=r"\(tri 42\)") as info:
-        split_and_triangulate(TRI, segs, 1e-9, parent_tri=42)
+        split_and_triangulate(alone(TRI, segs, 1e-9)[1], 42)
     assert info.value.exit_code == 3
 
 
@@ -255,66 +248,77 @@ SPLIT_RUNS = {
 }
 
 
-@functools.cache
-def fixture_splits(name):
-    """Every split_and_triangulate call of one fixture run: its arguments,
-    as the pipeline passed them, and the children it returned."""
-    calls = []
+def record_splits(make):
+    """run_pipeline on make()'s meshes. Returns every split face as (args,
+    setup, table, children): the oracle's arguments (triangle, segments,
+    tol, parent, boundary points) as the pipeline prepared the face, the
+    setup and point table prepare_splits made, and the children
+    split_and_triangulate returned; and the number of _place_holes calls."""
+    faces, calls, placed = [], [], []
+    prepare, place = retriangulate.prepare_splits, retriangulate._place_holes
 
-    def recorded(*args, **kw):
-        got = split_and_triangulate(*args, **kw)
-        calls.append((args, kw, got))
+    def prepared(tris, segments, boundary_points, tol):
+        table, setups = prepare(tris, segments, boundary_points, tol)
+        faces.extend((tri, segs, tol, points, table) for tri, segs, points in zip(tris, segments, boundary_points))
+        return table, setups
+
+    def split(setup, parent_tri):
+        got = split_and_triangulate(setup, parent_tri)
+        calls.append((setup, parent_tri, got))
         return got
 
-    pipeline.split_and_triangulate = recorded
-    try:
-        run_pipeline(*SPLIT_RUNS[name]())
-    finally:
-        pipeline.split_and_triangulate = split_and_triangulate
-    assert calls
-    return calls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "prepare_splits", prepared)
+        mp.setattr(pipeline, "split_and_triangulate", split)
+        mp.setattr(retriangulate, "_place_holes", lambda *args: placed.append(args) or place(*args))
+        run_pipeline(*make())
+    assert calls and len(calls) == len(faces)
+    return [((tri, segs, tol, parent, points), setup, table, got)
+            for (tri, segs, tol, points, table), (setup, parent, got) in zip(faces, calls)], len(placed)
 
 
-def assert_same_rings(got, want, table):
-    """Polygons byte-equal to the old splitter's, in the same order, each
-    ring with the same start and direction. The 3D rings are gathered from
-    table, the point table the polygons' rows index."""
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.parent_tri == w.parent_tri
-        assert len(g.holes) == len(w.holes) and len(g.holes2d) == len(w.holes2d)
-        assert (g.ring2d is None) == (w.ring2d is None)
-        pairs = [(table[g.rows], w.vertices), *((table[h], wh) for h, wh in zip(g.holes, w.holes)),
-                 *((np.array(h), wh) for h, wh in zip(g.holes2d, w.holes2d))]
-        if g.ring2d is not None:
-            pairs.append((np.array(g.ring2d), w.ring2d))
+@functools.cache
+def fixture_splits(name):
+    """Every split face of one fixture run (see record_splits)."""
+    return record_splits(SPLIT_RUNS[name])[0]
+
+
+def assert_same_rings(setup, want, table):
+    """A setup without a fault whose polygons are byte-equal to the old
+    splitter's, in the same order, each ring with the same start and
+    direction. The 3D rings are gathered from table, the point table the
+    polygons' rows index."""
+    assert setup.fault is None
+    assert len(setup.polygons) == len(want)
+    for (rows, ring2d, holes, holes2d), w in zip(setup.polygons, want):
+        assert len(holes) == len(w.holes) and len(holes2d) == len(w.holes2d)
+        assert (ring2d is None) == (w.ring2d is None)
+        pairs = [(table[rows], w.vertices), *((table[h], wh) for h, wh in zip(holes, w.holes)),
+                 *((np.array(h), wh) for h, wh in zip(holes2d, w.holes2d))]
+        if ring2d is not None:
+            pairs.append((np.array(ring2d), w.ring2d))
         for x, y in pairs:
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def _geometric(kw):
-    return {k: v for k, v in kw.items() if k != "setup"}
-
-
 @pytest.mark.parametrize("name", sorted(SPLIT_RUNS))
 def test_split_rings_match_oracle_on_fixture_runs(name):
-    for args, kw, _ in fixture_splits(name):
-        want = oracle.split_triangle(*args, **_geometric(kw))
-        assert_same_rings(split_triangle(*args, **kw), want, kw["setup"].pts3)
-        table = alone(args[0], args[1], args[2], kw["boundary_points"]).pts3
-        assert_same_rings(split_triangle(*args, **_geometric(kw)), want, table)
+    for args, setup, table, _ in fixture_splits(name):
+        want = oracle.split_triangle(*args)
+        assert_same_rings(setup, want, table)
+        table, setup = alone(args[0], args[1], args[2], args[4])
+        assert_same_rings(setup, want, table)
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_RUNS))
 def test_split_matches_oracle_on_fixture_runs(name):
-    for args, kw, got in fixture_splits(name):
-        # The pipeline's children, made from its precomputed setup, against
-        # the old splitter on the geometric arguments alone.
-        assert kw["setup"] is not None
-        want = oracle.split_and_triangulate(*args, **_geometric(kw))
-        got = gather(kw["setup"].pts3, got)
-        assert got.dtype == want.dtype and got.shape == want.shape, kw["parent_tri"]
-        assert got.tobytes() == want.tobytes(), kw["parent_tri"]
+    for args, _, table, got in fixture_splits(name):
+        # The pipeline's children, made from its setup, against the old
+        # splitter on the geometric arguments alone.
+        want = oracle.split_and_triangulate(*args)
+        got = gather(table, got)
+        assert got.dtype == want.dtype and got.shape == want.shape, args[3]
+        assert got.tobytes() == want.tobytes(), args[3]
 
 
 def _ulp_off(draw, p):
@@ -550,7 +554,7 @@ def check_children(scene):
             want = oracle.split_and_triangulate(*args)
     except GeometryError as err:
         with pytest.raises(type(err)):
-            split_and_triangulate(*args)
+            split_and_triangulate(alone(tri, segments, tol, boundary)[1], 5)
         return
     fell_back = any(passes)
     try:
@@ -569,13 +573,15 @@ def check_children(scene):
 def check_rings(scene):
     tri, segments, tol, boundary = scene
     args = (tri, segments, tol, 5, boundary)
+    table, setup = alone(tri, segments, tol, boundary)
     try:
         want = oracle.split_triangle(*args)
     except GeometryError as err:
+        assert setup.fault is not None  # raised before any ear clipping
         with pytest.raises(type(err)):
-            split_triangle(*args)
+            split_and_triangulate(setup, 5)
         return
-    assert_same_rings(split_triangle(*args), want, alone(tri, segments, tol, boundary).pts3)
+    assert_same_rings(setup, want, table)
 
 
 @settings(max_examples=400, deadline=None)
@@ -602,16 +608,17 @@ def test_split_rings_match_oracle_on_chain_scenes(scene):
     check_rings(scene)
 
 
-def outcome(tri, segments, tol, fid, boundary, setup):
-    """A face's split as the error it raises, or as its polygons' bytes:
-    3D rings gathered from setup's point table and 2D rings, in order."""
+def outcome(table, setup, fid):
+    """A face's split as the error it raises, or as its polygons' bytes (3D
+    rings gathered from its point table and 2D rings, in order) with its
+    children's."""
     try:
-        polys = split_triangle(tri, segments, tol, fid, boundary, setup)
+        kids = split_and_triangulate(setup, fid)
     except GeometryError as err:
         return type(err), str(err)
-    return [(p.parent_tri, setup.pts3[p.rows].tobytes(), [setup.pts3[h].tobytes() for h in p.holes],
-             None if p.ring2d is None else np.array(p.ring2d).tobytes(),
-             [np.array(h).tobytes() for h in p.holes2d]) for p in polys]
+    return [(table[rows].tobytes(), [table[h].tobytes() for h in holes],
+             None if ring2d is None else np.array(ring2d).tobytes(), [np.array(h).tobytes() for h in holes2d])
+            for rows, ring2d, holes, holes2d in setup.polygons], gather(table, kids).tobytes()
 
 
 SQUARE = [np.array(p) for p in ([0.3, 0.3, 0.0], [0.7, 0.3, 0.0], [0.7, 0.7, 0.0], [0.3, 0.7, 0.0])]
@@ -638,26 +645,14 @@ def test_packed_faces_split_as_each_face_alone(scenes, rand):
     faces = [(None, (tri, segments, boundary)) for tri, segments, _, boundary in scenes]
     faces += [(name, face) for name, (face, _) in PACKED_FACES.items()] + [(None, NON_FINITE)]
     rand.shuffle(faces)
-    setups = list(retriangulate.prepare_splits(*zip(*(face for _, face in faces)), tol))
+    table, setups = retriangulate.prepare_splits(*zip(*(face for _, face in faces)), tol)
+    setups = list(setups)
     for fid, ((name, (tri, segments, boundary)), setup) in enumerate(zip(faces, setups)):
-        got = outcome(tri, segments, tol, fid, boundary, setup)
-        assert got == outcome(tri, segments, tol, fid, boundary, alone(tri, segments, tol, boundary))
+        got = outcome(table, setup, fid)
+        assert got == outcome(*alone(tri, segments, tol, boundary), fid)
         if name is not None:
             error = PACKED_FACES[name][1]
-            assert got[0] is error if error else isinstance(got, list), name
-
-
-def recorded_splits(make):
-    """run_pipeline on make()'s meshes: the arguments of every
-    split_and_triangulate call, and the number of _place_holes calls."""
-    calls, placed = [], []
-    place = retriangulate._place_holes
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "split_and_triangulate", lambda *args, **kw: calls.append((args, kw)) or
-                   split_and_triangulate(*args, **kw))
-        mp.setattr(retriangulate, "_place_holes", lambda *args: placed.append(args) or place(*args))
-        run_pipeline(*make())
-    return calls, len(placed)
+            assert got[0] is error if error else isinstance(got[0], list), name
 
 
 @pytest.mark.parametrize("name", ["bumpy_band", "cube_sphere"])
@@ -666,8 +661,8 @@ def test_only_faces_with_floating_components_reach_hole_placement(name):
     Python hole placement sees exactly the faces with more than one, which
     the old splitter gives holes. A crossing without floating loops sends
     none there."""
-    calls, placed = recorded_splits(bumpy_pair if name == "bumpy_band" else SPLIT_RUNS[name])
-    holed = sum(any(p.holes for p in oracle.split_triangle(*args, **_geometric(kw))) for args, kw in calls)
+    faces, placed = record_splits(bumpy_pair if name == "bumpy_band" else SPLIT_RUNS[name])
+    holed = sum(any(p.holes for p in oracle.split_triangle(*args)) for args, *_ in faces)
     assert placed == holed
     assert (placed > 0) if name == "bumpy_band" else (placed == 0)
 
@@ -690,12 +685,12 @@ def test_split_of_a_prepared_face_makes_no_numpy_call(scene):
     """Once prepare_splits has done a face's float work, the walk, the ear
     clipper and the children's rows run on Python values alone."""
     tri, segments, tol, boundary = scene
-    setup = alone(tri, segments, tol, boundary)
+    _, setup = alone(tri, segments, tol, boundary)
     lookups = NumpyLookups()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(retriangulate, "np", lookups)
         try:
-            split_and_triangulate(tri, segments, tol, 5, boundary, setup)
+            split_and_triangulate(setup, 5)
         except GeometryError:
             pass
     assert lookups.names == []
@@ -713,9 +708,9 @@ ALONG_EDGE = (
 
 def test_split_rings_match_oracle_on_a_chord_along_an_edge():
     tri, segments, tol, boundary = ALONG_EDGE
-    assert_same_rings(split_triangle(tri, segments, tol, 38, boundary),
-                      oracle.split_triangle(tri, segments, tol, 38, boundary), alone(tri, segments, tol, boundary).pts3)
-    assert len(split_triangle(tri, segments, tol, 38, boundary)) == 1
+    table, setup = alone(tri, segments, tol, boundary)
+    assert_same_rings(setup, oracle.split_triangle(tri, segments, tol, 38, boundary), table)
+    assert len(setup.polygons) == 1
 
 
 # A scene found by the chord-chain strategy: a floating loop whose vertices
