@@ -325,9 +325,9 @@ def point_in_closed_mesh(point, mesh: TriMesh, max_retries: int = 32) -> bool:
 
 def trivial_from_no_crossing(a: TriMesh, b: TriMesh) -> BooleanResult:
     """Results when the surfaces provably do not intersect (closed inputs)."""
-    # Probe a face corner: a mesh read from STL can hold vertices no face uses.
-    a_in_b = point_in_closed_mesh(a.vertices[a.faces[0, 0]], b)
-    b_in_a = point_in_closed_mesh(b.vertices[b.faces[0, 0]], a)
+    # Probe face 0's centroid: not a stray STL vertex, nor a corner touching the other surface.
+    a_in_b = point_in_closed_mesh(a.vertices[a.faces[0]].mean(axis=0), b)
+    b_in_a = point_in_closed_mesh(b.vertices[b.faces[0]].mean(axis=0), a)
     res = BooleanResult()
     if a_in_b and b_in_a:
         raise ClassificationError("mutual containment without intersection")

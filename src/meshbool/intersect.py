@@ -8,17 +8,11 @@ per-triangle boxes (computed per call), drops the pairs whose boxes miss
 (most of the broad phase's output). The survivors are then taken in fixed
 chunks, and each chunk is one numpy pass: both unit normals and distance
 rows, the drop of pairs with one triangle strictly on one side of the
-other's plane, then the interval test on all the remaining rows at once.
-
-The batch decides a row when it is generic: no snapped distance is zero, the
-planes are not parallel (|na x nb| >= 1e-12), the chord positions are
-finite, and each chord has two ends more than the tolerance apart. For such
-a row it does the operations of the scalar tail, _segment, in the same
-order, so its segments are the tail's to the byte. Every other row (a shared
-corner or edge, an edge in the other plane, coplanar or parallel planes, a
-chord within the tolerance) runs _segment. tri_tri_intersect is a batch of
-one. intersect_all returns a SegmentTable sorted by (tri_a, tri_b), then by
-pair position.
+other's plane, then the chords and their overlap on all the remaining rows
+at once. Only a row whose distance row is all zero (coplanar triangles)
+runs the scalar 2D overlap test. tri_tri_intersect is a batch of one.
+intersect_all returns a SegmentTable sorted by (tri_a, tri_b), then by pair
+position.
 """
 from __future__ import annotations
 
@@ -91,30 +85,6 @@ def _norm(v):
     return np.sqrt(row_dots(v, v))
 
 
-def _chord(tri, d, tol):
-    """Points where the triangle meets the other plane (0, 1 or 2 of them)."""
-    pts = [tri[i] for i in range(3) if d[i] == 0.0]
-    for i in range(3):
-        j = (i + 1) % 3
-        if d[i] * d[j] < 0.0:
-            t = d[i] / (d[i] - d[j])
-            pts.append(tri[i] + t * (tri[j] - tri[i]))
-    uniq: list[np.ndarray] = []
-    for p in pts:
-        if not any(_norm(p - q) <= tol for q in uniq):
-            uniq.append(p)
-    if len(uniq) > 2:
-        # Keep the farthest pair; extras are tolerance-level duplicates.
-        best, pair = -1.0, uniq[:2]
-        for i in range(len(uniq)):
-            for j in range(i + 1, len(uniq)):
-                dij = float(_norm(uniq[i] - uniq[j]))
-                if dij > best:
-                    best, pair = dij, [uniq[i], uniq[j]]
-        uniq = pair
-    return uniq
-
-
 def _coplanar_overlap_2d(pa, pb, normal):
     """Overlap test for coplanar triangles, projected on the dominant axis."""
     axis = int(np.argmax(np.abs(normal)))
@@ -145,62 +115,42 @@ def _coplanar_overlap_2d(pa, pb, normal):
     return False
 
 
-def _segment(pa, pb, na, da, db, direction, norm, tol):
-    """Coplanar test, both chords and their overlap along the common line."""
-    if all(x == 0.0 for x in da) or all(x == 0.0 for x in db):
-        return COPLANAR if _coplanar_overlap_2d(pa, pb, na) else None
-    ca = _chord(pa, da, tol)
-    cb = _chord(pb, db, tol)
-    if not ca or not cb:
-        return None
-    if norm < 1e-12:
-        ref = ca if len(ca) == 2 else cb
-        if len(ref) < 2:
-            return None
-        direction = ref[1] - ref[0]
-        norm = _norm(direction)
-        if norm == 0.0:
-            return None
-    direction = direction / norm
-
-    sa = [float(p @ direction) for p in ca]
-    sb = [float(p @ direction) for p in cb]
-    lo_a, hi_a = (ca[int(np.argmin(sa))], ca[int(np.argmax(sa))])
-    lo_b, hi_b = (cb[int(np.argmin(sb))], cb[int(np.argmax(sb))])
-    lo = lo_a if min(sa) >= min(sb) else lo_b
-    hi = hi_a if max(sa) <= max(sb) else hi_b
-    span = float((hi - lo) @ direction)
-    if span < -tol:
-        return None
-    if span <= tol:
-        return IntersectionSegment(lo.copy(), lo.copy(), -1, -1, degenerate=True)
-    return IntersectionSegment(lo.copy(), hi.copy(), -1, -1, degenerate=False)
-
-
 def _chord_ends(tri, d, tol):
-    """For (k, 3, 3) triangles and their (k, 3) distance rows: the two chord
-    ends, by _chord's lerp on the first two crossing edges in edge order, and
-    whether the row has exactly two crossing edges with ends more than tol
-    apart (two crossing edges leave no zero distance)."""
+    """For (k, 3, 3) triangles and their (k, 3) distance rows: the chord where
+    each triangle meets the other plane, as its first and last point
+    (k, 2, 3), and its point count (k,), 0, 1 or 2.
+
+    The candidates are the corners with d == 0, then the lerps on the edges
+    with d_i * d_j < 0, each in index order; the chord is the first and the
+    last of them. A row that is not all zero (_chunk passes no other) has at
+    most two: three nonzero signs change an even number of times around the
+    triangle (0 or 2 crossing edges), one zero corner leaves only its
+    opposite edge without a zero (at most 1 + 1), and two leave none. Two
+    points within tol count as one, the first.
+    """
     nxt = [1, 2, 0]
+    rows = np.arange(len(d))
     with np.errstate(all="ignore"):
         t = d / (d - d[:, nxt])
-        ends = tri + t[..., None] * (tri[:, nxt] - tri)
-        cross = d * d[:, nxt] < 0.0
-        rows = np.arange(len(d))
-        q0 = ends[rows, np.argmax(cross, axis=1)]
-        q1 = ends[rows, 2 - np.argmax(cross[:, ::-1], axis=1)]
-        return q0, q1, (cross.sum(axis=1) == 2) & (_norm(q1 - q0) > tol)
+        cands = np.concatenate((tri, tri + t[..., None] * (tri[:, nxt] - tri)), axis=1)
+        on = np.concatenate((d == 0.0, d * d[:, nxt] < 0.0), axis=1)
+        first, last = np.argmax(on, axis=1), 5 - np.argmax(on[:, ::-1], axis=1)
+        ends = cands[rows[:, None], np.stack((first, last), axis=1)]
+        # With at most two candidates, a row has two exactly when its first
+        # candidate is not its last.
+        hit = on[rows, first]
+        two = hit & (first != last) & ~(_norm(ends[:, 1] - ends[:, 0]) <= tol)
+    ends[~two, 1] = ends[~two, 0]
+    return ends, np.where(two, 2, hit)
 
 
 def _chunk(pa, pb, tol, area_first=False):
     """The narrow phase on (k, 3, 3) stacks.
 
-    Returns (rows, lo, hi, point) for the rows the batch finds touching,
-    point marking a contact no longer than tol, and the tail's (row, result)
-    for every straddling row the batch leaves undecided, in row order. A
-    zero-area triangle raises once its pair straddles, or before any plane
-    test with area_first.
+    Returns (rows, lo, hi, point) for the rows found touching, point marking
+    a contact no longer than tol, and the coplanar rows (one distance row all
+    zero) whose triangles overlap, in row order. A zero-area triangle raises
+    once its pair straddles, or before any plane test with area_first.
     """
     na, nb, da, db, flat, straddle = _planes(pa, pb, tol)
     if flat[straddle | area_first].any():
@@ -208,26 +158,40 @@ def _chunk(pa, pb, tol, area_first=False):
     keep = np.nonzero(straddle)[0]
     if len(keep) == 0:  # no straddling row: the common chunk of a nested or near-miss scene
         return keep, np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, bool), []
-    na, da, db, line = na[keep], da[keep], db[keep], np.cross(na[keep], nb[keep])
-    norm = _norm(line)
-    a0, a1, chord_a = _chord_ends(pa[keep], da, tol)
-    b0, b1, chord_b = _chord_ends(pb[keep], db, tol)
-    # Rows the batch leaves to the tail may hold zeros and non-finite values.
+    za, zb = da[keep] == 0.0, db[keep] == 0.0  # by column: all(axis=1) costs ~15x more
+    flat = za[:, 0] & za[:, 1] & za[:, 2] | zb[:, 0] & zb[:, 1] & zb[:, 2]
+    coplanar = [r for r in keep[flat].tolist() if _coplanar_overlap_2d(pa[r], pb[r], na[r])]
+    keep = keep[~flat]
+    ea, ca = _chord_ends(pa[keep], da[keep], tol)
+    eb, cb = _chord_ends(pb[keep], db[keep], tol)
+    ends = np.concatenate((ea, eb), axis=1)  # per row: A's two ends, then B's
+    rows = np.arange(len(keep))
+    # Dropped rows may hold zeros and non-finite values.
     with np.errstate(all="ignore"):
+        line = np.cross(na[keep], nb[keep])
+        norm = _norm(line)
+        # Near-parallel planes: the line runs along A's chord if it has two
+        # points, else along B's; a row with neither is dropped.
+        par = norm < 1e-12
+        ref = np.where((ca[par] == 2)[:, None, None], ea[par], eb[par])
+        line[par] = ref[:, 1] - ref[:, 0]
+        norm[par] = _norm(line[par])
         u = line / norm[:, None]
-        sa0, sa1, sb0, sb1 = s = [row_dots(q, u) for q in (a0, a1, b0, b1)]
-        # argmin and argmax over two positions: index 0 wins ties.
-        lo_a, hi_a = np.where((sa1 < sa0)[:, None], a1, a0), np.where((sa1 > sa0)[:, None], a1, a0)
-        lo_b, hi_b = np.where((sb1 < sb0)[:, None], b1, b0), np.where((sb1 > sb0)[:, None], b1, b0)
-        lo = np.where((np.minimum(sa0, sa1) >= np.minimum(sb0, sb1))[:, None], lo_a, lo_b)
-        hi = np.where((np.maximum(sa0, sa1) <= np.maximum(sb0, sb1))[:, None], hi_a, hi_b)
+        s = row_dots(ends, u[:, None])
+        # Per chord (A, B), np.argmin (argmax) of its two positions picks the
+        # second when the first is not NaN and the second is NaN or strictly
+        # lower (higher); Python's min (max) only when strictly lower (higher).
+        first, second = s[:, ::2], s[:, 1::2]
+        i_min = (first == first) & ~(second >= first)
+        i_max = (first == first) & ~(second <= first)
+        s_min = np.where(second < first, second, first)
+        s_max = np.where(second > first, second, first)
+        lo = ends[rows, np.where(s_min[:, 0] >= s_min[:, 1], i_min[:, 0], 2 + i_min[:, 1])]
+        hi = ends[rows, np.where(s_max[:, 0] <= s_max[:, 1], i_max[:, 0], 2 + i_max[:, 1])]
         span = row_dots(hi - lo, u)
-    generic = chord_a & chord_b & (norm >= 1e-12) & np.isfinite(s).all(axis=0)
-    hit = generic & ~(span < -tol)
-    tail = [(int(keep[k]), _segment(pa[keep[k]], pb[keep[k]], na[k], da[k].tolist(), db[k].tolist(),
-                                    line[k], float(norm[k]), tol))
-            for k in np.nonzero(~generic)[0].tolist()]
-    return keep[hit], lo[hit], hi[hit], span[hit] <= tol, tail
+    live = (ca > 0) & (cb > 0) & ~(par & ((np.maximum(ca, cb) < 2) | (norm == 0.0)))
+    hit = live & ~(span < -tol)
+    return keep[hit], lo[hit], hi[hit], span[hit] <= tol, coplanar
 
 
 def tri_tri_intersect(pa: np.ndarray, pb: np.ndarray, plane_tol: float):
@@ -240,10 +204,10 @@ def tri_tri_intersect(pa: np.ndarray, pb: np.ndarray, plane_tol: float):
     """
     pa = np.asarray(pa, dtype=np.float64)[None]
     pb = np.asarray(pb, dtype=np.float64)[None]
-    rows, lo, hi, point, tail = _chunk(pa, pb, plane_tol, area_first=True)
-    if len(rows):
-        return IntersectionSegment(lo[0], (lo if point[0] else hi)[0], -1, -1, degenerate=bool(point[0]))
-    return tail[0][1] if tail else None
+    rows, lo, hi, point, coplanar = _chunk(pa, pb, plane_tol, area_first=True)
+    if not len(rows):
+        return COPLANAR if coplanar else None
+    return IntersectionSegment(lo[0], (lo if point[0] else hi)[0], -1, -1, degenerate=bool(point[0]))
 
 
 def intersect_all(pairs: np.ndarray, a: TriMesh, b: TriMesh, plane_tol: float,
@@ -275,22 +239,12 @@ def intersect_all(pairs: np.ndarray, a: TriMesh, b: TriMesh, plane_tol: float,
         chunk = pairs[start : start + CHUNK]
         pa = a.vertices[a.faces[chunk[:, 0]]]
         pb = b.vertices[b.faces[chunk[:, 1]]]
-        rows, lo, hi, point, tail = _chunk(pa, pb, plane_tol)
+        rows, lo, hi, point, coplanar = _chunk(pa, pb, plane_tol)
         report.point_contacts += int(point.sum())
+        report.coplanar_pairs += [tuple(p) for p in chunk[coplanar].tolist()]
         pos.append(start + rows[~point])
         p0.append(lo[~point])
         p1.append(hi[~point])
-        for idx, res in tail:
-            if res is None:
-                continue
-            if res is COPLANAR:
-                report.coplanar_pairs.append((int(chunk[idx, 0]), int(chunk[idx, 1])))
-            elif res.degenerate:
-                report.point_contacts += 1
-            else:
-                pos.append(np.array([start + idx]))
-                p0.append(res.p0[None])
-                p1.append(res.p1[None])
     if strict and report.coplanar_pairs:
         raise CoplanarPairError(
             f"{len(report.coplanar_pairs)} overlapping coplanar triangle pair(s), "

@@ -129,6 +129,20 @@ def test_trivial_disjoint():
     assert signed_volume(res.a_minus_b[0]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("offset", [(1, 1, 1), (-1, -1, -1)])
+def test_corner_contact_ends_trivial(offset):
+    """Unit cubes touching at one corner: no segment, and the containment
+    probe (face 0's centroid, not its corner on the other cube) never grazes."""
+    a, b = cube((0, 0, 0), 1.0, "A"), cube(offset, 1.0, "B")
+    state = run_pipeline(a, b)
+    r = state.result
+    same = lambda m, n: np.array_equal(m.vertices, n.vertices) and np.array_equal(m.faces, n.faces)
+    assert state.trivial and r.intersection == []
+    assert len(r.union) == 2 and same(r.union[0], a) and same(r.union[1], b)
+    assert len(r.a_minus_b) == 1 and same(r.a_minus_b[0], a)
+    assert len(r.b_minus_a) == 1 and same(r.b_minus_a[0], b)
+
+
 def test_trivial_containment_cavity():
     small = cube((0.4, 0.4, 0.4), 0.2, "A")
     big = cube((0, 0, 0), 1.0, "B")

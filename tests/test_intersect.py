@@ -123,7 +123,7 @@ def test_degenerate_input_raises():
 def test_chord_within_tolerance_matches_oracle(flip):
     """A's apex pokes through B's plane by more than the tolerance, but its
     two crossing points lie closer together than the tolerance: the chord is
-    one point, a point contact on the tail's first crossing point."""
+    one point, a point contact on the chord's first crossing point."""
     ta = np.array([[0, 0, 2e-9], [0.1, 0, -1], [0, 0.1, -1]])
     tb = np.array([[-1, -1, 0], [2, -1, 0], [-1, 2, 0]], dtype=float)
     if flip:
@@ -374,9 +374,9 @@ def test_intersect_all_matches_oracle_on_pair_strategy(pair):
 @st.composite
 def packed_pairs(draw):
     """Many triangle_pairs draws side by side in one TriMesh pair under one
-    tolerance, so generic rows and tail rows (shared corners and edges, edges
-    in the other plane, coplanar pairs, zero-area triangles, slivers) meet in
-    one chunk. Most calls drop the zero-area draws and run to the end."""
+    tolerance, so crossing rows and degenerate rows (shared corners and edges,
+    edges in the other plane, coplanar pairs, zero-area triangles, slivers)
+    meet in one chunk. Most calls drop the zero-area draws and run to the end."""
     tol = draw(st.sampled_from((1e-12, 1e-9, 2.0 ** -20)))
     draws = draw(st.lists(triangle_pairs(), min_size=2, max_size=12))
     tris = [(ta, tb) for ta, tb, _ in draws]
@@ -402,25 +402,20 @@ def test_packed_pair_draws_match_oracle(packed):
         assert assert_matches_oracle(pairs, a, b, tol, threads=(1,), chunk=5) == got
 
 
-def generic_row(pa, pb, na, da, db, direction, norm, tol):
-    """The batch's test, recomputed from the tail's own arguments: no zero
-    distance, planes not parallel, finite positions and two chord ends more
-    than tol apart on each triangle."""
-    if 0.0 in da or 0.0 in db or not norm >= 1e-12:
-        return False
-    ca, cb = intersect_mod._chord(pa, da, tol), intersect_mod._chord(pb, db, tol)
-    pos = [float(p @ (direction / norm)) for p in ca + cb]
-    return len(ca) == len(cb) == 2 and all(np.isfinite(pos))
-
-
-@pytest.mark.parametrize("name", ["cube_sphere", "torus_pair"])
-def test_tail_runs_only_for_rows_the_batch_cannot_decide(name, monkeypatch):
-    """A change that sends decidable rows back to the scalar tail fails here."""
+@pytest.mark.parametrize("name", ["cube_sphere", "coplanar_cubes"])
+def test_coplanar_test_runs_only_on_all_zero_distance_rows(name, monkeypatch):
+    """The scalar 2D overlap test sees only pairs with a distance row all
+    zero; a change that sends other rows to it fails here."""
     a, b = NARROW_FIXTURES[name]()
     pairs = find_candidates(a, b)
     tol = 1e-12 * float(np.ptp(np.concatenate([a.vertices, b.vertices]), axis=0).max())
-    calls, tail = [], intersect_mod._segment
-    monkeypatch.setattr(intersect_mod, "_segment", lambda *args: calls.append(args) or tail(*args))
-    segs, _ = intersect_all(pairs, a, b, tol)
-    assert len(segs) > 0 and len(calls) < len(segs)
-    assert not any(generic_row(*args) for args in calls)
+    calls, test = [], intersect_mod._coplanar_overlap_2d
+    monkeypatch.setattr(intersect_mod, "_coplanar_overlap_2d", lambda *args: calls.append(args) or test(*args))
+    segs, report = intersect_all(pairs, a, b, tol)
+    for pa, pb, _ in calls:
+        _, _, da, db, _, _ = intersect_mod._planes(pa[None], pb[None], tol)
+        assert (da == 0.0).all() or (db == 0.0).all()
+    if name == "cube_sphere":
+        assert len(segs) > 0 and calls == []
+    else:
+        assert len(calls) >= len(report.coplanar_pairs) > 0
