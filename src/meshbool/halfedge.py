@@ -18,10 +18,10 @@ repeated directed edge is two equal neighbours; a boundary edge is a key
 whose partner (k ^ 1, or k itself when u == v) is missing.
 
 SurfaceTopology is the edge table of a surface with no repeated directed
-edge. It sorts the keys once, stably, so the lowest edge id leads each run of
-equal keys, and raises TopologyError when two keys are equal, naming the
-lowest edge id that repeats an earlier one. Every key then occurs at most
-once:
+edge, whose keys are distinct, so one default sort orders them. Equal keys
+raise TopologyError naming the first entry of repeated_edges, the one search
+for repeated directed edges, which clearing also uses. Every key then occurs
+at most once:
 
 - twin[e]: the edge holding e's partner key, which sits next to e in the
   sorted keys when it exists; e itself when u == v; -1 when there is none.
@@ -91,6 +91,27 @@ def paired(sorted_keys: np.ndarray) -> bool:
     return len(lo) == len(hi) and bool(((hi - lo == 1) & (lo % 2 == 0)).all())
 
 
+def repeated_edges(faces: np.ndarray) -> dict[tuple[int, int], list[int]]:
+    """Repeated directed edges -> ids of the faces using them, in face order,
+    edges in the order of their lowest repeat. A stable sort of the keys puts
+    each run's lowest edge id first, so every later member of a run repeats it."""
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    key = edge_keys(faces)
+    srt = np.sort(key)
+    if not (srt[1:] == srt[:-1]).any():
+        return {}
+    order = np.argsort(key, kind="stable")
+    srt = key[order]
+    again = np.r_[False, srt[1:] == srt[:-1]]
+    lead = np.empty_like(order)
+    lead[order] = order[np.maximum.accumulate(np.where(again, 0, np.arange(len(order))))]
+    bad: dict[tuple[int, int], list[int]] = {}
+    for e in np.sort(order[again]).tolist():
+        edge = (int(faces.flat[e]), int(faces[e // 3, (e + 1) % 3]))
+        bad.setdefault(edge, [int(lead[e]) // 3]).append(e // 3)
+    return bad
+
+
 class SurfaceTopology:
     def __init__(self, faces: np.ndarray):
         self.faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
@@ -98,12 +119,10 @@ class SurfaceTopology:
         self.v = self.faces[:, [1, 2, 0]].ravel()
         self.n = int(self.faces.max()) + 1 if len(self.faces) else 0
         key = edge_keys(self.faces)
-        self.order = np.argsort(key, kind="stable")
+        self.order = np.argsort(key)
         self.keys = key[self.order]
-        again = self.keys[1:] == self.keys[:-1]
-        if again.any():
-            e = int(self.order[1:][again].min())
-            raise TopologyError(f"directed edge {(int(self.u[e]), int(self.v[e]))} used twice")
+        if (self.keys[1:] == self.keys[:-1]).any():
+            raise TopologyError(f"directed edge {next(iter(repeated_edges(self.faces)))} used twice")
         code = self.keys >> 1
         i = self.pairs = np.nonzero(code[1:] == code[:-1])[0]
         self.twin = np.full(len(key), -1, dtype=np.int64)
@@ -116,13 +135,13 @@ class SurfaceTopology:
     def flood_regions(self, walls) -> np.ndarray:
         """Label faces by flooding across shared edges not listed in walls.
 
-        walls holds undirected vertex pairs as (min, max) tuples. Every face
-        gets a label; label order follows the lowest face id per region.
-        Each wall's code min * n + max is searched among the twin pairs'
-        sorted codes, and a hit takes both directed edges out of the flood.
+        walls holds undirected (min, max) vertex pairs, as a (k, 2) array or
+        tuples. Every face gets a label; label order follows the lowest face id
+        per region. Each wall's code min * n + max is searched among the twin
+        pairs' sorted codes, and a hit takes both directed edges out of the flood.
         """
         i = self.pairs
-        w = np.asarray(list(walls), dtype=np.int64).reshape(-1, 2)
+        w = np.asarray(walls if isinstance(walls, np.ndarray) else list(walls), dtype=np.int64).reshape(-1, 2)
         # An id outside [0, n) would alias another pair's code.
         w = w[(w.min(axis=1) >= 0) & (w.max(axis=1) < self.n)]
         if len(w):
@@ -130,9 +149,9 @@ class SurfaceTopology:
             c = w[:, 0] * self.n + w[:, 1]
             lo, hi = code.searchsorted(c), code.searchsorted(c, side="right")
             i = np.delete(i, lo[hi > lo])
-        # roots: the lowest face id of each face's region.
+        # roots: the lowest face id of each face's region; labels rank them.
         roots = min_labels(len(self.faces), self.order[i] // 3, self.order[i + 1] // 3)
-        return np.unique(roots, return_inverse=True)[1]
+        return np.cumsum(roots == np.arange(len(roots)))[roots] - 1
 
     def boundary_cycles(self, labels) -> list[np.ndarray]:
         """Every region's directed boundary as closed cycles of edge ids.

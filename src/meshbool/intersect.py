@@ -77,8 +77,9 @@ def _planes(pa, pb, tol):
         unit = n / norm[..., None]
     d = ((tris - tris[::-1, :, :1]) @ unit[[1, 0], :, :, None])[..., 0]
     d[np.abs(d) < tol] = 0.0
-    straddle = ~((d > 0).all(axis=2) | (d < 0).all(axis=2)).any(axis=0)
-    return unit[0], unit[1], d[0], d[1], (norm <= tol * tol).any(axis=0), straddle
+    pos, neg, flat = d > 0, d < 0, norm <= tol * tol
+    side = (pos[..., 0] & pos[..., 1] & pos[..., 2]) | (neg[..., 0] & neg[..., 1] & neg[..., 2])
+    return unit[0], unit[1], d[0], d[1], flat[0] | flat[1], ~(side[0] | side[1])
 
 
 def _norm(v):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import GeometryError, TopologyError
 from .geometry import TriMesh, is_closed_manifold, triangle_areas, triangle_normals
-from .halfedge import edge_keys
+from .halfedge import repeated_edges
 
 log = logging.getLogger(__name__)
 
@@ -155,30 +155,6 @@ def compute_extrema(vertices: np.ndarray) -> np.ndarray:
     return out
 
 
-def _directed_edge_duplicates(faces: np.ndarray) -> dict[tuple[int, int], list[int]]:
-    """Repeated directed edges -> ids of the faces using them, in face order.
-
-    Edges come in the order of their lowest repeat. A stable sort of the keys
-    puts each run's lowest edge id first, so every later member of a run
-    repeats it.
-    """
-    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    key = edge_keys(faces)
-    srt = np.sort(key)
-    if not (srt[1:] == srt[:-1]).any():
-        return {}
-    order = np.argsort(key, kind="stable")
-    srt = key[order]
-    again = np.r_[False, srt[1:] == srt[:-1]]
-    lead = np.empty_like(order)
-    lead[order] = order[np.maximum.accumulate(np.where(again, 0, np.arange(len(order))))]
-    bad: dict[tuple[int, int], list[int]] = {}
-    for e in np.sort(order[again]).tolist():
-        edge = (int(faces.flat[e]), int(faces[e // 3, (e + 1) % 3]))
-        bad.setdefault(edge, [int(lead[e]) // 3]).append(e // 3)
-    return bad
-
-
 def clear_topology(state: MergedState) -> MergedState:
     """Enforce the clearing requirements; idempotent.
 
@@ -210,7 +186,7 @@ def clear_topology(state: MergedState) -> MergedState:
         drop = np.zeros(len(faces), dtype=bool)
         for surf in repair:
             ids = np.nonzero(source == surf)[0]
-            for e, locals_ in _directed_edge_duplicates(faces[ids]).items():
+            for e, locals_ in repeated_edges(faces[ids]).items():
                 victim = min(locals_, key=lambda li: (areas[ids[li]], li))
                 drop[ids[victim]] = True
                 log.warning("clearing: dropped face %d duplicating edge %s", ids[victim], e)
@@ -220,7 +196,7 @@ def clear_topology(state: MergedState) -> MergedState:
     else:
         leftovers = []
         for surf in repair:
-            leftovers += list(_directed_edge_duplicates(faces[source == surf]))
+            leftovers += list(repeated_edges(faces[source == surf]))
         if leftovers:
             raise TopologyError(f"clearing did not converge, repeated edges remain: {leftovers[:5]}")
 

@@ -163,7 +163,7 @@ def candidate_pairs(tree: Octree) -> np.ndarray:
     """
     (leaf_a, tri_a), (leaf_b, tri_b) = tree.a, tree.b
     count_b = np.bincount(leaf_b, minlength=len(tree.depth))
-    order = np.argsort(tri_a, kind="stable")
+    order = np.argsort(tri_a)
     leaf_a, tri_a = leaf_a[order], tri_a[order]
     reps = count_b[leaf_a]
     if not reps.any():

@@ -158,6 +158,8 @@ def _linked_list(coords, index_offset, clockwise):
         while True:
             again = False
             if _equals(p, p.next) and p.next is not p:
+                if p.next is last:  # the walk ends at last: move it to the node it merges into
+                    last = p
                 _remove_node(p.next)
                 again = True
             if not again:

@@ -2,15 +2,16 @@
 
 A sub-surface is a maximal triangle region that never crosses an
 intersection loop. build_subsurfaces builds one edge table per merged
-surface, floods it once across every shared edge that is not a loop edge
-(the walls), so each region is one sub-surface and the regions partition
-the surface's faces, and reads every region's boundary cycles from one
-boundary_cycles call. Ids follow the surface (A first) and, within it, the
-lowest face id of each region. The cycles give each region its owners: an
-entry (loop, +1) means the region's own directed boundary runs along the
-loop's stored direction; the region across the loop carries -1. A cycle
-that runs along the surface's own boundary is one of the region's
-boundary loops, which loops.complete_open_loops turns into completed loops.
+surface, floods it once across every shared edge that is not a merged
+intersection edge (the walls, which the loops partition), so each region is
+one sub-surface and the regions partition the surface's faces, and reads
+every region's boundary cycles from one boundary_cycles call. Ids follow the
+surface (A first) and, within it, the lowest face id of each region. The
+cycles give each region its owners: an entry (loop, +1) means the region's
+own directed boundary runs along the loop's stored direction; the region
+across the loop carries -1. A cycle that runs along the surface's own
+boundary is one of the region's boundary loops, which
+loops.complete_open_loops turns into completed loops.
 
 cycles counts connected boundary cycles, not raw owner entries: a region
 whose boundary chains several loop arcs through junction vertices into one
@@ -68,14 +69,14 @@ def _region_subsurface(topo: SurfaceTopology, tag: str, cycles, triangles, ss_id
             sign = 1 if (1 if u < v else -1) == stored_dir else -1
             owners[(loop_id, sign)] = owners.get((loop_id, sign), 0) + 1
     for (loop_id, sign), count in owners.items():
-        expect = len(loops[loop_id].vertex_pairs)
+        expect = len(loops[loop_id].edges)
         if count != expect:
             raise TopologyError(f"surface {tag}: region traverses {count}/{expect} edges of loop {loop_id}")
     ss.owners = sorted(owners)
     return ss
 
 
-def _check_region_count(topo: SurfaceTopology, tag: str, surfs: list[SubSurface], edge_map):
+def _check_region_count(topo: SurfaceTopology, tag: str, surfs: list[SubSurface], ends: np.ndarray):
     """Raise unless a connected closed genus-0 surface has 1 + E - V + c regions."""
     used = np.zeros(topo.n, dtype=bool)
     used[topo.faces] = True
@@ -86,10 +87,8 @@ def _check_region_count(topo: SurfaceTopology, tag: str, surfs: list[SubSurface]
     a, b = np.asarray(links, dtype=np.int64).reshape(-1, 2).T
     if min_labels(len(surfs), a, b).any():  # the regions do not join into one surface
         return
-    ends = np.asarray(list(edge_map), dtype=np.int64).reshape(-1, 2)
     verts, pairs = np.unique(ends, return_inverse=True)
-    pairs = pairs.reshape(-1, 2)
-    joined = min_labels(len(verts), pairs[:, 0], pairs[:, 1])
+    joined = min_labels(len(verts), *pairs.reshape(-1, 2).T)
     expect = 1 + len(ends) - len(verts) + int((joined == np.arange(len(verts))).sum())
     if len(surfs) != expect:
         raise TopologyError(
@@ -106,7 +105,7 @@ def _surface_subsurfaces(state: MergedState, source: int, first_id: int, loops, 
     tag = "AB"[source]
     face_ids = state.surface_face_ids(source)
     topo = SurfaceTopology(state.faces[face_ids])
-    labels = topo.flood_regions(edge_map)
+    labels = topo.flood_regions(state.edges)
     per_region = [[] for _ in range(int(labels.max()) + 1 if len(labels) else 0)]
     for cyc in topo.boundary_cycles(labels):
         per_region[labels[cyc[0] // 3]].append(cyc)
@@ -116,12 +115,13 @@ def _surface_subsurfaces(state: MergedState, source: int, first_id: int, loops, 
         for i, (cycles, triangles) in enumerate(zip(per_region, members))
     ]
     if len(topo.faces) and not topo.boundary.any():
-        _check_region_count(topo, tag, surfs, edge_map)
+        _check_region_count(topo, tag, surfs, state.edges)
     return surfs
 
 
 def build_subsurfaces(state: MergedState, loops, edge_map) -> list[SubSurface]:
-    """Partition both surfaces into sub-surfaces along the loop walls."""
+    """Partition both surfaces into sub-surfaces along the merged edges;
+    edge_map (loops.loop_edge_map) names the loop of each."""
     out: list[SubSurface] = []
     for source in (0, 1):
         out.extend(_surface_subsurfaces(state, source, len(out), loops, edge_map))

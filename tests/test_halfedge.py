@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 
 from meshbool.errors import GeometryError, TopologyError
 from meshbool.geometry import TriMesh, boundary_edges, is_closed_manifold
-from meshbool.halfedge import SurfaceTopology, edge_keys, min_labels
+from meshbool.halfedge import SurfaceTopology, edge_keys, min_labels, repeated_edges
 from meshbool.loops import loop_edge_map
-from meshbool.merge import _directed_edge_duplicates
 from meshbool.pipeline import _propagate_edge_points, run_pipeline
 from meshes import (
     OracleSurfaceTopology,
@@ -122,7 +121,7 @@ def assert_edge_helpers_agree(faces, n_vertices):
     assert np.array_equal(boundary_edges(faces), oracle_boundary_edges(faces))
     assert is_closed_manifold(mesh) == oracle_is_closed_manifold(mesh)
     assert_boundary_loops_agree(mesh)
-    assert list(_directed_edge_duplicates(faces).items()) == list(
+    assert list(repeated_edges(faces).items()) == list(
         oracle_directed_edge_duplicates(faces).items()
     )
 

@@ -138,8 +138,8 @@ def test_only_surfaces_that_are_not_closed_manifolds_are_searched_for_repeated_e
     surface for repeated edges only when it was open or fails that check:
     never on a closed fixture run, on every pass of an open one."""
     calls = []
-    find = merge._directed_edge_duplicates
-    monkeypatch.setattr(merge, "_directed_edge_duplicates", lambda faces: calls.append(len(faces)) or find(faces))
+    find = merge.repeated_edges
+    monkeypatch.setattr(merge, "repeated_edges", lambda faces: calls.append(len(faces)) or find(faces))
     run_pipeline(*STAGE3_RUNS[name]())
     assert bool(calls) == searched
 

@@ -67,6 +67,15 @@ def test_exit_codes(tmp_path):
     assert code == 2
 
 
+def test_inward_oriented_closed_input_is_a_geometry_error(tmp_path, capsys):
+    inward = cube().reversed()
+    with pytest.raises(GeometryError, match="inward-oriented"):
+        run_pipeline(inward, cube((0.5, 0.5, 0.5), 1.0))
+    pa, pb = write_pair(tmp_path, cube((0.5, 0.5, 0.5), 1.0), inward)
+    assert main(["union", pa, pb, "-o", str(tmp_path / "o.stl")]) == 3
+    assert "inward-oriented" in capsys.readouterr().err
+
+
 def test_parse_error_exit(tmp_path):
     bad = tmp_path / "bad.stl"
     bad.write_bytes(b"solid nothing but words endsolid")

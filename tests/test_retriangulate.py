@@ -1,4 +1,5 @@
 import functools
+import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle_retriangulate as oracle
+from deadline import deadline
 from meshbool import pipeline, retriangulate
 from meshbool.errors import DegeneratePolygon, DegenerateTriangle, GeometryError
 from meshbool.pipeline import run_pipeline
@@ -194,6 +196,36 @@ def test_ear_clip_square_with_hole():
     pts = np.concatenate([outer, hole])
     area = sum(oracle_shoelace([pts[i], pts[j], pts[k]]) for i, j, k in tris)
     assert area == pytest.approx(15.0, rel=1e-10)
+
+
+def test_ear_clip_preconditions_raise():
+    with pytest.raises(DegeneratePolygon, match="at least 3 vertices"):
+        ear_clip([(0, 0), (1, 0)])
+    with pytest.raises(DegeneratePolygon, match="fewer than 3 points"):
+        ear_clip([(0, 0), (1, 0), (0, 0)])
+
+
+def test_ear_clip_returns_when_a_duplicate_merges_the_ring_start():
+    """The duplicate filter walks the ring from its start node; when the
+    start itself merges into its predecessor, the walk must still end."""
+    with deadline(10):
+        with pytest.raises(DegeneratePolygon, match="fewer than 3 points"):
+            ear_clip([(0, 0), (0, 0), (1, 0)])
+        assert ear_clip([(0, 0), (1, 0), (1, 1), (0, 0), (0, 0)]) == [(2, 3, 1)]
+
+
+def test_ear_clip_returns_on_every_small_ring_with_repeats():
+    """Every ring of 3 to 5 points drawn from the unit square's corners,
+    repeats included, is triangulated or refused, never looped over."""
+    corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    with deadline(30):
+        for n in (3, 4, 5):
+            for ring in itertools.product(corners, repeat=n):
+                try:
+                    tris = ear_clip(ring)
+                except DegeneratePolygon:
+                    continue
+                assert all(0 <= i < n for t in tris for i in t)
 
 
 def test_winding_preserved_through_split():
