@@ -40,7 +40,7 @@ class IntersectionSegment:
 @dataclass(eq=False)
 class SegmentTable:
     """Segments as columns: end points p0, p1 (k, 3) float64 and triangle ids
-    tri_a, tri_b (k,) int64. Iterating yields IntersectionSegment views."""
+    tri_a, tri_b (k,) int64."""
 
     p0: np.ndarray
     p1: np.ndarray
@@ -53,10 +53,6 @@ class SegmentTable:
 
     def __len__(self) -> int:
         return len(self.tri_a)
-
-    def __iter__(self):
-        for p0, p1, ta, tb in zip(self.p0, self.p1, self.tri_a.tolist(), self.tri_b.tolist()):
-            yield IntersectionSegment(p0, p1, ta, tb)
 
 
 @dataclass
@@ -127,13 +123,20 @@ def _chord_ends(tri, d, tol):
     most two: three nonzero signs change an even number of times around the
     triangle (0 or 2 crossing edges), one zero corner leaves only its
     opposite edge without a zero (at most 1 + 1), and two leave none. Two
-    points within tol count as one, the first.
+    points within tol count as one, the first. An edge is lerped from its
+    lexicographically smaller end s to its other end e, s + d_s / (d_s -
+    d_e) (e - s): a crossing is named by its edge, not by the pair, so both
+    faces on the edge find it bit-equal from bit-equal distances.
     """
     nxt = [1, 2, 0]
     rows = np.arange(len(d))
+    step = tri[:, nxt] - tri
+    # flip (k, 3, 1): an edge's next corner is its lexicographically smaller end.
+    flip = np.take_along_axis(step, np.argmax(step != 0.0, axis=2)[..., None], 2) < 0.0
+    s, e = np.where(flip, tri[:, nxt], tri), np.where(flip, tri, tri[:, nxt])
+    ds, de = np.where(flip[..., 0], d[:, nxt], d), np.where(flip[..., 0], d, d[:, nxt])
     with np.errstate(all="ignore"):
-        t = d / (d - d[:, nxt])
-        cands = np.concatenate((tri, tri + t[..., None] * (tri[:, nxt] - tri)), axis=1)
+        cands = np.concatenate((tri, s + (ds / (ds - de))[..., None] * (e - s)), axis=1)
         on = np.concatenate((d == 0.0, d * d[:, nxt] < 0.0), axis=1)
         first, last = np.argmax(on, axis=1), 5 - np.argmax(on[:, ::-1], axis=1)
         ends = cands[rows[:, None], np.stack((first, last), axis=1)]

@@ -5,14 +5,15 @@ merge + clear, 4. form loops, 5. create sub-surfaces, 6. assemble and
 distinguish sub-blocks. Stages 1-3 work on coordinates; stages 4-6 operate
 purely on vertex indices.
 
-Stage 3 reads the narrow phase's SegmentTable by columns. Per surface it
-groups the segment ends by face, adds the points a neighbour's split puts on
-a shared edge (_propagate_edge_points), and prepares and walks all split
-faces in one numpy pass, which gives one point table per surface and one
-record per face. Each record is triangulated on its own into children as
-rows of that table, and build_merged_state gathers, welds and clears both
-surfaces at once. The Python loops of the stage run over split faces and
-their points only.
+Stage 3 keeps the narrow phase's SegmentTable as columns up to the split.
+Per surface one stable argsort by face keeps each face's segments in table
+order; _propagate_edge_points adds the points a neighbour's split puts on a
+shared edge as (face, point) columns, in an order that does not depend on
+the scale; and prepare_splits prepares and walks all split faces in one
+numpy pass, which gives one point table per surface and one record per face.
+Each record is triangulated on its own into children as rows of that table,
+and build_merged_state gathers, welds and clears both surfaces at once. The
+Python loops of the stage run over split faces and their points only.
 """
 from __future__ import annotations
 
@@ -81,26 +82,22 @@ class PipelineState:
                                source=ss.source, name=f"{ss.source}_sub_{ss.id}")
 
 
-def _propagate_edge_points(mesh: TriMesh, per_face: dict, tol: float) -> dict:
+def _propagate_edge_points(mesh: TriMesh, face: np.ndarray, ends: np.ndarray, tol: float) -> tuple:
     """Points every face must embed because a neighbour subdivides the shared
     edge there (keeps the re-triangulated surface free of T-junctions).
 
-    per_face maps a split face to its segments as (p, q) end pairs. Returns
-    neighbour face -> points, filled by owner in per_face's order, each
-    owner's distinct ends in set order, then by edge and by neighbour id.
+    face (k,) ascending and ends (k, 2, 3) are a surface's segments. Each
+    owner's distinct ends (by value, -0.0 equal to 0.0) are taken in first
+    occurrence, owners ascending. Returns (neighbour face, point) columns,
+    stably sorted by neighbour: by owner, point, edge and neighbour id.
     """
-    owner, pts = [], []
-    for fid, segs in per_face.items():
-        for p in {tuple(q) for pq in segs for q in pq}:
-            owner.append(fid)
-            pts.append(p)
-    if not pts:
-        return {}
+    owner, p = np.repeat(face, 2), ends.reshape(-1, 3)
+    first = np.sort(np.unique(np.column_stack((owner, p)), axis=0, return_index=True)[1])
+    owner, p = owner[first], p[first]
     # Project every (point, edge of its face) pair at once.
     tri = mesh.faces[owner]
     va = mesh.vertices[tri]
     ab = mesh.vertices[tri[:, [1, 2, 0]]] - va
-    p = np.asarray(pts, dtype=np.float64)
     length2 = row_dots(ab, ab)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = row_dots(p[:, None, :] - va, ab) / length2
@@ -114,9 +111,9 @@ def _propagate_edge_points(mesh: TriMesh, per_face: dict, tol: float) -> dict:
     # of the hit edges' undirected keys among those faces' edge keys. Both
     # sides take n from the whole mesh, so the keys agree. The stable sort
     # keeps each key's uses in face order.
-    ends = np.zeros(len(mesh.vertices), dtype=bool)
-    ends[u] = ends[v] = True
-    near = np.nonzero(ends[mesh.faces].sum(axis=1) >= 2)[0]
+    on_edge = np.zeros(len(mesh.vertices), dtype=bool)
+    on_edge[u] = on_edge[v] = True
+    near = np.nonzero(on_edge[mesh.faces].sum(axis=1) >= 2)[0]
     n = int(mesh.faces.max()) + 1
     near_faces = mesh.faces[near]
     keys = pair_key(near_faces, near_faces[:, [1, 2, 0]], n).ravel() >> 1
@@ -126,11 +123,10 @@ def _propagate_edge_points(mesh: TriMesh, per_face: dict, tol: float) -> dict:
     cnt = hi - lo
     src = np.repeat(rows, cnt)
     nb = near[order[np.arange(len(src)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)] // 3]
-    keep = nb != np.asarray(owner)[src]
-    extra: dict[int, list] = {}
-    for f, i in zip(nb[keep].tolist(), src[keep].tolist()):
-        extra.setdefault(f, []).append(pts[i])
-    return extra
+    keep = nb != owner[src]
+    nb, src = nb[keep], src[keep]
+    order = np.argsort(nb, kind="stable")
+    return nb[order], p[src[order]]
 
 
 def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | None = None) -> PipelineState:
@@ -180,19 +176,17 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
 
     t0 = time.perf_counter()
     table = state.segments
-    ends = np.stack((table.p0, table.p1), axis=1).tolist()
+    ends = np.stack((table.p0, table.p1), axis=1)
     splits = []
     for mesh, tri in ((a, table.tri_a), (b, table.tri_b)):
-        per_face: dict[int, list] = {}  # faces in order of first appearance in the table
-        for fid, pq in zip(tri.tolist(), ends):
-            per_face.setdefault(fid, []).append(pq)
-        extra = _propagate_edge_points(mesh, per_face, merge_tol)
-        fids = sorted(per_face.keys() | extra.keys())
-        segs = [per_face.get(fid, []) for fid in fids]
-        points = [extra.get(fid, []) for fid in fids]
-        table, setups = prepare_splits(mesh.vertices[mesh.faces[fids]], segs, points, merge_tol)
-        kids = [split_and_triangulate(setup, fid) for fid, setup in zip(fids, setups)]
-        splits.append((fids, kids, table))
+        by_face = np.argsort(tri, kind="stable")  # each face's segments in table order
+        seg_face, seg_ends = tri[by_face], ends[by_face]
+        pt_face, pts = _propagate_edge_points(mesh, seg_face, seg_ends, merge_tol)
+        fids = np.union1d(seg_face, pt_face)
+        points, setups = prepare_splits(mesh.vertices[mesh.faces[fids]], fids.searchsorted(seg_face), seg_ends,
+                                        fids.searchsorted(pt_face), pts, merge_tol)
+        kids = [split_and_triangulate(setup, fid) for fid, setup in zip(fids.tolist(), setups)]
+        splits.append((fids, kids, points))
     state.merged = build_merged_state(a, b, splits, state.segments, merge_tol)
     state.timings.append((STAGES[2], time.perf_counter() - t0))
 

@@ -8,7 +8,8 @@ ear-clipped; closed loops floating inside a face become holes and are joined
 to the outer ring by bridge edges before clipping.
 
 All split faces of a surface are prepared in one numpy pass, prepare_splits,
-which returns the surface's one point table and one record per face, a
+which takes their segments and boundary points as columns tagged by face
+and returns the surface's one point table and one record per face, a
 FaceSetup: the face's fault or its polygons as rows of that table. The float
 work (frames, 2D coordinates, edge snaps, containment) keeps dot products,
 norms and hypot in numpy, where they round as the same expression on one face
@@ -329,26 +330,27 @@ class FaceSetup:
     polygons: list
 
 
-def prepare_splits(tris, segments, boundary_points, tol) -> tuple[np.ndarray, Iterator[FaceSetup]]:
-    """Split many faces in one numpy pass. A face's segments are (p0, p1)
-    pairs on it within tol; its boundary points, which a neighbour's split
-    puts on a shared edge, are embedded so that edge stays watertight. Chord
+def prepare_splits(tris, seg_face, seg_ends, pt_face, pts, tol) -> tuple[np.ndarray, Iterator[FaceSetup]]:
+    """Split many faces in one numpy pass, given as columns: segments with
+    ends seg_ends (k, 2, 3) on face seg_face (k,) of tris, within tol, and
+    boundary points pts (m, 3) on face pt_face (m,), which a neighbour's
+    split puts on a shared edge and which keep that edge watertight. Chord
     tails that end inside bound no face and are pruned. Returns the point
     table the faces share: every face's corners (face f's are rows 3f to
-    3f + 2), boundary points, then segment ends, each in the order given;
-    and a generator of each face's setup in turn, so that only the face
-    being split holds Python lists. A face's fault is zero area, no frame, a
-    point outside it, a floating loop in no face, or faces that do not cover
-    it. _project_points does the float work; _walk walks the subdivisions.
+    3f + 2), then the boundary points and the segment ends in the order
+    given; and a generator of each face's setup in turn, so that only the
+    face being split holds Python lists. A face's fault is zero area, no
+    frame, a point outside it, a floating loop in no face, or faces that do
+    not cover it. _project_points does the float work; _walk the walk.
     """
     tris = np.asarray(tris, dtype=np.float64).reshape(-1, 3, 3)
     nf = len(tris)
-    nb = np.asarray([len(pts) for pts in boundary_points], dtype=np.int64)
-    ns = np.asarray([len(segs) for segs in segments], dtype=np.int64)
-    bpts = np.asarray([p for pts in boundary_points for p in pts], dtype=np.float64).reshape(-1, 1, 3)
-    spts = np.asarray([pq for segs in segments for pq in segs], dtype=np.float64).reshape(-1, 2, 3)
+    seg_face, pt_face = np.asarray(seg_face, dtype=np.int64), np.asarray(pt_face, dtype=np.int64)
+    bpts = np.asarray(pts, dtype=np.float64).reshape(-1, 1, 3)
+    spts = np.asarray(seg_ends, dtype=np.float64).reshape(-1, 2, 3)
+    nb, ns = np.bincount(pt_face, minlength=nf), np.bincount(seg_face, minlength=nf)
     table = np.concatenate([tris.reshape(-1, 3), bpts.reshape(-1, 3), spts.reshape(-1, 3)])
-    zero, why, corners2, points = _project_points(tris, bpts, spts, nb, ns, tol)
+    zero, why, corners2, points = _project_points(tris, bpts, spts, pt_face, seg_face, tol)
     size = nb + 2 * ns
     faults = [(DegeneratePolygon, w) if w else None for w in why.tolist()]
     walked = np.nonzero((size > 0) & ~zero & (why == ""))[0]
@@ -371,7 +373,7 @@ def prepare_splits(tris, segments, boundary_points, tol) -> tuple[np.ndarray, It
     return table, setups()
 
 
-def _project_points(tris, bpts, spts, nb, ns, tol):
+def _project_points(tris, bpts, spts, bface, sface, tol):
     """The float work of the split: parent normals, frames, frame
     coordinates, edge snaps and containment. A face's frame has its origin
     at corner 0, its normal n is the corners' Newell normal turned towards
@@ -380,12 +382,12 @@ def _project_points(tris, bpts, spts, nb, ns, tol):
     same expression runs on a single face, so each float equals the one a
     face-by-face computation gives.
 
-    Returns whether each face has zero area, the reason its frame fails
-    ("" if none), its corners in 2D, and the points of all faces, face by
-    face (boundary points, then segment ends), as the columns _walk reads.
+    bface and sface name each boundary point's and segment's face. Returns
+    whether each face has zero area, the reason its frame fails ("" if
+    none), its corners in 2D, and the points of all faces, face by face
+    (boundary points, then segment ends), as the columns _walk reads.
     """
     nf = len(tris)
-    bface, sface = np.repeat(np.arange(nf), nb), np.repeat(np.arange(nf), ns)
     with np.errstate(divide="ignore", invalid="ignore"):
         normal = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
         nn = np.sqrt(row_dots(normal, normal))

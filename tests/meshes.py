@@ -592,17 +592,30 @@ def oracle_directed_edge_duplicates(faces) -> dict[tuple[int, int], list[int]]:
     return bad
 
 
-def oracle_propagate_edge_points(mesh: TriMesh, per_face: dict, tol: float) -> dict:
+def oracle_propagate_edge_points(mesh: TriMesh, face, ends, tol: float) -> list:
+    """(neighbour face, point) pairs, sorted by neighbour, for segments
+    with ends (k, 2, 3) on faces face (k,): each owner's distinct ends are
+    tested against its edges, and each hit goes to the edge's other faces.
+
+    Edited from the first oracle, which took a dict of owner -> segments,
+    visited owners in the dict's order and each owner's ends in the order of
+    a set of float tuples, whose hashes a 2^k scaling reorders. Owners now
+    go in ascending order, and dict.fromkeys keeps each owner's distinct
+    ends in first occurrence (-0.0 equal to 0.0, as in the set).
+    """
     edge_faces: dict[tuple[int, int], list[int]] = {}
     for fid, tri in enumerate(mesh.faces):
         for k in range(3):
             u, v = int(tri[k]), int(tri[(k + 1) % 3])
             edge_faces.setdefault((min(u, v), max(u, v)), []).append(fid)
 
+    per_face: dict[int, list] = {}
+    for fid, pq in zip(np.asarray(face).tolist(), ends):
+        per_face.setdefault(fid, []).extend(pq)
     extra: dict[int, list] = {}
-    for fid, segs in per_face.items():
+    for fid in sorted(per_face):
         tri_idx = mesh.faces[fid]
-        for p in {tuple(q) for pq in segs for q in pq}:
+        for p in dict.fromkeys(tuple(q) for q in per_face[fid]):
             p = np.asarray(p)
             for k in range(3):
                 u, v = int(tri_idx[k]), int(tri_idx[(k + 1) % 3])
@@ -620,7 +633,7 @@ def oracle_propagate_edge_points(mesh: TriMesh, per_face: dict, tol: float) -> d
                 for nb in edge_faces[(min(u, v), max(u, v))]:
                     if nb != fid:
                         extra.setdefault(nb, []).append(p)
-    return extra
+    return [(nb, tuple(p)) for nb in sorted(extra) for p in extra[nb]]
 
 
 class OracleSurfaceTopology:
@@ -910,10 +923,10 @@ def oracle_build_merged_state(a: TriMesh, b: TriMesh, replacements: dict, segmen
                 child_parent_normals.append(pn)
 
     seg_base = cursor
-    seg_pts = []
-    for s in segments:
-        seg_pts.append(s.p0)
-        seg_pts.append(s.p1)
+    seg_pts = []  # segments is a SegmentTable, read by its columns
+    for p0, p1 in zip(segments.p0, segments.p1):
+        seg_pts.append(p0)
+        seg_pts.append(p1)
     if seg_pts:
         raw_chunks.append(np.asarray(seg_pts, dtype=np.float64))
 
@@ -939,13 +952,13 @@ def oracle_build_merged_state(a: TriMesh, b: TriMesh, replacements: dict, segmen
 
     edge_rows = []
     edge_pairs = []
-    for si, s in enumerate(segments):
+    for si, (ta, tb) in enumerate(zip(segments.tri_a.tolist(), segments.tri_b.tolist())):
         h = int(remap[seg_base + 2 * si])
         t = int(remap[seg_base + 2 * si + 1])
         if h == t:
             continue
         edge_rows.append((min(h, t), max(h, t)))
-        edge_pairs.append((s.tri_a, s.tri_b))
+        edge_pairs.append((ta, tb))
     if edge_rows:
         earr = np.asarray(edge_rows, dtype=np.int64)
         uniq, first = np.unique(earr, axis=0, return_index=True)

@@ -6,7 +6,8 @@ Its chunk prefilter builds unit normals with the axis form of the norm and
 einsum distances; tri_tri_intersect then rebuilds both unit normals and both
 snapped distance rows for every surviving pair on its own. Its triangle boxes
 and its row-wise box test are the (k, 3) forms from before meshbool moved both
-to per-axis columns.
+to per-axis columns. One edit since: _chord lerps each crossing edge from its
+lexicographically smaller end, as meshbool.intersect does now.
 """
 from __future__ import annotations
 
@@ -59,13 +60,18 @@ def _snap(d, tol):
 
 
 def _chord(tri, d, tol):
-    """Points where the triangle meets the other plane (0, 1 or 2 of them)."""
+    """Points where the triangle meets the other plane (0, 1 or 2 of them).
+
+    Edited from the verbatim copy: a crossing edge is lerped from its
+    lexicographically smaller end, as meshbool.intersect does, so that both
+    faces on an edge compute the crossing bit-equal."""
     pts = [tri[i] for i in range(3) if d[i] == 0.0]
     for i in range(3):
         j = (i + 1) % 3
         if d[i] * d[j] < 0.0:
-            t = d[i] / (d[i] - d[j])
-            pts.append(tri[i] + t * (tri[j] - tri[i]))
+            s, e = (i, j) if tuple(tri[i]) <= tuple(tri[j]) else (j, i)
+            t = d[s] / (d[s] - d[e])
+            pts.append(tri[s] + t * (tri[e] - tri[s]))
     uniq: list[np.ndarray] = []
     for p in pts:
         if not any(np.linalg.norm(p - q) <= tol for q in uniq):

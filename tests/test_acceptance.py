@@ -195,9 +195,9 @@ def test_criterion_6_broadphase_soundness_and_thread_determinism():
     for threads in (1, 4):
         expect, expect_report = oracle_intersect_all(pairs, a, b, 1e-12 * 3.0, threads=threads, chunk=64)
         assert len(segs) == len(expect)
-        for s, e in zip(segs, expect):
-            assert (s.tri_a, s.tri_b) == (e.tri_a, e.tri_b)
-            assert np.array_equal(s.p0, e.p0) and np.array_equal(s.p1, e.p1)
+        for k, e in enumerate(expect):
+            assert (segs.tri_a[k], segs.tri_b[k]) == (e.tri_a, e.tri_b)
+            assert np.array_equal(segs.p0[k], e.p0) and np.array_equal(segs.p1[k], e.p1)
         assert narrow.coplanar_pairs == expect_report.coplanar_pairs
         assert narrow.point_contacts == expect_report.point_contacts
     report(6, "octree candidates cover brute-force box pairs on 100 random "
@@ -218,7 +218,7 @@ def test_criterion_7_retriangulation_laws():
 
     tri = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
     chord = [(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))]
-    _, setups = prepare_splits([tri], [chord], [()], 1e-9)
+    _, setups = prepare_splits([tri], [0], chord, [], [], 1e-9)
     assert len(next(setups).polygons) == 2
     report(7, "ear clipping: n-2 triangles and area conserved at 1e-10 on 200 "
               "random polygons; single chord divides a triangle into 2 polygons")

@@ -93,8 +93,15 @@ def _pairs(topo, edges):
     return list(zip(topo.u[edges].tolist(), topo.v[edges].tolist()))
 
 
-def _points(extra):
-    return [(k, [tuple(p) for p in v]) for k, v in extra.items()]
+def _points(got):
+    """_propagate_edge_points' columns as the oracle's (neighbour, point) pairs."""
+    return list(zip(got[0].tolist(), map(tuple, got[1].tolist())))
+
+
+def _by_face(face, ends):
+    """Segment columns stably sorted by face, as run_pipeline passes them."""
+    order = np.argsort(face, kind="stable")
+    return np.asarray(face)[order], np.asarray(ends, dtype=np.float64).reshape(-1, 2, 3)[order]
 
 
 def assert_table_agrees(faces):
@@ -195,25 +202,24 @@ def test_merged_surfaces_match_oracle(pipeline_runs, name):
 @pytest.mark.parametrize("name", sorted(PIPELINE_PAIRS))
 def test_propagated_edge_points_match_oracle(pipeline_runs, name):
     state = pipeline_runs[name]
-    for tag, mesh in (("A", state.mesh_a), ("B", state.mesh_b)):
-        per_face = {}
-        for s in state.segments:
-            fid = s.tri_a if tag == "A" else s.tri_b
-            per_face.setdefault(fid, []).append((s.p0, s.p1))
-        got = _propagate_edge_points(mesh, per_face, state.merged.tol)
-        assert got
-        assert _points(got) == _points(oracle_propagate_edge_points(mesh, per_face, state.merged.tol))
+    table = state.segments
+    ends = np.stack((table.p0, table.p1), axis=1)
+    for mesh, tri in ((state.mesh_a, table.tri_a), (state.mesh_b, table.tri_b)):
+        face, face_ends = _by_face(tri, ends)
+        got = _propagate_edge_points(mesh, face, face_ends, state.merged.tol)
+        assert len(got[0])
+        assert _points(got) == oracle_propagate_edge_points(mesh, face, face_ends, state.merged.tol)
 
 
 def test_propagated_edge_points_on_an_edge_of_three_faces():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0], [0.5, -1, 0], [0.5, 0, 1.0]])
     # faces 0-3 share edge {0, 1}; degenerate face 4 uses it twice
     mesh = TriMesh(verts, [[0, 1, 2], [1, 0, 3], [0, 1, 4], [1, 0, 2], [1, 0, 1]])
-    per_face = {0: [(np.array([0.25, 0.0, 0.0]), np.array([0.5, 0.5, 0.0]))],
-                3: [(np.array([0.75, 0.0, 0.0]), np.array([0.4, 0.4, 0.0]))]}
-    got = _propagate_edge_points(mesh, per_face, 1e-9)
-    assert sorted(got) == [0, 1, 2, 3, 4] and len(got[4]) == 4
-    assert _points(got) == _points(oracle_propagate_edge_points(mesh, per_face, 1e-9))
+    face, ends = np.array([0, 3]), np.array([[[0.25, 0.0, 0.0], [0.5, 0.5, 0.0]],
+                                             [[0.75, 0.0, 0.0], [0.4, 0.4, 0.0]]])
+    got = _propagate_edge_points(mesh, face, ends, 1e-9)
+    assert sorted(set(got[0].tolist())) == [0, 1, 2, 3, 4] and (got[0] == 4).sum() == 4
+    assert _points(got) == oracle_propagate_edge_points(mesh, face, ends, 1e-9)
 
 
 PROPAGATION_MESH = icosphere(1.0, subdivisions=1)
@@ -223,22 +229,29 @@ PROPAGATION_MESH = icosphere(1.0, subdivisions=1)
 @given(st.lists(st.tuples(st.integers(0, PROPAGATION_MESH.num_faces - 1), st.integers(0, 2),
                           st.sampled_from([0.5, 0.99, 1.0, 1.01, 3.0, -0.99, -1.0, -1.01]),
                           st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, -1.0])),
-                min_size=1, max_size=12))
-def test_propagated_points_at_the_tolerances_match_oracle(picks):
+                min_size=1, max_size=12),
+       st.sampled_from([-20, 7, 40]))
+def test_propagated_points_at_the_tolerances_match_oracle(picks, k):
     """Points tol-fractions from an edge's ends (negative: from the far end)
-    and from its line, where each of the three tests flips."""
+    and from its line, where each of the three tests flips. Scaling the mesh,
+    the points and tol by 2^k scales the points and keeps their order."""
     mesh, tol = PROPAGATION_MESH, 1e-6
-    per_face = {}
-    for fid, k, along, off in picks:
+    face, ends = [], []
+    for fid, e, along, off in picks:
         tri = mesh.vertices[mesh.faces[fid]]
-        va, ab = tri[k], tri[(k + 1) % 3] - tri[k]
+        va, ab = tri[e], tri[(e + 1) % 3] - tri[e]
         length = float(np.linalg.norm(ab))
         t = along * tol / length if along > 0 else 1 + along * tol / length
         side = np.cross(np.cross(tri[1] - tri[0], tri[2] - tri[0]), ab)
-        p = va + t * ab + off * tol * side / np.linalg.norm(side)
-        per_face.setdefault(fid, []).append((p, tri.mean(axis=0)))
-    got = _propagate_edge_points(mesh, per_face, tol)
-    assert _points(got) == _points(oracle_propagate_edge_points(mesh, per_face, tol))
+        face.append(fid)
+        ends.append((va + t * ab + off * tol * side / np.linalg.norm(side), tri.mean(axis=0)))
+    face, ends = _by_face(face, ends)
+    got = _propagate_edge_points(mesh, face, ends, tol)
+    assert _points(got) == oracle_propagate_edge_points(mesh, face, ends, tol)
+    s = 2.0**k
+    big = _propagate_edge_points(TriMesh(mesh.vertices * s, mesh.faces), face, ends * s, tol * s)
+    assert big[0].tolist() == got[0].tolist()
+    assert big[1].tobytes() == (got[1] * s).tobytes()
 
 
 def test_table_invariants_on_open_and_repeated_edges():

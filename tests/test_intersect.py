@@ -10,7 +10,7 @@ import meshbool.intersect as intersect_mod
 import oracle_intersect as oracle
 from meshbool.errors import CoplanarPairError, DegenerateTriangle, GeometryError
 from meshbool.geometry import TriMesh
-from meshbool.intersect import COPLANAR, intersect_all, tri_tri_intersect
+from meshbool.intersect import COPLANAR, SegmentTable, intersect_all, tri_tri_intersect
 from meshbool.octree import find_candidates, triangle_boxes
 from meshes import (
     blob_and_plane,
@@ -162,8 +162,12 @@ def narrow_outcome(fn, *args, **kw):
         segs, report = fn(*args, **kw)
     except GeometryError as exc:
         return type(exc), str(exc)
+    if isinstance(segs, SegmentTable):  # by columns; a table holds no degenerate segment
+        rows = zip(segs.tri_a.tolist(), segs.tri_b.tolist(), [False] * len(segs), segs.p0, segs.p1)
+    else:  # the oracle's list of IntersectionSegment
+        rows = ((s.tri_a, s.tri_b, s.degenerate, s.p0, s.p1) for s in segs)
     return (
-        [(s.tri_a, s.tri_b, s.degenerate, s.p0.tobytes(), s.p1.tobytes()) for s in segs],
+        [(ta, tb, degenerate, p0.tobytes(), p1.tobytes()) for ta, tb, degenerate, p0, p1 in rows],
         list(report.coplanar_pairs),
         report.point_contacts,
     )

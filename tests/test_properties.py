@@ -1,17 +1,18 @@
 """Whole-pipeline properties on generated inputs.
 
 Tolerances come from the scene scale, so scaling both inputs by a power of
-two scales every output vertex exactly, and the union's facets. The other
-outputs' facets can differ: the points a split puts on a neighbour's edge
-are visited in the order of a set of float tuples, whose hashes do not
-scale, so a face's point table and its ear clipping can start elsewhere.
-Swapping A and B swaps the two subtractions: counts and volumes hold today,
-while exact coordinates wait for each crossing to be computed once (a swap
-can move a welded vertex by an ulp). A rigid motion of both inputs (a
-rotation and a translation of about 10) keeps every output a closed
-manifold of positive volume, and the volume identities within 1e-10
-relative.
+two scales every output exactly: its vertices and its facets, since no step
+visits points in an order that depends on float hashes. Swapping A and B
+swaps the two subtractions, and each output's vertices are the same set of
+exact points: every crossing is lerped from the lexicographically smaller
+end of its edge, so both faces on an edge and both input orders compute it
+bit-equal. The swap is pinned for torus_pair, whose weld pool still holds
+distinct points within tol of each other; such a group's vertex is the
+pool's first point, which is A's. A rigid motion of both inputs (a rotation
+and a translation of about 10) keeps every output a closed manifold of
+positive volume, and the volume identities within 1e-10 relative.
 """
+import pytest
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,23 +53,46 @@ def test_power_of_two_scaling_scales_every_output_vertex(pair, k):
         assert [m.num_faces for m in got] == [m.num_faces for m in want], label
         for g, w in zip(got, want):
             assert g.vertices.tobytes() == (w.vertices * s).tobytes(), label
-            if label == "union":
-                assert g.vertices[g.faces].tobytes() == (w.vertices[w.faces] * s).tobytes()
+            assert g.vertices[g.faces].tobytes() == (w.vertices[w.faces] * s).tobytes(), label
+
+
+SWAPS = (("union", "union"), ("intersection", "intersection"),
+         ("a_minus_b", "b_minus_a"), ("b_minus_a", "a_minus_b"))
+# Pairs whose swapped outputs are known to differ in exact points, and why.
+SWAP_PINNED = {
+    "torus_pair": "48 of the 54 vertices each output differs by are welds of distinct points within "
+                  "tol, where the vertex is the pool's first point, which is A's",
+}
+
+
+def swap_results(pair):
+    a, b = make(pair)
+    return run_pipeline(a, b).result, run_pipeline(TriMesh(b.vertices, b.faces), TriMesh(a.vertices, a.faces)).result
+
+
+def vertex_set(meshes):
+    return sorted(set(map(tuple, np.concatenate([m.vertices for m in meshes]).tolist())))
 
 
 @settings(max_examples=8, deadline=None)
 @given(pairs)
 def test_swapping_the_inputs_swaps_the_subtractions(pair):
-    a, b = make(pair)
-    ab = run_pipeline(a, b).result
-    ba = run_pipeline(TriMesh(b.vertices, b.faces), TriMesh(a.vertices, a.faces)).result
-    for x, y in (("union", "union"), ("intersection", "intersection"),
-                 ("a_minus_b", "b_minus_a"), ("b_minus_a", "a_minus_b")):
+    ab, ba = swap_results(pair)
+    for x, y in SWAPS:
         got, want = ba.by_label(x), ab.by_label(y)
         assert sorted((m.num_faces, m.num_vertices) for m in got) == \
             sorted((m.num_faces, m.num_vertices) for m in want), x
         vol_got, vol_want = sum(map(signed_volume, got)), sum(map(signed_volume, want))
         assert abs(vol_got - vol_want) <= 1e-12 * abs(vol_want), x
+        if pair not in SWAP_PINNED:  # pinned by the strict xfail below
+            assert vertex_set(got) == vertex_set(want), x
+
+
+@pytest.mark.xfail(strict=True, reason=SWAP_PINNED["torus_pair"])
+def test_swapping_torus_pair_keeps_exact_vertex_sets():
+    ab, ba = swap_results("torus_pair")
+    for x, y in SWAPS:
+        assert vertex_set(ba.by_label(x)) == vertex_set(ab.by_label(y)), x
 
 
 def moved(mesh, rotation, shift):

@@ -29,10 +29,17 @@ from meshes import (
 TRI = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
 
 
+def columns(segments, boundary_points):
+    """Per-face lists of segments and of boundary points as prepare_splits'
+    columns: seg_face, seg_ends, pt_face, pts."""
+    return ([f for f, segs in enumerate(segments) for _ in segs], [pq for segs in segments for pq in segs],
+            [f for f, pts in enumerate(boundary_points) for _ in pts], [p for pts in boundary_points for p in pts])
+
+
 def alone(tri, segments, tol, boundary_points=()):
     """The point table and setup of one face prepared alone: the table is
     the corners, the boundary points, then the segment ends."""
-    table, setups = retriangulate.prepare_splits([tri], [segments], [boundary_points], tol)
+    table, setups = retriangulate.prepare_splits([tri], *columns([segments], [boundary_points]), tol)
     return table, next(setups)
 
 
@@ -289,9 +296,13 @@ def record_splits(make):
     faces, calls, placed = [], [], []
     prepare, place = retriangulate.prepare_splits, retriangulate._place_holes
 
-    def prepared(tris, segments, boundary_points, tol):
-        table, setups = prepare(tris, segments, boundary_points, tol)
-        faces.extend((tri, segs, tol, points, table) for tri, segs, points in zip(tris, segments, boundary_points))
+    def prepared(tris, seg_face, seg_ends, pt_face, pts, tol):
+        table, setups = prepare(tris, seg_face, seg_ends, pt_face, pts, tol)
+        # The pipeline's columns run face by face.
+        segments = np.split(seg_ends, np.cumsum(np.bincount(seg_face, minlength=len(tris)))[:-1])
+        boundary_points = np.split(pts, np.cumsum(np.bincount(pt_face, minlength=len(tris)))[:-1])
+        faces.extend((tri, segs.tolist(), tol, points.tolist(), table)
+                     for tri, segs, points in zip(tris, segments, boundary_points))
         return table, setups
 
     def split(setup, parent_tri):
@@ -677,7 +688,8 @@ def test_packed_faces_split_as_each_face_alone(scenes, rand):
     faces = [(None, (tri, segments, boundary)) for tri, segments, _, boundary in scenes]
     faces += [(name, face) for name, (face, _) in PACKED_FACES.items()] + [(None, NON_FINITE)]
     rand.shuffle(faces)
-    table, setups = retriangulate.prepare_splits(*zip(*(face for _, face in faces)), tol)
+    tris, segments, boundary_points = zip(*(face for _, face in faces))
+    table, setups = retriangulate.prepare_splits(tris, *columns(segments, boundary_points), tol)
     setups = list(setups)
     for fid, ((name, (tri, segments, boundary)), setup) in enumerate(zip(faces, setups)):
         got = outcome(table, setup, fid)
