@@ -162,7 +162,9 @@ def clear_topology(state: MergedState) -> MergedState:
     repeated directed edges within one surface are repaired by deleting the
     smallest-area offender, re-checking until stable or the pass budget runs
     out. A closed manifold repeats no directed edge, so only surfaces that
-    were open or fail that check go through the repair.
+    were open or fail that check go through the repair. The intersection
+    edges pass through as built: build_merged_state keeps none whose two
+    ends weld into one vertex.
     """
     verts = state.vertices
     faces = state.faces
@@ -200,15 +202,8 @@ def clear_topology(state: MergedState) -> MergedState:
         if leftovers:
             raise TopologyError(f"clearing did not converge, repeated edges remain: {leftovers[:5]}")
 
-    # Drop intersection edges whose endpoints merged together.
-    edges = state.edges
-    pairs = state.edge_tri_pairs
-    keep_e = edges[:, 0] != edges[:, 1]
-    edges = edges[keep_e]
-    pairs = [p for p, k in zip(pairs, keep_e) if k]
-
     out = MergedState(
-        verts, faces, source, edges, pairs, state.tol,
+        verts, faces, source, state.edges, state.edge_tri_pairs, state.tol,
         a_closed=state.a_closed, b_closed=state.b_closed,
     )
     out.extrema = compute_extrema(verts) if len(verts) else None

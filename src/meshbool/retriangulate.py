@@ -21,9 +21,13 @@ with no numpy call, into rows of the point table, which build_merged_state
 gathers once per surface.
 
 The combinatorial ear-clipping core follows the well-known earcut algorithm,
-minus the z-order acceleration and minus collinear-vertex filtering: points
-inserted on shared triangle edges must survive into the output or the
-neighbouring triangle would see a T-junction. It also has none of earcut's
+on a ring held as a Python list of point ids into the polygon's coordinates:
+a clip deletes one position, and a hole bridge splices the hole's points and
+copies of the bridge's two ends in after one position. Copies repeat ids, so
+the clip tracks ring positions. It runs without the z-order acceleration
+and without collinear-vertex filtering: points inserted on shared triangle
+edges must survive into the output or the neighbouring triangle would see a
+T-junction. It also has none of earcut's
 fallback passes (a retry, curing local self-intersections, splitting along a
 diagonal; Held 2001, "FIST"). The faces of a planar subdivision are weakly
 simple polygons, and by the two-ears theorem every such polygon with more
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -54,38 +57,14 @@ def _pairs(ring) -> list:
     return ring.tolist() if hasattr(ring, "tolist") else list(ring)
 
 
-def shoelace(ring2d) -> float:
-    """Signed area of a ring of (x, y) points, summed in ring order."""
-    pts = _pairs(ring2d)
-    s = 0.0
-    for (x, y), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
-        s += x * y1 - x1 * y
-    return 0.5 * s
-
-
 # ---------------------------------------------------------------------------
-# Ear clipping (earcut-style linked list, holes via bridges)
+# Ear clipping (earcut on a ring of point ids, holes via bridges)
 # ---------------------------------------------------------------------------
 
 
-class _Node:
-    __slots__ = ("i", "x", "y", "prev", "next")
-
-    def __init__(self, i, x, y):
-        self.i = i
-        self.x = x
-        self.y = y
-        self.prev = None
-        self.next = None
-
-
-def _area(p, q, r):
+def _area(X, Y, p, q, r):
     # Positive for clockwise turns in the math convention used throughout.
-    return (q.y - p.y) * (r.x - q.x) - (q.x - p.x) * (r.y - q.y)
-
-
-def _equals(p1, p2):
-    return p1.x == p2.x and p1.y == p2.y
+    return (Y[q] - Y[p]) * (X[r] - X[q]) - (X[q] - X[p]) * (Y[r] - Y[q])
 
 
 def _point_in_triangle(ax, ay, bx, by, cx, cy, px, py, eps=0.0):
@@ -96,184 +75,105 @@ def _point_in_triangle(ax, ay, bx, by, cx, cy, px, py, eps=0.0):
     )
 
 
-def _locally_inside(a, b):
-    if _area(a.prev, a, a.next) < 0:
-        return _area(a, b, a.next) >= 0 and _area(a, a.prev, b) >= 0
-    return _area(a, b, a.prev) < 0 or _area(a, a.next, b) < 0
+def _locally_inside(X, Y, ring, i, b):
+    """Whether point b lies inside the polygon's angle at ring position i."""
+    p, a, q = ring[i - 1], ring[i], ring[(i + 1) % len(ring)]
+    if _area(X, Y, p, a, q) < 0:
+        return _area(X, Y, a, b, q) >= 0 and _area(X, Y, a, p, b) >= 0
+    return _area(X, Y, a, b, p) < 0 or _area(X, Y, a, q, b) < 0
 
 
-def _sector_contains_sector(m, p):
-    return _area(m.prev, m, p.prev) < 0 and _area(p.next, m, m.next) < 0
+def _ring(X, Y, first, count, ccw):
+    """The point ids first to first + count - 1 as a ring: reversed unless
+    their signed area is positive exactly when ccw is set (outer rings
+    positive, holes negative), with exact duplicates of a neighbour dropped
+    and collinear points kept. The ring starts at the last id put in; a
+    start that duplicates its successor gives way to it, and one that its
+    predecessor duplicates, to that predecessor."""
+    ids = range(first, first + count)
+    s, i, repeats = 0.0, first, False
+    for k in (*ids[1:], *ids[:1]):  # the shoelace sum, in ring order
+        s += X[i] * Y[k] - X[k] * Y[i]
+        repeats = repeats or (X[i] == X[k] and Y[i] == Y[k])
+        i = k
+    if (0.5 * s > 0) != ccw:  # the area: a subnormal s halves to zero
+        ids = ids[::-1]
+    ring = [*ids[-1:], *ids[:-1]]
+    if repeats:
+        if X[ring[0]] == X[ring[1 % count]] and Y[ring[0]] == Y[ring[1 % count]]:
+            del ring[0]
+        kept = ring[:1]
+        for i in ring[1:]:
+            if X[i] != X[kept[-1]] or Y[i] != Y[kept[-1]]:
+                kept.append(i)
+        if len(kept) > 1 and X[kept[-1]] == X[kept[0]] and Y[kept[-1]] == Y[kept[0]]:
+            kept = kept[-1:] + kept[1:-1]
+        ring = kept
+    return ring
 
 
-def _split_ring(a, b):
-    a2 = _Node(a.i, a.x, a.y)
-    b2 = _Node(b.i, b.x, b.y)
-    an, bp = a.next, b.prev
-    a.next = b
-    b.prev = a
-    a2.next = an
-    an.prev = a2
-    b2.next = a2
-    a2.prev = b2
-    bp.next = b2
-    b2.prev = bp
-
-
-def _remove_node(p):
-    p.next.prev = p.prev
-    p.prev.next = p.next
-
-
-def _insert_node(i, x, y, last):
-    p = _Node(i, x, y)
-    if last is None:
-        p.prev = p
-        p.next = p
-    else:
-        p.next = last.next
-        p.prev = last
-        last.next.prev = p
-        last.next = p
-    return p
-
-
-def _linked_list(coords, index_offset, clockwise):
-    """Ring as circular list; orientation forced, exact duplicates dropped.
-
-    clockwise=True keeps rings with positive shoelace forward (the earcut
-    convention: outer rings positive, holes negative).
-    """
-    sa = shoelace(coords)
-    last = None
-    order = range(len(coords)) if (sa > 0) == clockwise else range(len(coords) - 1, -1, -1)
-    for k in order:
-        last = _insert_node(index_offset + k, coords[k][0], coords[k][1], last)
-    if last is not None and _equals(last, last.next):
-        nxt = last.next
-        _remove_node(last)
-        last = nxt if nxt is not last else None
-    # drop remaining coincident neighbours, keep collinear vertices
-    if last is not None:
-        p = last
-        while True:
-            again = False
-            if _equals(p, p.next) and p.next is not p:
-                if p.next is last:  # the walk ends at last: move it to the node it merges into
-                    last = p
-                _remove_node(p.next)
-                again = True
-            if not again:
-                p = p.next
-                if p is last:
-                    break
-    return last
-
-
-def _get_leftmost(start):
-    p = start
-    leftmost = start
-    while True:
-        if p.x < leftmost.x or (p.x == leftmost.x and p.y < leftmost.y):
-            leftmost = p
-        p = p.next
-        if p is start:
-            break
-    return leftmost
-
-
-def _find_hole_bridge(hole, outer):
-    p = outer
-    hx, hy = hole.x, hole.y
+def _find_hole_bridge(X, Y, ring, h):
+    """The ring position that hole point h, its hole's leftmost, bridges
+    to, or None when no ring edge meets the leftward ray from h."""
+    n = len(ring)
+    hx, hy = X[h], Y[h]
     qx = -math.inf
     m = None
-    while True:
-        if hy <= p.y and hy >= p.next.y and p.next.y != p.y:
-            x = p.x + (hy - p.y) * (p.next.x - p.x) / (p.next.y - p.y)
+    for i in range(n):
+        p, q = ring[i], ring[(i + 1) % n]
+        if hy <= Y[p] and hy >= Y[q] and Y[q] != Y[p]:
+            x = X[p] + (hy - Y[p]) * (X[q] - X[p]) / (Y[q] - Y[p])
             if x <= hx and x > qx:
                 qx = x
-                m = p if p.x < p.next.x else p.next
+                m = i if X[p] < X[q] else (i + 1) % n
                 if x == hx:
                     return m
-        p = p.next
-        if p is outer:
-            break
     if m is None:
         return None
-    stop = m
-    mx, my = m.x, m.y
+    # A point of the triangle (h, the hit at qx, m) that h sees takes the
+    # bridge from m: the one nearest the ray, then the rightmost, then the
+    # one whose sector lies in the current end's.
+    mx, my = X[ring[m]], Y[ring[m]]
     tan_min = math.inf
-    p = m
-    while True:
-        if hx >= p.x >= mx and hx != p.x and _point_in_triangle(
-            hx if hy < my else qx, hy, mx, my, qx if hy < my else hx, hy, p.x, p.y
+    for i in (*range(m, n), *range(m)):
+        p, end = ring[i], ring[m]
+        if hx >= X[p] >= mx and hx != X[p] and _point_in_triangle(
+            hx if hy < my else qx, hy, mx, my, qx if hy < my else hx, hy, X[p], Y[p]
         ):
-            tan = abs(hy - p.y) / (hx - p.x)
-            if _locally_inside(p, hole) and (
-                tan < tan_min
-                or (tan == tan_min and (p.x > m.x or (p.x == m.x and _sector_contains_sector(m, p))))
-            ):
-                m = p
+            tan = abs(hy - Y[p]) / (hx - X[p])
+            if _locally_inside(X, Y, ring, i, h) and (tan < tan_min or tan == tan_min and (
+                X[p] > X[end] or X[p] == X[end]
+                and _area(X, Y, ring[m - 1], end, ring[i - 1]) < 0
+                and _area(X, Y, ring[(i + 1) % n], end, ring[(m + 1) % n]) < 0
+            )):
+                m = i
                 tan_min = tan
-        p = p.next
-        if p is stop:
-            break
     return m
 
 
-def _eliminate_holes(outer, hole_rings, offsets):
-    queue = []
-    for ring, off in zip(hole_rings, offsets):
-        lst = _linked_list(ring, off, clockwise=False)
-        if lst is None:
-            continue
-        queue.append(_get_leftmost(lst))
-    queue.sort(key=lambda n: (n.x, n.y))
-    for hole in queue:
-        bridge = _find_hole_bridge(hole, outer)
-        if bridge is None:
-            raise NotSimple("no visible bridge from hole to outer ring")
-        _split_ring(bridge, hole)
-
-
-def _is_ear(ear, eps, exact=False):
+def _is_ear(X, Y, ring, j, eps, exact):
+    """Whether the corner at ring position j is an ear: it turns by more
+    than eps, and no reflex or straight corner of the ring lies in its
+    triangle within eps. The exact test (eps 0) lets copies of the ear's
+    corners pass."""
     if exact:
         eps = 0.0
-    a, b, c = ear.prev, ear, ear.next
-    if _area(a, b, c) >= -eps:
+    n = len(ring)
+    a, b, c = ring[j - 1], ring[j], ring[j + 1 - n]
+    ax, ay, bx, by, cx, cy = X[a], Y[a], X[b], Y[b], X[c], Y[c]
+    if (by - ay) * (cx - bx) - (bx - ax) * (cy - by) >= -eps:
         return False  # reflex or straight tip (within noise)
-    p = c.next
-    while p is not a:
+    for k in range(j + 2 - n, j - 1):  # from after c to before a, as valid indices
+        p = ring[k]
+        px, py = X[p], Y[p]
         # A copy of a corner, as a hole bridge leaves, blocks only the noisy test.
-        copy = exact and (_equals(p, a) or _equals(p, b) or _equals(p, c))
-        if not copy and _point_in_triangle(a.x, a.y, b.x, b.y, c.x, c.y, p.x, p.y, eps) and _area(
-            p.prev, p, p.next
-        ) >= -eps:
-            return False
-        p = p.next
-    return True
-
-
-def _earcut_linked(ear, triangles, eps):
-    """Clip ears until two nodes are left. A cycle without an ear is
-    repeated once with exact tests: a hole bridge duplicates its two ends,
-    and a vertex within eps of a bridge can block every ear near it. An
-    exact cycle without an ear raises."""
-    stop = ear
-    exact = False
-    while ear.prev is not ear.next:
-        prev_node = ear.prev
-        next_node = ear.next
-        if _is_ear(ear, eps, exact):
-            triangles.append((prev_node.i, ear.i, next_node.i))
-            _remove_node(ear)
-            ear = stop = next_node.next
+        if exact and ((px == ax and py == ay) or (px == bx and py == by) or (px == cx and py == cy)):
             continue
-        ear = next_node
-        if ear is stop:
-            if exact:
-                raise DegeneratePolygon("no ear left to clip: polygon is not weakly simple")
-            exact = True
+        if _point_in_triangle(ax, ay, bx, by, cx, cy, px, py, eps) and (
+            _area(X, Y, ring[k - 1], p, ring[k + 1]) >= -eps
+        ):
+            return False
+    return True
 
 
 def ear_clip(loop2d, holes2d=()) -> list[tuple[int, int, int]]:
@@ -287,19 +187,50 @@ def ear_clip(loop2d, holes2d=()) -> list[tuple[int, int, int]]:
     pts = _pairs(loop2d)
     if len(pts) < 3:
         raise DegeneratePolygon("polygon needs at least 3 vertices")
-
-    outer = _linked_list(pts, 0, clockwise=True)
-    if outer is None or outer.next is outer.prev:
-        raise DegeneratePolygon("polygon degenerates to fewer than 3 points")
     holes = [_pairs(h) for h in holes2d]
-    if holes:
-        _eliminate_holes(outer, holes, accumulate([len(pts)] + [len(h) for h in holes]))
+    X, Y = zip(*pts, *(p for h in holes for p in h))
+    ring = _ring(X, Y, 0, len(pts), True)
+    if len(ring) < 3:
+        raise DegeneratePolygon("polygon degenerates to fewer than 3 points")
 
-    xs, ys = zip(*pts, *(p for h in holes for p in h))
-    eps = 1e-12 * ((max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2)
+    # Each hole, from its first leftmost point, is spliced in after the ring
+    # position it bridges to, closed by copies of the bridge's two ends.
+    bridged, first = [], len(pts)
+    for h in holes:
+        hole = _ring(X, Y, first, len(h), False)
+        first += len(h)
+        if hole:
+            k = min(range(len(hole)), key=lambda k: (X[hole[k]], Y[hole[k]]))
+            bridged.append(hole[k:] + hole[:k])
+    bridged.sort(key=lambda hole: (X[hole[0]], Y[hole[0]]))
+    for hole in bridged:
+        m = _find_hole_bridge(X, Y, ring, hole[0])
+        if m is None:
+            raise NotSimple("no visible bridge from hole to outer ring")
+        ring[m + 1:m + 1] = [*hole, hole[0], ring[m]]
 
+    # Clip ears from the ring's start until two points are left. A bridge's
+    # copies repeat ids, so the ear and the stop are ring positions. A cycle
+    # without an ear is repeated once with exact tests: a vertex within eps
+    # of a bridge can block every ear near it. An exact cycle without an
+    # ear raises.
+    eps = 1e-12 * ((max(X) - min(X)) ** 2 + (max(Y) - min(Y)) ** 2)
     triangles: list[tuple[int, int, int]] = []
-    _earcut_linked(outer, triangles, eps)
+    j = stop = 0
+    exact = False
+    n = len(ring)
+    while n > 2:
+        if _is_ear(X, Y, ring, j, eps, exact):
+            triangles.append((ring[j - 1], ring[j], ring[j + 1 - n]))
+            del ring[j]
+            n -= 1
+            j = stop = (j % n + 1) % n
+        else:
+            j = (j + 1) % n
+            if j == stop:
+                if exact:
+                    raise DegeneratePolygon("no ear left to clip: polygon is not weakly simple")
+                exact = True
     # Emitted triples follow the ring's (CCW) traversal order, so shared
     # diagonals come out in opposite directions; no numeric re-orientation.
     return triangles
@@ -665,8 +596,8 @@ def _cycles(xy, face, a, b, nw):
     cur = at[starts]
     first = np.cumsum(length) - length
 
-    # Signed areas, added term by term in ring order, as the scalar
-    # shoelace adds them.
+    # Signed areas, added term by term in ring order, as a scalar shoelace
+    # sum adds them.
     nodes = np.empty(2 * ne, dtype=np.int64)
     s = np.zeros(len(cur))
     for j, act in _rounds(length):
@@ -727,8 +658,8 @@ def split_and_triangulate(setup: FaceSetup, parent_tri: int = -1) -> list[tuple[
     """One face's children, as row triples of the point table prepare_splits
     returned with setup: each polygon ear-clipped. A face left whole, one
     hole-free polygon of three rows, is its rows in ascending order. Raises
-    the face's fault, or DegeneratePolygon from ear clipping, naming
-    parent_tri."""
+    the face's fault, or DegeneratePolygon or NotSimple from ear clipping,
+    naming parent_tri."""
     if setup.fault:
         error, message = setup.fault
         raise error(message.format(tri=parent_tri))
@@ -739,8 +670,8 @@ def split_and_triangulate(setup: FaceSetup, parent_tri: int = -1) -> list[tuple[
     for rows, ring2d, holes, holes2d in polys:
         try:
             tris = ear_clip(ring2d, holes2d)
-        except DegeneratePolygon as err:
-            raise DegeneratePolygon(f"{err} (tri {parent_tri})") from err
+        except (DegeneratePolygon, NotSimple) as err:
+            raise type(err)(f"{err} (tri {parent_tri})") from err
         rows = [r for ring in (rows, *holes) for r in ring]
         children += [(rows[i], rows[j], rows[k]) for i, j, k in tris]
     return children

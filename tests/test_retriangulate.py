@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracle_earcut as frozen
 import oracle_retriangulate as oracle
 from deadline import deadline
 from meshbool import pipeline, retriangulate
-from meshbool.errors import DegeneratePolygon, DegenerateTriangle, GeometryError
+from meshbool.errors import DegeneratePolygon, DegenerateTriangle, GeometryError, NotSimple
 from meshbool.pipeline import run_pipeline
 from meshbool.retriangulate import FaceSetup, ear_clip, split_and_triangulate
 from meshes import (
@@ -150,6 +151,20 @@ def test_junction_star_splits_into_sectors():
 # --- ear_clip -------------------------------------------------------------
 
 
+def clipped_as_frozen(ring, holes=()):
+    """ear_clip's triangles, or the (error class, message) it raises, which
+    must equal the frozen linked-list clipper's."""
+    def outcome(clip):
+        try:
+            return clip(ring, holes)
+        except GeometryError as err:
+            return type(err), str(err)
+
+    got = outcome(ear_clip)
+    assert got == outcome(frozen.ear_clip), (ring, holes)
+    return got
+
+
 def test_ear_clip_triangle_identity():
     tris = ear_clip(np.array([[0, 0], [1, 0], [0, 1]], dtype=float))
     assert len(tris) == 1
@@ -185,6 +200,13 @@ def test_ear_clip_count_and_area_laws_200_random():
         assert all(
             oracle_shoelace([ring[i], ring[j], ring[k]]) >= 0 for i, j, k in tris
         ), f"trial {trial}"
+        # the same ring clockwise: clipped as its reverse, still no inverted output
+        cw = ring[::-1]
+        tris = ear_clip(cw)
+        assert len(tris) == n - 2, f"trial {trial}"
+        areas = [oracle_shoelace([cw[i], cw[j], cw[k]]) for i, j, k in tris]
+        assert min(areas) >= 0, f"trial {trial}"
+        assert abs(sum(areas) - abs(oracle_shoelace(cw))) <= 1e-10 * abs(expect), f"trial {trial}"
 
 
 def test_ear_clip_collinear_vertices_preserved():
@@ -203,6 +225,16 @@ def test_ear_clip_square_with_hole():
     pts = np.concatenate([outer, hole])
     area = sum(oracle_shoelace([pts[i], pts[j], pts[k]]) for i, j, k in tris)
     assert area == pytest.approx(15.0, rel=1e-10)
+    # Seeded hole scenes, holes either way round and apart from each other,
+    # clip as the frozen clipper does.
+    rng = np.random.default_rng(25)
+    for _ in range(40):
+        outer = 4 * random_simple_polygon(rng, int(rng.integers(8, 16)))
+        holes = []
+        for centre in [(-0.8, -0.8), (0.8, -0.8), (0.0, 0.8)][:int(rng.integers(1, 4))]:
+            h = np.add(centre, 0.3 * random_simple_polygon(rng, int(rng.integers(3, 7))))
+            holes.append(h[::-1] if rng.random() < 0.7 else h)
+        clipped_as_frozen(outer, holes)
 
 
 def test_ear_clip_preconditions_raise():
@@ -222,17 +254,18 @@ def test_ear_clip_returns_when_a_duplicate_merges_the_ring_start():
 
 
 def test_ear_clip_returns_on_every_small_ring_with_repeats():
-    """Every ring of 3 to 5 points drawn from the unit square's corners,
-    repeats included, is triangulated or refused, never looped over."""
-    corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    """Every ring of 3 to 6 points drawn from the unit square's corners and
+    centre, repeats included, is triangulated or refused, never looped over,
+    and exactly as the frozen clipper does it."""
+    points = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)]
     with deadline(30):
-        for n in (3, 4, 5):
-            for ring in itertools.product(corners, repeat=n):
-                try:
-                    tris = ear_clip(ring)
-                except DegeneratePolygon:
+        for n in (3, 4, 5, 6):
+            for ring in itertools.product(points, repeat=n):
+                got = clipped_as_frozen(ring)
+                if isinstance(got, tuple):
+                    assert got[0] is DegeneratePolygon
                     continue
-                assert all(0 <= i < n for t in tris for i in t)
+                assert all(0 <= i < n for t in got for i in t)
 
 
 def test_winding_preserved_through_split():
@@ -262,6 +295,15 @@ def test_polygon_without_an_ear_names_the_parent_triangle():
     setup = FaceSetup(None, [([0, 1, 2, 3], BOWTIE.tolist(), [], [])])
     with pytest.raises(DegeneratePolygon, match=r"no ear .*\(tri 17\)"):
         split_and_triangulate(setup, 17)
+
+
+def test_hole_without_a_bridge_names_the_parent_triangle():
+    outer = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    hole = [(-2, 0.25), (-2, 0.75), (-1.5, 0.75), (-1.5, 0.25)]  # left of the square
+    setup = FaceSetup(None, [([0, 1, 2, 3], outer, [[4, 5, 6, 7]], [hole])])
+    with pytest.raises(NotSimple, match=r"\(tri 17\)") as info:
+        split_and_triangulate(setup, 17)
+    assert info.value.exit_code == 3
 
 
 def test_split_and_triangulate_names_the_parent_triangle(monkeypatch):
@@ -349,6 +391,9 @@ def test_split_rings_match_oracle_on_fixture_runs(name):
     for args, setup, table, _ in fixture_splits(name):
         want = oracle.split_triangle(*args)
         assert_same_rings(setup, want, table)
+        for _, ring2d, _, holes2d in setup.polygons:
+            if ring2d is not None:
+                clipped_as_frozen(ring2d, holes2d)
         table, setup = alone(args[0], args[1], args[2], args[4])
         assert_same_rings(setup, want, table)
 
@@ -817,7 +862,7 @@ def test_exact_cycle_clips_bridged_faces(name):
     with oracle_passes() as passes:
         oracle.ear_clip(ring, [hole], validate=False)
     assert any(passes)  # the old clipper needed its fallbacks here
-    tris = ear_clip(ring, [hole])
+    tris = clipped_as_frozen(ring, [hole])
     pts = np.concatenate([ring, hole])
     assert len(tris) == len(pts)  # n - 2 + 2 per hole
     areas = [oracle_shoelace(pts[list(t)]) for t in tris]
