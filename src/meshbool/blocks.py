@@ -235,14 +235,11 @@ def _validated(mesh: TriMesh) -> TriMesh:
 
 
 def combine_meshes(meshes) -> TriMesh:
-    verts = []
-    faces = []
-    offset = 0
-    for m in meshes:
-        verts.append(m.vertices)
-        faces.append(m.faces + offset)
-        offset += m.num_vertices
-    return TriMesh(np.concatenate(verts), np.concatenate(faces), source="R")
+    """Parts share no vertex: closed when each is known closed, else unknown."""
+    offsets = np.cumsum([0] + [m.num_vertices for m in meshes])
+    faces = np.concatenate([m.faces + offset for m, offset in zip(meshes, offsets)])
+    closed = True if all(m._closed for m in meshes) else None
+    return TriMesh(np.concatenate([m.vertices for m in meshes]), faces, source="R", _closed=closed)
 
 
 def meshes_coincident(a: TriMesh, b: TriMesh, tol: float) -> bool:

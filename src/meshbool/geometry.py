@@ -112,7 +112,7 @@ class TriMesh:
         return self._closed
 
     def reversed(self) -> "TriMesh":
-        return TriMesh(self.vertices, self.faces[:, ::-1].copy(), self.source, self.name)
+        return TriMesh(self.vertices, self.faces[:, ::-1].copy(), self.source, self.name, self._closed)
 
     def boundary_loops(self) -> list[list[int]]:
         """Closed vertex cycles of the directed boundary, each from its lowest

@@ -4,15 +4,15 @@ Per pair this is the two-plane interval test (Möller 1997): signed distances
 of each triangle's corners to the other's plane (zero-snapped near the
 plane), then the overlap of the two chords along the common line. First one
 box test over all pairs, in fixed chunks and one axis at a time on the
-per-triangle boxes (computed per call), drops the pairs whose boxes miss
-(most of the broad phase's output). The survivors are then taken in fixed
-chunks, and each chunk is one numpy pass: both unit normals and distance
-rows, the drop of pairs with one triangle strictly on one side of the
-other's plane, then the chords and their overlap on all the remaining rows
-at once. Only a row whose distance row is all zero (coplanar triangles)
-runs the scalar 2D overlap test. tri_tri_intersect is a batch of one.
-intersect_all returns a SegmentTable sorted by (tri_a, tri_b), then by pair
-position.
+per-triangle boxes (computed per call), drops the pairs whose boxes miss:
+none of the broad phase's, which returns only overlapping pairs, but other
+callers may pass any. The survivors are then taken in fixed chunks, and each
+chunk is one numpy pass: both unit normals and distance rows, the drop of
+pairs with one triangle strictly on one side of the other's plane, then the
+chords and their overlap on all the remaining rows at once. Only a row whose
+distance row is all zero (coplanar triangles) runs the scalar 2D overlap
+test. tri_tri_intersect is a batch of one. intersect_all returns a
+SegmentTable sorted by (tri_a, tri_b), then by pair position.
 """
 from __future__ import annotations
 

@@ -1,10 +1,10 @@
 """Broad phase: shared-box clipping and the octree candidate-pair search.
 
-Triangles are placed in every node their bounding box touches, so the
-candidate set is a superset of all box-overlapping pairs inside the root
-cube. Triangle boxes are computed from the corner columns by the clip, which
-hands them to the tree build, and the split test reads them one axis at a
-time.
+Triangles are placed in every node their bounding box touches, so any two
+whose boxes overlap share a leaf, and the pair pass keeps exactly the pairs
+whose closed boxes overlap. Triangle boxes are computed from the corner
+columns by the clip and handed to the tree build, which keeps them for the
+pair pass; both read them one axis at a time.
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ class Octree:
     depth: np.ndarray
     a: tuple[np.ndarray, np.ndarray]
     b: tuple[np.ndarray, np.ndarray]
+    boxes: tuple  # the triangle boxes built on, ((lo, hi) of A, (lo, hi) of B)
 
 
 # Octant o takes the upper half of axis k when bit k of o is set.
@@ -92,6 +93,24 @@ def clip_to_shared_region(a: TriMesh, b: TriMesh):
     return ids_a, ids_b, cube, ((lo_a, hi_a), (lo_b, hi_b))
 
 
+def _children(node, tri, t_lo, t_hi, lo, hi, mid, child_base):
+    """Split nodes' (node, triangle) memberships as their children's, by child."""
+    # Per axis, whether the box touches the lower and the upper half;
+    # touch[z, y, x] flattens to octant 4z + 2y + x, as in _OCTANT_BITS.
+    halves = []
+    for k in range(3):
+        b_lo, b_hi, n_mid = t_lo[:, k][tri], t_hi[:, k][tri], mid[:, k][node]
+        halves.append(np.stack(((b_lo <= n_mid) & (b_hi >= lo[:, k][node]),
+                                (b_lo <= hi[:, k][node]) & (b_hi >= n_mid))))
+    x, y, z = halves
+    octant, row = np.nonzero((z[:, None, None] & y[None, :, None] & x[None, None, :]).reshape(8, -1))
+    child = child_base[node[row]] + octant
+    # Octant-major rows are eight runs sorted by child; a stable merge
+    # groups them by child and keeps triangle ids ascending.
+    order = np.argsort(child, kind="stable")
+    return child[order], tri[row[order]]
+
+
 def build_octree(
     ids_a: np.ndarray,
     ids_b: np.ndarray,
@@ -118,50 +137,38 @@ def build_octree(
         leaf_id = n_leaves + np.cumsum(leaf) - 1
         leaves.append((lo[leaf], hi[leaf], np.full(int(leaf.sum()), depth)))
         n_leaves += len(leaves[-1][2])
-        for out, (node, tri) in zip(found, members):
-            done = leaf[node]
-            out.append((leaf_id[node[done]], tri[done]))
-        if leaf.all():
+        if leaf.all():  # every membership is a leaf's: hand them over unmasked
+            for out, (node, tri) in zip(found, members):
+                out.append((leaf_id[node], tri))
             break
         split = ~leaf
-        child_base = 8 * (np.cumsum(split) - 1)
-        mid = 0.5 * (lo + hi)
-        for side, ((node, tri), (t_lo, t_hi)) in enumerate(zip(members, (boxes_a, boxes_b))):
-            keep = split[node]
-            node, tri = node[keep], tri[keep]
-            # Per axis, whether the box touches the lower and the upper half;
-            # touch[z, y, x] flattens to octant 4z + 2y + x, as in _OCTANT_BITS.
-            halves = []
-            for k in range(3):
-                b_lo, b_hi, n_mid = t_lo[:, k][tri], t_hi[:, k][tri], mid[:, k][node]
-                halves.append(np.stack(((b_lo <= n_mid) & (b_hi >= lo[:, k][node]),
-                                        (b_lo <= hi[:, k][node]) & (b_hi >= n_mid))))
-            x, y, z = halves
-            touch = z[:, None, None] & y[None, :, None] & x[None, None, :]
-            octant, row = np.nonzero(touch.reshape(8, -1))
-            child = child_base[node[row]] + octant
-            # Octant-major rows are eight runs sorted by child; a stable merge
-            # groups them by child and keeps triangle ids ascending.
-            order = np.argsort(child, kind="stable")
-            members[side] = (child[order], tri[row[order]])
+        child_base, mid = 8 * (np.cumsum(split) - 1), 0.5 * (lo + hi)
+        for side, boxes in enumerate((boxes_a, boxes_b)):
+            (node, tri), members[side] = members[side], None  # unmasked arrays end below
+            done = leaf[node]
+            found[side].append((leaf_id[node[done]], tri[done]))
+            node, tri = node[~done], tri[~done]
+            members[side] = _children(node, tri, *boxes, lo, hi, mid, child_base)
         plo, phi, pmid = lo[split][:, None], hi[split][:, None], mid[split][:, None]
         lo = np.where(_OCTANT_BITS, pmid, plo).reshape(-1, 3)
         hi = np.where(_OCTANT_BITS, phi, pmid).reshape(-1, 3)
+    del members  # the last level's node ids end before the concatenation
     lo, hi, depth = (np.concatenate(col) for col in zip(*leaves))
     side_a, side_b = (tuple(np.concatenate(col) for col in zip(*parts)) for parts in found)
-    return Octree(lo, hi, depth, side_a, side_b)
+    return Octree(lo, hi, depth, side_a, side_b, (boxes_a, boxes_b))
 
 
 def candidate_pairs(tree: Octree) -> np.ndarray:
-    """Union over leaves of the A x B members, deduplicated and sorted.
+    """The A x B pairs sharing a leaf whose closed boxes overlap, sorted, unique.
 
     A memberships are taken by triangle, in runs of whole triangles that
     expand to about PAIR_CHUNK cross-product rows. Every copy of a pair has
-    the same A triangle, so each run is deduplicated on its own and the runs'
-    keys are disjoint and ascending: the transient arrays are bounded by the
-    run, not by the whole cross product.
+    the same A triangle, so each run is deduplicated and box-tested on its
+    own and the runs' pairs are disjoint and ascending: the transient arrays
+    are bounded by the run, and only the overlapping pairs are kept.
     """
     (leaf_a, tri_a), (leaf_b, tri_b) = tree.a, tree.b
+    (lo_a, hi_a), (lo_b, hi_b) = tree.boxes
     count_b = np.bincount(leaf_b, minlength=len(tree.depth))
     order = np.argsort(tri_a)
     leaf_a, tri_a = leaf_a[order], tri_a[order]
@@ -176,21 +183,20 @@ def candidate_pairs(tree: Octree) -> np.ndarray:
     bucket = (np.cumsum(reps) - reps)[heads] // PAIR_CHUNK
     cuts = [*heads[np.concatenate(([True], bucket[1:] != bucket[:-1]))], len(tri_a)]
     runs = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        r = reps[lo:hi]
+    for first, stop in zip(cuts[:-1], cuts[1:]):
+        r = reps[first:stop]
         total = int(r.sum())
         if total == 0:
             continue
-        rows = np.arange(total) - np.repeat(np.cumsum(r) - r - start_b[lo:hi], r)
-        keys = np.repeat(tri_a[lo:hi], r) * n_b + tri_b[rows]
+        rows = np.arange(total) - np.repeat(np.cumsum(r) - r - start_b[first:stop], r)
+        keys = np.repeat(tri_a[first:stop], r) * n_b + tri_b[rows]
         keys.sort()
-        runs.append(keys[np.concatenate(([True], keys[1:] != keys[:-1]))])
-    out = np.empty((sum(len(k) for k in runs), 2), dtype=np.int64)
-    at = 0
-    for keys in runs:
-        np.divmod(keys, n_b, out=(out[at : at + len(keys), 0], out[at : at + len(keys), 1]))
-        at += len(keys)
-    return out
+        ia, ib = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], n_b)
+        for k in range(3):
+            hit = (lo_a[:, k][ia] <= hi_b[:, k][ib]) & (lo_b[:, k][ib] <= hi_a[:, k][ia])
+            ia, ib = ia[hit], ib[hit]
+        runs.append(np.stack((ia, ib), axis=1))
+    return np.concatenate(runs)
 
 
 def find_candidates(a: TriMesh, b: TriMesh, cfg: OctreeConfig | None = None) -> np.ndarray:
@@ -198,6 +204,4 @@ def find_candidates(a: TriMesh, b: TriMesh, cfg: OctreeConfig | None = None) -> 
     ids_a, ids_b, cube, boxes = clip_to_shared_region(a, b)
     if len(ids_a) == 0 or len(ids_b) == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    tree = build_octree(ids_a, ids_b, *boxes, cube, cfg)
-    del boxes
-    return candidate_pairs(tree)
+    return candidate_pairs(build_octree(ids_a, ids_b, *boxes, cube, cfg))

@@ -152,9 +152,8 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
     pairs = np.zeros((0, 2), dtype=np.int64)
     if len(ids_a) and len(ids_b):
         tree = build_octree(ids_a, ids_b, *boxes, cube, options.octree)
-        del boxes  # neither is held through the stages that follow its use
         pairs = candidate_pairs(tree)
-        del tree
+        del tree, boxes  # the tree holds the boxes for the pair pass; both end with it
     state.timings.append((STAGES[0], time.perf_counter() - t0))
 
     scale = scale0 if cube.is_empty else scene_scale(a, b, cube)  # an empty cube falls back to the boxes

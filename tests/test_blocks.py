@@ -21,7 +21,8 @@ from meshbool.blocks import (
 from meshbool.errors import ClassificationError, CoincidentInput
 from meshbool.geometry import TriMesh, is_closed_manifold, signed_volume
 from meshbool.pipeline import run_pipeline
-from meshes import cube, icosphere, oracle_meshes_coincident, oracle_point_in_mesh, oracle_volume
+from meshes import (cube, grid_plane, icosphere, oracle_meshes_coincident, oracle_point_in_mesh, oracle_volume,
+                    strip_surface, torus)
 
 
 def block_vertex_ids(blk, state, surfs) -> set[int]:
@@ -259,6 +260,40 @@ def test_validated_records_closed_verdict(monkeypatch):
     with pytest.raises(ClassificationError):
         blocks._validated(open_mesh)
     assert open_mesh._closed is None
+
+
+CLOSEDNESS_FIXTURES = {
+    "cube": cube,
+    "icosphere": lambda: icosphere(1.0, subdivisions=2),
+    "torus": lambda: torus(n_major=12, n_minor=6),
+    "grid_plane": lambda: grid_plane(n=4),
+    "strip": lambda: strip_surface([(0, 0), (1, 1), (2, 0)]),
+    "cube_minus_face": lambda: TriMesh(cube().vertices, cube().faces[1:]),
+}
+
+
+def _fresh_closed(mesh: TriMesh) -> bool:
+    return len(geometry.boundary_edges(mesh.faces)) == 0 and mesh.num_faces > 0
+
+
+@pytest.mark.parametrize("second", sorted(CLOSEDNESS_FIXTURES))
+@pytest.mark.parametrize("first", sorted(CLOSEDNESS_FIXTURES))
+def test_reversed_and_combine_carry_closedness(first, second, monkeypatch):
+    """reversed() keeps a known verdict and combine_meshes sets one only when
+    every part is known closed; neither runs an edge check, and a carried
+    verdict equals a fresh one."""
+    a, b = CLOSEDNESS_FIXTURES[first](), CLOSEDNESS_FIXTURES[second]()
+    unknown = combine_meshes([a, b.reversed()])
+    a.closed, b.closed  # compute and cache both verdicts
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "boundary_edges", lambda faces: pytest.fail("closedness recomputed"))
+        assert a.reversed()._closed is a._closed and b.reversed()._closed is b._closed
+        known = combine_meshes([a, b.reversed()])
+        assert unknown._closed is None
+        assert known._closed is (True if a._closed and b._closed else None)
+    for mesh in (a.reversed(), b.reversed(), known):
+        assert mesh.closed == _fresh_closed(mesh)
+    assert unknown.closed == _fresh_closed(unknown)
 
 
 def test_crossing_meshes_return_none():

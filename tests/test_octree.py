@@ -1,9 +1,10 @@
 """The level-synchronous octree against the recursive one it replaced.
 
-Leaves (box, depth, A and B members in order) and candidate pairs must be
-identical to the oracle's on the fixtures, on random soups, across the
-depth x capacity grid and on dyadic soups whose boxes end exactly on the
-mid-planes, where the closed overlap test decides ties.
+Leaves (box, depth, A and B members in order) must be identical to the
+oracle's, and candidate pairs to the oracle's leaf pairs whose closed
+triangle boxes overlap, on the fixtures, on random soups, across the depth x
+capacity grid and on dyadic soups whose boxes end exactly on the mid-planes,
+where the closed overlap tests decide ties.
 """
 from unittest import mock
 
@@ -42,6 +43,7 @@ from meshes import (
     torus_pair,
     vw_pair,
 )
+from peak import traced_peak
 
 
 def random_soup(rng, n, offset=(0, 0, 0), scale=1.0):
@@ -147,11 +149,12 @@ def test_leaf_invariant_walk_cube_sphere():
 def test_candidates_single_leaf_cross_product():
     a = cube()
     b = cube((0.5, 0.5, 0.5))
-    ids_a, ids_b, root, _ = clip_to_shared_region(a, b)
-    tree = build_octree(ids_a[:1], ids_b[:1], triangle_boxes(a), triangle_boxes(b),
+    _, _, root, _ = clip_to_shared_region(a, b)
+    i, j = min(oracle_aabb_pairs(a, b))
+    tree = build_octree(np.array([i]), np.array([j]), triangle_boxes(a), triangle_boxes(b),
                         root, OctreeConfig())
     pairs = candidate_pairs(tree)
-    assert pairs.tolist() == [[int(ids_a[0]), int(ids_b[0])]]
+    assert pairs.tolist() == [[i, j]]
 
 
 def test_superset_property_random_configurations():
@@ -165,7 +168,26 @@ def test_superset_property_random_configurations():
         expect = {
             (i, j) for (i, j) in oracle_aabb_pairs(a, b) if i in in_a and j in in_b
         }
-        assert expect <= got, f"trial {trial}: missing {expect - got}"
+        # Exactly the box-overlapping pairs: a superset, and nothing more.
+        assert expect == got, f"trial {trial}: missing {expect - got}, extra {got - expect}"
+
+
+def test_pair_pass_never_holds_the_unfiltered_pairs(monkeypatch):
+    """On a nested pair most pairs sharing a leaf have boxes that miss. With
+    small runs, candidate_pairs peaks below the bytes of the unfiltered
+    (k, 2) int64 pair array: that array is never built."""
+    a, b = nested_pair(subdivisions=4)
+    ids_a, ids_b, root, boxes = clip_to_shared_region(a, b)
+    tree = build_octree(ids_a, ids_b, *boxes, root)
+    (leaf_a, tri_a), (leaf_b, tri_b) = tree.a, tree.b
+    by_leaf = np.split(tri_b, np.cumsum(np.bincount(leaf_b, minlength=len(tree.depth)))[:-1])
+    n_b = int(tri_b.max()) + 1
+    unfiltered = len(np.unique(np.concatenate([t * n_b + by_leaf[leaf] for leaf, t in zip(leaf_a, tri_a)])))
+    monkeypatch.setattr(octree_mod, "PAIR_CHUNK", 4096)
+    with traced_peak() as peak:
+        pairs = candidate_pairs(tree)
+    assert 0 < len(pairs) < unfiltered
+    assert peak.bytes < 16 * unfiltered, (peak.bytes, unfiltered, len(pairs))
 
 
 def test_determinism():
@@ -198,12 +220,19 @@ def test_capacity_monotonicity_keeps_true_pairs():
 # ---------------------------------------------------------------------------
 
 
+def overlapping(pairs, boxes_a, boxes_b):
+    """The rows of pairs whose closed triangle boxes overlap."""
+    (lo_a, hi_a), (lo_b, hi_b) = boxes_a, boxes_b
+    ia, ib = pairs.T
+    return pairs[((lo_a[ia] <= hi_b[ib]) & (lo_b[ib] <= hi_a[ia])).all(axis=1)]
+
+
 def assert_matches_oracle(ids_a, ids_b, boxes_a, boxes_b, root, cfg=None):
     tree = build_octree(ids_a, ids_b, boxes_a, boxes_b, root, cfg)
     want = oracle_build_octree(ids_a, ids_b, boxes_a, boxes_b, root, cfg)
     assert leaf_set(tree) == oracle_leaf_set(want)
     pairs = candidate_pairs(tree)
-    expect = oracle_candidate_pairs(want)
+    expect = overlapping(oracle_candidate_pairs(want), boxes_a, boxes_b)
     assert pairs.dtype == expect.dtype and np.array_equal(pairs, expect)
     assert_flat_tree_invariants(tree, cfg or OctreeConfig(), root, boxes_a, boxes_b)
     return pairs
@@ -323,7 +352,8 @@ def test_dyadic_ties_match_oracle(tris_a, tris_b, depth, cap, swap, pair_chunk):
 @pytest.mark.parametrize("name", ["cube_sphere", "icosphere3_pair", "torus_pair", "identical_cubes"])
 def test_pair_runs_match_oracle(name, pair_chunk, monkeypatch):
     """candidate_pairs expands the cross product in runs of whole A
-    triangles; runs of every size, down to one triangle each, give the
-    oracle's pairs. A triangle can expand to more rows than a run holds."""
+    triangles and box-tests each run; runs of every size, down to one
+    triangle each, give the oracle's overlapping pairs. A triangle can expand
+    to more rows than a run holds."""
     monkeypatch.setattr(octree_mod, "PAIR_CHUNK", pair_chunk)
     assert_meshes_match_oracle(*FIXTURE_PAIRS[name]())
