@@ -151,7 +151,9 @@ def extract_block_mesh(
     for sid in blk.surfaces:
         faces = state.faces[by_id[sid].triangles]
         rows.append(faces[:, ::-1] if sid in reverse_ids else faces)
-    return compact_submesh(state.vertices, np.concatenate(rows, axis=0), source="R", name=name)
+    faces = np.concatenate(rows, axis=0)
+    del rows  # the parts end before the renumbered copy is made
+    return compact_submesh(state.vertices, faces, source="R", name=name)
 
 
 def pick_union(candidates, state: MergedState, surfs) -> tuple[SubBlock, list[SubBlock]]:

@@ -2,6 +2,11 @@
 
 All coordinates are float64. Meshes are value types: once built they are
 treated as read-only and can be shared freely across threads.
+
+The per-face passes (normals, areas, signed volume) fill their output from
+fixed blocks of BLOCK faces, so what they hold besides the output does not
+grow with the mesh. Each row is computed on its own, so the output is bit
+for bit that of one pass over all the faces.
 """
 from __future__ import annotations
 
@@ -138,7 +143,11 @@ def boundary_edges(faces: np.ndarray) -> np.ndarray:
 
 def is_closed_manifold(mesh: TriMesh) -> bool:
     """Every undirected edge shared by exactly two faces, opposite directions."""
-    return mesh.num_faces > 0 and paired(np.sort(edge_keys(mesh.faces)))
+    if mesh.num_faces == 0:
+        return False
+    keys = edge_keys(mesh.faces)
+    keys.sort()  # in place: no second key array
+    return paired(keys)
 
 
 def mesh_aabb(mesh: TriMesh) -> Aabb:
@@ -162,11 +171,27 @@ def scene_scale(a: TriMesh, b: TriMesh, cube: Aabb | None = None) -> float:
     return max(float((np.maximum(box_a.hi, box_b.hi) - np.minimum(box_a.lo, box_b.lo)).max()), 1e-30)
 
 
+# Faces per block of the per-face passes below: each block's temporaries
+# are bounded by it, whatever the mesh size.
+BLOCK = 4096
+
+
+def _per_face(faces: np.ndarray, fill, *width: int, dtype=np.float64) -> np.ndarray:
+    """An (m, *width) array of dtype filled one block of faces at a time:
+    rows [s, s + BLOCK) are fill(faces[s : s + BLOCK]), cast on assignment.
+    fill works row by row, so the rows equal one call on all the faces."""
+    faces = np.asarray(faces).reshape(-1, 3)
+    out = np.empty((len(faces), *width), dtype=dtype)
+    for start in range(0, len(faces), BLOCK):
+        out[start : start + BLOCK] = fill(faces[start : start + BLOCK])
+    return out
+
+
 def _face_cross(vertices: np.ndarray, faces: np.ndarray, edges: bool = True) -> tuple:
     """Each face's (v1 - v0) x (v2 - v0), or v1 x v2 when edges is False, and
     v0, as (x, y, z) columns gathered per corner; np.cross's own products
     (a1*b2 - a2*b1, ...), so the columns equal np.cross's bit for bit."""
-    p = [[c[f] for c in vertices.T] for f in np.asarray(faces).reshape(-1, 3).T]
+    p = [[c[f] for c in vertices.T] for f in faces.T]
     a, b = ([p[k][i] - p[0][i] for i in range(3)] for k in (1, 2)) if edges else p[1:]
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]), p[0]
 
@@ -177,35 +202,42 @@ def _lengths(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def triangle_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Non-unit face normals (cross products), (m, 3)."""
-    return np.stack(_face_cross(vertices, faces)[0], axis=1)
+    return _per_face(faces, lambda f: np.stack(_face_cross(vertices, f)[0], axis=1), 3)
 
 
 def triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    return 0.5 * _lengths(*_face_cross(vertices, faces)[0])
+    return _per_face(faces, lambda f: 0.5 * _lengths(*_face_cross(vertices, f)[0]))
 
 
 def unit_normals(vertices: np.ndarray, faces: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Unit face normals as an (m, 3) array of dtype, each column divided by
     the normal's length in float64 and then cast; a zero normal stays zero."""
-    cols = _face_cross(vertices, faces)[0]
-    lens = _lengths(*cols)
-    lens[lens == 0] = 1.0
-    out = np.empty((len(lens), 3), dtype=dtype)
-    for k, c in enumerate(cols):
-        out[:, k] = c / lens
-    return out
+
+    def fill(f):
+        cols = _face_cross(vertices, f)[0]
+        lens = _lengths(*cols)
+        lens[lens == 0] = 1.0
+        return np.stack([c / lens for c in cols], axis=1)
+
+    return _per_face(faces, fill, 3, dtype=dtype)
 
 
 def signed_volume(mesh: TriMesh) -> float:
     """Divergence-theorem volume: sum of det(v0, v1, v2) / 6 over faces.
 
     Positive when all windings point outward. Raises NotClosed for open
-    surfaces, where the quantity is not translation-invariant.
+    surfaces, where the quantity is not translation-invariant. The per-face
+    terms fill one array, which is summed whole: blocks summed apart would
+    round differently.
     """
     if not mesh.closed:
         raise NotClosed("signed_volume requires a closed surface")
-    (cx, cy, cz), (x0, y0, z0) = _face_cross(mesh.vertices, mesh.faces, edges=False)
-    return float(((x0 * cx + y0 * cy) + z0 * cz).sum() / 6.0)
+
+    def fill(f):
+        (cx, cy, cz), (x0, y0, z0) = _face_cross(mesh.vertices, f, edges=False)
+        return (x0 * cx + y0 * cy) + z0 * cz
+
+    return float(_per_face(mesh.faces, fill).sum() / 6.0)
 
 
 def compact_submesh(vertices: np.ndarray, faces: np.ndarray, source="A", name="") -> TriMesh:

@@ -9,7 +9,9 @@ The undirected pair sits in the high bits and the direction in the low bit,
 so an edge and its reverse are the adjacent integers 2c and 2c + 1. An edge
 with u == v is its own reverse: its key is even and 2c + 1 would need u > v.
 The largest key is below 2 * n * n, so edge_keys refuses vertex ids of 2**31
-and above rather than let the key wrap in int64.
+and above rather than let the key wrap in int64. The keys are built in place,
+one corner column at a time, and is_closed_manifold sorts them in place, so
+a whole-mesh check holds one key array and a column of temporaries.
 
 The yes/no questions read one np.sort of the keys and build no table:
 closed manifold means the sorted keys are exactly the pairs (2c, 2c + 1),
@@ -21,14 +23,15 @@ SurfaceTopology is the edge table of a surface with no repeated directed
 edge, whose keys are distinct, so one default sort orders them. Equal keys
 raise TopologyError naming the first entry of repeated_edges, the one search
 for repeated directed edges, which clearing also uses. Every key then occurs
-at most once:
+at most once, and the table keeps only what its two methods read: faces, u,
+v, n and
 
 - twin[e]: the edge holding e's partner key, which sits next to e in the
-  sorted keys when it exists; e itself when u == v; -1 when there is none.
-  twin[twin[e]] == e.
+  sorted keys when it exists (equal neighbours of the codes key >> 1); e
+  itself when u == v; -1 when there is none. twin[twin[e]] == e.
 - boundary: twin < 0, the directed edges whose reverse does not occur.
-- pairs: the sorted positions i whose keys i and i + 1 are 2c and 2c + 1,
-  an edge and its reverse, read as equal neighbours of the codes key >> 1.
+
+The sorted keys and their order end with the constructor.
 
 On that table it does what sub-surface construction and
 TriMesh.boundary_loops need: one region flood (components over twin pairs
@@ -72,17 +75,29 @@ def min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pair_key(u, v, n: int):
-    """Key of the directed edge (u, v) among vertex ids below n; see above."""
-    return 2 * (np.minimum(u, v) * n + np.maximum(u, v)) + (u > v)
+    """Key of the directed edge (u, v) among vertex ids below n; see above.
+    min * n + max is built in place as min * (n - 1) + u + v, so an array
+    key needs no other integer array of its size."""
+    key = np.minimum(u, v)
+    key *= n - 1
+    key += u
+    key += v
+    key *= 2
+    key += u > v
+    return key
 
 
 def edge_keys(faces: np.ndarray) -> np.ndarray:
-    """Key of every directed edge of a face array, in edge order."""
+    """Key of every directed edge of a face array, in edge order, filled one
+    corner column at a time."""
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     n = int(faces.max()) + 1 if len(faces) else 0
     if n > ID_LIMIT:
         raise GeometryError(f"vertex id {n - 1} too large for edge keys; ids must be below 2**31")
-    return pair_key(faces.ravel(), faces[:, [1, 2, 0]].ravel(), n)
+    keys = np.empty(faces.shape, dtype=np.int64)
+    for k in range(3):
+        keys[:, k] = pair_key(faces[:, k], faces[:, (k + 1) % 3], n)
+    return keys.ravel()
 
 
 def paired(sorted_keys: np.ndarray) -> bool:
@@ -113,21 +128,24 @@ def repeated_edges(faces: np.ndarray) -> dict[tuple[int, int], list[int]]:
 
 
 class SurfaceTopology:
+    """The edge table: faces, u and v by edge id, n, twin and boundary."""
+
     def __init__(self, faces: np.ndarray):
         self.faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
         self.u = self.faces.ravel()
         self.v = self.faces[:, [1, 2, 0]].ravel()
         self.n = int(self.faces.max()) + 1 if len(self.faces) else 0
-        key = edge_keys(self.faces)
-        self.order = np.argsort(key)
-        self.keys = key[self.order]
-        if (self.keys[1:] == self.keys[:-1]).any():
+        keys = edge_keys(self.faces)
+        order = np.argsort(keys)
+        keys = keys[order]
+        if (keys[1:] == keys[:-1]).any():
             raise TopologyError(f"directed edge {next(iter(repeated_edges(self.faces)))} used twice")
-        code = self.keys >> 1
-        i = self.pairs = np.nonzero(code[1:] == code[:-1])[0]
-        self.twin = np.full(len(key), -1, dtype=np.int64)
-        self.twin[self.order[i]] = self.order[i + 1]
-        self.twin[self.order[i + 1]] = self.order[i]
+        keys >>= 1
+        i = np.nonzero(keys[1:] == keys[:-1])[0]
+        del keys
+        self.twin = np.full(len(order), -1, dtype=np.int64)
+        self.twin[order[i]] = order[i + 1]
+        self.twin[order[i + 1]] = order[i]
         own = np.nonzero(self.u == self.v)[0]  # a u == v edge is its own reverse
         self.twin[own] = own
         self.boundary = self.twin < 0
@@ -137,20 +155,21 @@ class SurfaceTopology:
 
         walls holds undirected (min, max) vertex pairs, as a (k, 2) array or
         tuples. Every face gets a label; label order follows the lowest face id
-        per region. Each wall's code min * n + max is searched among the twin
-        pairs' sorted codes, and a hit takes both directed edges out of the flood.
+        per region. Each twin pair is taken once, from its lower edge id e,
+        and its code min * n + max is searched among the walls' sorted codes;
+        a hit takes both directed edges out of the flood.
         """
-        i = self.pairs
+        e = np.nonzero(self.twin > np.arange(len(self.twin)))[0]
         w = np.asarray(walls if isinstance(walls, np.ndarray) else list(walls), dtype=np.int64).reshape(-1, 2)
         # An id outside [0, n) would alias another pair's code.
         w = w[(w.min(axis=1) >= 0) & (w.max(axis=1) < self.n)]
         if len(w):
-            code = self.keys[i] >> 1
-            c = w[:, 0] * self.n + w[:, 1]
-            lo, hi = code.searchsorted(c), code.searchsorted(c, side="right")
-            i = np.delete(i, lo[hi > lo])
+            c = np.sort(w[:, 0] * self.n + w[:, 1])
+            code = pair_key(self.u[e], self.v[e], self.n) >> 1
+            e = e[c[np.minimum(c.searchsorted(code), len(c) - 1)] != code]
+            del code  # before the labels are built
         # roots: the lowest face id of each face's region; labels rank them.
-        roots = min_labels(len(self.faces), self.order[i] // 3, self.order[i + 1] // 3)
+        roots = min_labels(len(self.faces), e // 3, self.twin[e] // 3)
         return np.cumsum(roots == np.arange(len(roots)))[roots] - 1
 
     def boundary_cycles(self, labels) -> list[np.ndarray]:

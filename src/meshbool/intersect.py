@@ -2,14 +2,14 @@
 
 Per pair this is the two-plane interval test (Möller 1997): signed distances
 of each triangle's corners to the other's plane (zero-snapped near the
-plane), then the overlap of the two chords along the common line. First one
-box test over all pairs, in fixed chunks and one axis at a time on the
-per-triangle boxes (computed per call), drops the pairs whose boxes miss:
-none of the broad phase's, which returns only overlapping pairs, but other
-callers may pass any. The survivors are then taken in fixed chunks, and each
-chunk is one numpy pass: both unit normals and distance rows, the drop of
-pairs with one triangle strictly on one side of the other's plane, then the
-chords and their overlap on all the remaining rows at once. Only a row whose
+plane), then the overlap of the two chords along the common line. The pairs
+are taken in fixed chunks, and each chunk's corners are gathered once. A box
+test on those corners drops the pairs whose boxes miss: none of the broad
+phase's, which returns only overlapping pairs, but other callers may pass
+any; no whole-mesh box array is built. The rest of the chunk is one numpy
+pass: both unit normals and distance rows, the drop of pairs with one
+triangle strictly on one side of the other's plane, then the chords and
+their overlap on all the remaining rows at once. Only a row whose
 distance row is all zero (coplanar triangles) runs the scalar 2D overlap
 test. tri_tri_intersect is a batch of one. intersect_all returns a
 SegmentTable sorted by (tri_a, tri_b), then by pair position.
@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import CoplanarPairError, DegenerateTriangle
 from .geometry import TriMesh, row_dots
-from .octree import triangle_boxes
 
 COPLANAR = "coplanar"
 CHUNK = 4096  # pairs gathered at once; bounds the per-call coordinate arrays
@@ -198,6 +197,21 @@ def _chunk(pa, pb, tol, area_first=False):
     return keep[hit], lo[hit], hi[hit], span[hit] <= tol, coplanar
 
 
+def _boxes_meet(pa, pb):
+    """Rows of two (k, 3, 3) corner stacks whose closed boxes overlap, by
+    the per-axis test lo_a <= hi_b and lo_b <= hi_a on corner columns."""
+    hit = np.ones(len(pa), dtype=bool)
+    for k in range(3):
+        (lo_a, hi_a), (lo_b, hi_b) = (_span(p[:, :, k]) for p in (pa, pb))
+        hit &= (lo_a <= hi_b) & (lo_b <= hi_a)
+    return np.nonzero(hit)[0]
+
+
+def _span(x):
+    """Per row of a (k, 3) column, its least and greatest value."""
+    return np.minimum(np.minimum(x[:, 0], x[:, 1]), x[:, 2]), np.maximum(np.maximum(x[:, 0], x[:, 1]), x[:, 2])
+
+
 def tri_tri_intersect(pa: np.ndarray, pb: np.ndarray, plane_tol: float):
     """Intersection of two triangles given as (3, 3) coordinate arrays.
 
@@ -227,26 +241,19 @@ def intersect_all(pairs: np.ndarray, a: TriMesh, b: TriMesh, plane_tol: float,
     if len(pairs) == 0:
         return SegmentTable.empty(), report
 
-    lo_a, hi_a = triangle_boxes(a)
-    lo_b, hi_b = triangle_boxes(b)
-    kept = []
-    for start in range(0, len(pairs), CHUNK):
-        ia, ib = pairs[start : start + CHUNK].T
-        for k in range(3):
-            hit = (lo_a[:, k][ia] <= hi_b[:, k][ib]) & (lo_b[:, k][ib] <= hi_a[:, k][ia])
-            ia, ib = ia[hit], ib[hit]
-        kept.append(np.stack((ia, ib), axis=1))
-    pairs = np.concatenate(kept)
     # Per segment: its position in pairs and its two end points.
     pos, p0, p1 = [np.zeros(0, np.int64)], [np.zeros((0, 3))], [np.zeros((0, 3))]
     for start in range(0, len(pairs), CHUNK):
         chunk = pairs[start : start + CHUNK]
         pa = a.vertices[a.faces[chunk[:, 0]]]
         pb = b.vertices[b.faces[chunk[:, 1]]]
+        keep = _boxes_meet(pa, pb)
+        if len(keep) < len(chunk):
+            chunk, pa, pb = chunk[keep], pa[keep], pb[keep]
         rows, lo, hi, point, coplanar = _chunk(pa, pb, plane_tol)
         report.point_contacts += int(point.sum())
         report.coplanar_pairs += [tuple(p) for p in chunk[coplanar].tolist()]
-        pos.append(start + rows[~point])
+        pos.append(start + keep[rows[~point]])
         p0.append(lo[~point])
         p1.append(hi[~point])
     if strict and report.coplanar_pairs:

@@ -1,7 +1,9 @@
 """STL / OBJ readers and writers plus the debug JSON dump.
 
 STL carries no indexing, so loading welds duplicate vertices at exact bit
-equality; tolerance-based welding happens later in the merge stage.
+equality; tolerance-based welding happens later in the merge stage. The
+binary STL writer builds and writes its records one block of
+geometry.BLOCK faces at a time, so it holds no whole-mesh record array.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyInput, IoError, ParseError
-from .geometry import TriMesh, unit_normals
+from .geometry import BLOCK, TriMesh, unit_normals
 
 log = logging.getLogger(__name__)
 
@@ -193,14 +195,14 @@ def save_mesh(mesh: TriMesh, path, format: str | None = None) -> None:
 
 
 def _save_stl_binary(mesh: TriMesh, path) -> None:
-    count = mesh.num_faces
-    rec = np.zeros((count, 50), dtype=np.uint8)
-    rec[:, 0:12] = unit_normals(mesh.vertices, mesh.faces, "<f4").view(np.uint8).reshape(count, 12)
-    tris = mesh.vertices.astype("<f4")[mesh.faces]
-    rec[:, 12:48] = tris.reshape(count, 9).view(np.uint8).reshape(count, 36)
     with open(path, "wb") as fh:
-        fh.write(b"meshbool".ljust(80, b"\0") + struct.pack("<I", count))
-        fh.write(rec)
+        fh.write(b"meshbool".ljust(80, b"\0") + struct.pack("<I", mesh.num_faces))
+        for start in range(0, mesh.num_faces, BLOCK):
+            faces = mesh.faces[start : start + BLOCK]
+            rec = np.zeros((len(faces), 50), dtype=np.uint8)
+            rec[:, 0:12] = unit_normals(mesh.vertices, faces, "<f4").view(np.uint8)
+            rec[:, 12:48] = mesh.vertices[faces].astype("<f4").reshape(-1, 9).view(np.uint8)
+            fh.write(rec)
 
 
 def _save_stl_ascii(mesh: TriMesh, path) -> None:

@@ -28,7 +28,10 @@ GeometryError, as the scan's cells would leave int64.
 
 Clearing then enforces: no duplicate vertices, no degenerate triangles, no
 repeated directed edges within one surface, and children aligned with their
-parent's winding.
+parent's winding. The weld pool and the row lists it was built from end
+before clearing starts, so clearing never holds them, and clearing's per-face
+areas and the children's normals come from geometry's passes over fixed
+blocks of faces.
 """
 from __future__ import annotations
 
@@ -228,15 +231,22 @@ def build_merged_state(
     segments,
     tol: float,
 ) -> MergedState:
-    """Assemble the global merged arrays from both meshes plus split output.
+    """Assemble the global merged arrays from both meshes plus split output,
+    then clear them.
 
     splits holds, for A and then B, the split faces' ids in ascending order,
     each one's children as (k, 3) rows of the surface's point table, and that
     (m, 3) table; untouched faces pass through. Each surface's children are
     gathered from its table at once. The end points of segments, the narrow
     phase's SegmentTable, join the weld pool so the intersection edges land
-    in the same index space.
+    in the same index space. The weld pool and the row lists live in
+    _merged_arrays and end when it returns, before clearing starts.
     """
+    return clear_topology(_merged_arrays(a, b, splits, segments, tol))
+
+
+def _merged_arrays(a: TriMesh, b: TriMesh, splits, segments, tol: float) -> MergedState:
+    """build_merged_state's arrays before clearing."""
     raw_chunks = [a.vertices, b.vertices]
     cursor = len(a.vertices) + len(b.vertices)
     face_rows, parent_rows, source_rows, normal_rows = [], [], [], []
@@ -260,11 +270,14 @@ def build_merged_state(
         raw_chunks.append(np.stack((segments.p0, segments.p1), axis=1).reshape(-1, 3))
 
     raw = np.concatenate(raw_chunks, axis=0)
+    del raw_chunks  # the pool's copies end here, the pool itself after the weld
     vertices, remap = merge_vertices(raw, tol)
+    del raw
 
     faces = remap[np.concatenate(face_rows)]
     source = np.concatenate(source_rows)
     parent = np.concatenate(parent_rows)
+    del face_rows, source_rows, parent_rows
 
     # Parent-winding alignment for re-triangulated children (clearing item 4).
     # Only clearly anti-parallel children flip; slivers with noise-level
@@ -294,8 +307,4 @@ def build_merged_state(
         edges = np.zeros((0, 2), dtype=np.int64)
         pairs = []
 
-    state = MergedState(
-        vertices, faces, source, edges, pairs, tol,
-        a_closed=a.closed, b_closed=b.closed,
-    )
-    return clear_topology(state)
+    return MergedState(vertices, faces, source, edges, pairs, tol, a_closed=a.closed, b_closed=b.closed)

@@ -168,7 +168,6 @@ def candidate_pairs(tree: Octree) -> np.ndarray:
     are bounded by the run, and only the overlapping pairs are kept.
     """
     (leaf_a, tri_a), (leaf_b, tri_b) = tree.a, tree.b
-    (lo_a, hi_a), (lo_b, hi_b) = tree.boxes
     count_b = np.bincount(leaf_b, minlength=len(tree.depth))
     order = np.argsort(tri_a)
     leaf_a, tri_a = leaf_a[order], tri_a[order]
@@ -182,21 +181,27 @@ def candidate_pairs(tree: Octree) -> np.ndarray:
     heads = np.flatnonzero(np.concatenate(([True], tri_a[1:] != tri_a[:-1])))
     bucket = (np.cumsum(reps) - reps)[heads] // PAIR_CHUNK
     cuts = [*heads[np.concatenate(([True], bucket[1:] != bucket[:-1]))], len(tri_a)]
-    runs = []
-    for first, stop in zip(cuts[:-1], cuts[1:]):
-        r = reps[first:stop]
-        total = int(r.sum())
-        if total == 0:
-            continue
-        rows = np.arange(total) - np.repeat(np.cumsum(r) - r - start_b[first:stop], r)
-        keys = np.repeat(tri_a[first:stop], r) * n_b + tri_b[rows]
-        keys.sort()
-        ia, ib = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], n_b)
-        for k in range(3):
-            hit = (lo_a[:, k][ia] <= hi_b[:, k][ib]) & (lo_b[:, k][ib] <= hi_a[:, k][ia])
-            ia, ib = ia[hit], ib[hit]
-        runs.append(np.stack((ia, ib), axis=1))
+    runs = [
+        _run_pairs(tri_a[first:stop], reps[first:stop], start_b[first:stop], tri_b, n_b, tree.boxes)
+        for first, stop in zip(cuts[:-1], cuts[1:]) if reps[first:stop].any()
+    ]
     return np.concatenate(runs)
+
+
+def _run_pairs(tri_a, reps, start_b, tri_b, n_b, boxes) -> np.ndarray:
+    """One run's overlapping pairs, sorted and unique; the run's temporaries
+    end when it returns, before the next run is built."""
+    (lo_a, hi_a), (lo_b, hi_b) = boxes
+    rows = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps - start_b, reps)
+    keys = np.repeat(tri_a, reps) * n_b + tri_b[rows]
+    del rows
+    keys.sort()
+    ia, ib = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], n_b)
+    del keys
+    for k in range(3):
+        hit = (lo_a[:, k][ia] <= hi_b[:, k][ib]) & (lo_b[:, k][ib] <= hi_a[:, k][ia])
+        ia, ib = ia[hit], ib[hit]
+    return np.stack((ia, ib), axis=1)
 
 
 def find_candidates(a: TriMesh, b: TriMesh, cfg: OctreeConfig | None = None) -> np.ndarray:

@@ -105,6 +105,65 @@ def icosphere(radius=1.0, center=(0.0, 0.0, 0.0), subdivisions=3, source="A") ->
     return TriMesh(v, np.asarray(faces, dtype=np.int64), source=source, name="icosphere")
 
 
+def icosphere_arrays(subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit icosphere (vertices, faces), subdivided by whole-array passes, in
+    the benchmark's vertex and face order (icosphere above orders both per
+    face, so its faces come in another order)."""
+    t = (1.0 + 5.0 ** 0.5) / 2.0
+    verts = np.array(
+        [
+            [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
+            [0, -1, t], [0, 1, t], [0, -1, -t], [0, 1, -t],
+            [t, 0, -1], [t, 0, 1], [-t, 0, -1], [-t, 0, 1],
+        ],
+        dtype=np.float64,
+    )
+    faces = np.array(
+        [
+            [0, 11, 5], [0, 5, 1], [0, 1, 7], [0, 7, 10], [0, 10, 11],
+            [1, 5, 9], [5, 11, 4], [11, 10, 2], [10, 7, 6], [7, 1, 8],
+            [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
+            [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
+        ],
+        dtype=np.int64,
+    )
+    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+    for _ in range(subdivisions):
+        n = len(verts)
+        a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
+        edges = np.stack([np.stack([a, b], 1), np.stack([b, c], 1), np.stack([c, a], 1)], 1)
+        keys = np.sort(edges, axis=2).reshape(-1, 2)
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        mids = verts[uniq[:, 0]] + verts[uniq[:, 1]]
+        verts = np.concatenate([verts, mids / np.linalg.norm(mids, axis=1, keepdims=True)])
+        m = (n + inverse).reshape(-1, 3)
+        ab, bc, ca = m[:, 0], m[:, 1], m[:, 2]
+        faces = np.concatenate(
+            [np.stack(f, 1) for f in ((a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca))]
+        )
+    return verts, faces
+
+
+def spheres_fine_pair(seed: int = 1) -> tuple[TriMesh, TriMesh]:
+    """The spheres-fine benchmark workload's two inputs for a seed: a
+    20,480-face icosphere and a turned copy moved by (0.5, 0.31, 0.17), its
+    rotation a normalised quaternion of the seeded generator. Saved as binary
+    STL they give the benchmark's files, up to the unread facet normals."""
+    rng = np.random.default_rng([seed & (2**64 - 1), 0])
+    w, x, y, z = rng.normal(size=4)
+    n = (w * w + x * x + y * y + z * z) ** 0.5
+    w, x, y, z = w / n, x / n, y / n, z / n
+    turn = np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+    v, f = icosphere_arrays(5)
+    return TriMesh(v, f, name="a"), TriMesh(v @ turn.T + np.array([0.5, 0.31, 0.17]), f, source="B", name="b")
+
+
 def closed_cylinder(radius=1.0, half_height=2.0, n_theta=24, n_rings=9,
                     axis="z", source="A") -> TriMesh:
     """Capped cylinder with a vertex ring exactly at the mid plane and a

@@ -1,0 +1,110 @@
+"""Traced-memory bounds of the whole-mesh passes.
+
+The per-face helpers hold their output plus one block's temporaries, the
+binary STL writer one block's records, and clearing starts after the weld
+pool is gone. Each bound is one that the whole-array versions exceed by
+several times at 81,920 faces (see tests/oracle_geometry.py). The CLI run on
+the spheres-fine benchmark inputs bounds the run's traced peak about 25%
+above what the blocked passes measure; the whole-array passes peaked near
+15.6 MB there.
+"""
+import numpy as np
+import pytest
+
+from meshbool import cli, geometry
+from meshbool.geometry import BLOCK, TriMesh, signed_volume, triangle_areas, triangle_normals, unit_normals
+from meshbool.intersect import SegmentTable
+from meshbool.io import save_mesh
+from meshbool.merge import build_merged_state
+from meshes import icosphere_arrays, spheres_fine_pair
+from peak import stage_peaks, traced_peak
+
+MB = 1e6
+# One block's temporaries: ~150 bytes per face of the block in the helpers,
+# its 50-byte records and their sources in the STL writer.
+HELPER_SLACK = 256 * BLOCK
+SAVE_BOUND = 512 * BLOCK
+
+
+@pytest.fixture(scope="module")
+def sphere6():
+    v, f = icosphere_arrays(6)
+    mesh = TriMesh(v, f)
+    assert mesh.num_faces == 81_920 and mesh.closed  # closedness is known before any peak is taken
+    return mesh
+
+
+@pytest.mark.parametrize("helper, row_bytes", [
+    (lambda m: triangle_areas(m.vertices, m.faces), 8),
+    (lambda m: triangle_normals(m.vertices, m.faces), 24),
+    (lambda m: unit_normals(m.vertices, m.faces), 24),
+    (lambda m: unit_normals(m.vertices, m.faces, "<f4"), 12),
+    (signed_volume, 8),  # its per-face terms, summed whole
+], ids=["areas", "normals", "unit_normals", "unit_normals_f4", "signed_volume"])
+def test_helper_holds_its_output_and_one_block(sphere6, helper, row_bytes):
+    with traced_peak() as peak:
+        helper(sphere6)
+    assert peak.bytes <= row_bytes * sphere6.num_faces + HELPER_SLACK
+
+
+def test_save_mesh_peak_does_not_grow_with_the_mesh(sphere6, tmp_path):
+    with traced_peak() as peak:
+        save_mesh(sphere6, tmp_path / "sphere.stl")
+    assert peak.bytes < SAVE_BOUND
+    assert (tmp_path / "sphere.stl").stat().st_size == 84 + 50 * sphere6.num_faces
+
+
+def test_clearing_starts_without_the_weld_pool(sphere6):
+    """Two disjoint 81,920-face spheres with nothing split: at clearing's
+    entry the merge holds its merged arrays and not the 2 MB weld pool."""
+    a = sphere6
+    b = TriMesh(a.vertices + 3.0, a.faces, source="B")
+    unsplit = (np.zeros(0, np.int64), [], np.zeros((0, 3)))
+    with stage_peaks("meshbool.merge.clear_topology") as calls:
+        state = build_merged_state(a, b, [unsplit, unsplit], SegmentTable.empty(), 1e-9)
+    (clear,) = calls["meshbool.merge.clear_topology"]
+    merged = sum(x.nbytes for x in (state.vertices, state.faces, state.face_source, state.edges))
+    pool = 24 * (a.num_vertices + b.num_vertices)
+    assert clear.entry - merged < pool / 4
+
+
+def test_stage_peaks_nests_and_restores(sphere6):
+    """A nested call's peak counts towards its caller's, exit minus entry is
+    what the call leaves allocated, and the hooks are gone afterwards."""
+    names = ("meshbool.geometry.triangle_areas", "meshbool.geometry._face_cross")
+    originals = [geometry.triangle_areas, geometry._face_cross]
+    with stage_peaks(*names) as calls:
+        areas = geometry.triangle_areas(sphere6.vertices, sphere6.faces)
+    assert [geometry.triangle_areas, geometry._face_cross] == originals
+    (outer,) = calls[names[0]]
+    inner = calls[names[1]]
+    assert len(inner) == -(-sphere6.num_faces // BLOCK)
+    assert outer.peak >= max(c.peak for c in inner) > inner[0].entry >= outer.entry
+    assert outer.exit - outer.entry >= areas.nbytes > outer.exit - outer.entry - HELPER_SLACK
+
+
+STAGES = (
+    "meshbool.cli.main",
+    "meshbool.cli.load_mesh",
+    "meshbool.cli.save_mesh",
+    "meshbool.pipeline.build_merged_state",
+    "meshbool.merge.clear_topology",
+    "meshbool.subsurfaces.build_subsurfaces",
+    "meshbool.blocks.classify_subtractions",
+)
+
+
+def test_spheres_fine_run_traced_peak(tmp_path):
+    """`meshbool all` on the spheres-fine inputs (seed 1), the stages hooked
+    where their callers look them up: the run's traced peak, measured at
+    10.0 MB, stays below 12.5 MB."""
+    paths = []
+    for mesh in spheres_fine_pair(1):
+        paths.append(str(tmp_path / f"{mesh.name}.stl"))
+        save_mesh(mesh, paths[-1])
+    with stage_peaks(*STAGES) as calls:
+        assert cli.main(["all", *paths, "-o", str(tmp_path / "out")]) == 0
+    (run,) = calls["meshbool.cli.main"]
+    assert len(calls["meshbool.cli.save_mesh"]) == 4
+    peaks = {name.rsplit(".", 1)[1]: [round(c.peak / MB, 2) for c in cs] for name, cs in calls.items()}
+    assert run.peak < 12.5 * MB, peaks
