@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssemblyError, ClassificationError, CoincidentInput, TopologyError
-from .geometry import (MERGE_TOL_REL, PLANE_TOL_REL, TriMesh, compact_submesh, is_closed_manifold,
+from .geometry import (BLOCK, MERGE_TOL_REL, PLANE_TOL_REL, TriMesh, compact_submesh, is_closed_manifold,
                        scene_scale, signed_volume)
 from .merge import MergedState, merge_vertices
 
@@ -304,9 +304,10 @@ def _ray_parity(origin, direction, tris, scale):
 
 
 def point_in_closed_mesh(point, mesh: TriMesh, max_retries: int = 32) -> bool:
-    """Ray-parity containment with perturbation retries on grazing hits."""
+    """Ray-parity containment with perturbation retries on grazing hits. A
+    ray meets one block of BLOCK faces' corners at a time; the crossings are
+    summed, and a grazing hit in any block retries with the next ray."""
     point = np.asarray(point, dtype=np.float64)
-    tris = mesh.vertices[mesh.faces]
     # The bounding extent, as for the pipeline's tolerances: no change under translation.
     scale = max(float(np.ptp(c)) for c in mesh.vertices.T)
     rng = np.random.default_rng(20240811)
@@ -316,9 +317,10 @@ def point_in_closed_mesh(point, mesh: TriMesh, max_retries: int = 32) -> bool:
         else:
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
-        count, ambiguous = _ray_parity(point, d, tris, scale)
-        if not ambiguous:
-            return count % 2 == 1
+        hits = [_ray_parity(point, d, mesh.vertices[mesh.faces[start:start + BLOCK]], scale)
+                for start in range(0, mesh.num_faces, BLOCK)]
+        if not any(ambiguous for _, ambiguous in hits):
+            return sum(count for count, _ in hits) % 2 == 1
     raise ClassificationError("containment ray test kept grazing the surface")
 
 

@@ -2,7 +2,9 @@
 
 STL carries no indexing, so loading welds duplicate vertices at exact bit
 equality; tolerance-based welding happens later in the merge stage. The
-binary STL writer builds and writes its records one block of
+binary STL reader holds the float32 corners, their sort order and the faces
+once the file's bytes end, and only the distinct vertices become float64.
+The binary STL writer builds and writes its records one block of
 geometry.BLOCK faces at a time, so it holds no whole-mesh record array.
 """
 from __future__ import annotations
@@ -46,18 +48,26 @@ def sniff_format(path) -> str:
 
 
 def _index_soup(tris: np.ndarray, source: str, name: str) -> TriMesh:
-    """Weld float-identical corners of a triangle soup into an indexed mesh."""
+    """Weld float-identical corners of a float32 or float64 soup into a mesh."""
     if len(tris) == 0:
         raise EmptyInput(f"{name}: no facets")
     flat = tris.reshape(-1, 3)
     # Equal rows form runs in a stable lexicographic sort, so the first of
-    # them (say -0.0 before 0.0) becomes the vertex.
+    # them (say -0.0 before 0.0) becomes the vertex. The runs are found one
+    # column at a time in sorted order, and only their first rows gathered.
     order = np.lexsort(flat.T[::-1])
-    rows = flat[order]
-    new = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
-    faces = np.empty(len(flat), dtype=np.int64)
-    faces[order] = np.cumsum(new) - 1
-    verts, faces = rows[new], faces.reshape(-1, 3)
+    new = np.zeros(len(flat), dtype=bool)
+    new[0] = True
+    for k in range(3):
+        col = flat[:, k][order]
+        new[1:] |= col[1:] != col[:-1]
+    del col
+    verts = flat[order[new]].astype(np.float64, copy=False)
+    rank = np.cumsum(new)
+    rank -= 1
+    faces = np.empty_like(rank)
+    faces[order] = rank
+    faces = faces.reshape(-1, 3)
     degen = (faces[:, 0] == faces[:, 1]) | (faces[:, 1] == faces[:, 2]) | (faces[:, 2] == faces[:, 0])
     if degen.any():
         log.warning("%s: dropped %d degenerate facet(s)", name, int(degen.sum()))
@@ -79,10 +89,11 @@ def _load_stl_binary(path, source) -> TriMesh:
         raise EmptyInput(f"{path}: zero facets")
     raw = np.frombuffer(data, dtype=np.uint8, count=50 * count, offset=84)
     rec = raw.reshape(count, 50)[:, 12:48].copy().view("<f4").reshape(count, 3, 3)
+    del data, raw  # the file's bytes end once the corners are copied
     bad = np.flatnonzero(~np.isfinite(rec).all(axis=(1, 2)))
     if len(bad):
         raise ParseError(f"{path}: facet {bad[0]} (0-based): non-finite coordinate")
-    return _index_soup(rec.astype(np.float64), source, str(path))
+    return _index_soup(rec, source, str(path))
 
 
 def _coords(tok, path, lineno) -> list[float]:

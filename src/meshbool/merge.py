@@ -183,7 +183,8 @@ def clear_topology(state: MergedState) -> MergedState:
         | (faces[:, 2] == faces[:, 0])
     )
     keep &= areas > area_tol
-    faces, source, areas = faces[keep], source[keep], areas[keep]
+    if not keep.all():  # no copies when nothing is dropped
+        faces, source, areas = faces[keep], source[keep], areas[keep]
 
     closed = (state.a_closed, state.b_closed)
     repair = [s for s in (0, 1) if not (closed[s] and is_closed_manifold(TriMesh(verts, faces[source == s])))]

@@ -4,7 +4,10 @@ Triangles are placed in every node their bounding box touches, so any two
 whose boxes overlap share a leaf, and the pair pass keeps exactly the pairs
 whose closed boxes overlap. Triangle boxes are computed from the corner
 columns by the clip and handed to the tree build, which keeps them for the
-pair pass; both read them one axis at a time.
+pair pass; both read them one axis at a time. Besides the boxes, the build
+holds int32 (node or leaf, triangle) columns of the level and of the leaves
+found, and one block's temporaries; the pair pass the tree, an int32 id,
+repeat count and B offset per A membership, and one run's int64 keys.
 """
 from __future__ import annotations
 
@@ -13,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import Aabb, TriMesh, aabb_intersection, mesh_aabb
+from .geometry import BLOCK, Aabb, TriMesh, aabb_intersection, mesh_aabb
 
 CUBE_INFLATE = 1e-9
-PAIR_CHUNK = 1 << 16  # cross-product rows expanded at once in candidate_pairs
+PAIR_CHUNK = 1 << 14  # cross-product rows expanded at once in candidate_pairs
 
 
 @dataclass
@@ -97,9 +100,10 @@ def _children(node, tri, t_lo, t_hi, lo, hi, mid, child_base):
     """Split nodes' (node, triangle) memberships as their children's, by child."""
     # Per axis, whether the box touches the lower and the upper half;
     # touch[z, y, x] flattens to octant 4z + 2y + x, as in _OCTANT_BITS.
+    at_tri = tri.astype(np.intp)  # gathers index fastest by intp
     halves = []
     for k in range(3):
-        b_lo, b_hi, n_mid = t_lo[:, k][tri], t_hi[:, k][tri], mid[:, k][node]
+        b_lo, b_hi, n_mid = t_lo[:, k][at_tri], t_hi[:, k][at_tri], mid[:, k][node]
         halves.append(np.stack(((b_lo <= n_mid) & (b_hi >= lo[:, k][node]),
                                 (b_lo <= hi[:, k][node]) & (b_hi >= n_mid))))
     x, y, z = halves
@@ -108,7 +112,7 @@ def _children(node, tri, t_lo, t_hi, lo, hi, mid, child_base):
     # Octant-major rows are eight runs sorted by child; a stable merge
     # groups them by child and keeps triangle ids ascending.
     order = np.argsort(child, kind="stable")
-    return child[order], tri[row[order]]
+    return child[order].astype(np.int32), tri[row[order]]
 
 
 def build_octree(
@@ -129,33 +133,38 @@ def build_octree(
     cfg = cfg or OctreeConfig()
     lo, hi = (np.asarray(corner, float).reshape(1, 3) for corner in (root.lo, root.hi))
     # Per side: (node, triangle) memberships of the current level, by node.
-    members = [(np.zeros(len(ids), np.int64), np.asarray(ids, np.int64)) for ids in (ids_a, ids_b)]
+    members = [(np.zeros(len(ids), np.int32), np.asarray(ids, np.int32)) for ids in (ids_a, ids_b)]
     leaves, found, n_leaves, cap = [], ([], []), 0, cfg.leaf_capacity
     for depth in range(cfg.max_depth + 1):
         ca, cb = (np.bincount(node, minlength=len(lo)) for node, _ in members)
         leaf = (depth >= cfg.max_depth) | ((ca <= cap) & (cb <= cap)) | (ca == 0) | (cb == 0)
-        leaf_id = n_leaves + np.cumsum(leaf) - 1
+        leaf_id = (n_leaves + np.cumsum(leaf) - 1).astype(np.int32)
         leaves.append((lo[leaf], hi[leaf], np.full(int(leaf.sum()), depth)))
         n_leaves += len(leaves[-1][2])
-        if leaf.all():  # every membership is a leaf's: hand them over unmasked
-            for out, (node, tri) in zip(found, members):
-                out.append((leaf_id[node], tri))
-            break
         split = ~leaf
         child_base, mid = 8 * (np.cumsum(split) - 1), 0.5 * (lo + hi)
         for side, boxes in enumerate((boxes_a, boxes_b)):
             (node, tri), members[side] = members[side], None  # unmasked arrays end below
+            node = node.astype(np.intp)  # gathers index fastest by intp
             done = leaf[node]
             found[side].append((leaf_id[node[done]], tri[done]))
             node, tri = node[~done], tri[~done]
-            members[side] = _children(node, tri, *boxes, lo, hi, mid, child_base)
+            # Blocks of whole nodes, about BLOCK memberships each, give their
+            # children in child order, so the blocks join without a sort.
+            cuts = [*node.searchsorted(node[::BLOCK]), len(node)]
+            parts = [_children(node[i:j], tri[i:j], *boxes, lo, hi, mid, child_base)
+                     for i, j in zip(cuts[:-1], cuts[1:]) if i < j]
+            members[side] = tuple(np.concatenate(col) for col in zip(*parts))
+        del node, tri, done, parts  # the split memberships end with their children built
+        if leaf.all():
+            break
         plo, phi, pmid = lo[split][:, None], hi[split][:, None], mid[split][:, None]
         lo = np.where(_OCTANT_BITS, pmid, plo).reshape(-1, 3)
         hi = np.where(_OCTANT_BITS, phi, pmid).reshape(-1, 3)
-    del members  # the last level's node ids end before the concatenation
+    del members
+    found = [tuple(np.concatenate(col) for col in zip(*parts)) for parts in found]  # the parts end here
     lo, hi, depth = (np.concatenate(col) for col in zip(*leaves))
-    side_a, side_b = (tuple(np.concatenate(col) for col in zip(*parts)) for parts in found)
-    return Octree(lo, hi, depth, side_a, side_b, (boxes_a, boxes_b))
+    return Octree(lo, hi, depth, *found, (boxes_a, boxes_b))
 
 
 def candidate_pairs(tree: Octree) -> np.ndarray:
@@ -168,19 +177,22 @@ def candidate_pairs(tree: Octree) -> np.ndarray:
     are bounded by the run, and only the overlapping pairs are kept.
     """
     (leaf_a, tri_a), (leaf_b, tri_b) = tree.a, tree.b
-    count_b = np.bincount(leaf_b, minlength=len(tree.depth))
+    count_b = np.bincount(leaf_b, minlength=len(tree.depth)).astype(np.int32)
     order = np.argsort(tri_a)
     leaf_a, tri_a = leaf_a[order], tri_a[order]
+    del order
     reps = count_b[leaf_a]
     if not reps.any():
         return np.zeros((0, 2), dtype=np.int64)
     # Each A membership meets every B membership of its leaf: row r of the
     # cross product reads B membership start_b + (r - first) of that leaf.
-    start_b = (np.cumsum(count_b) - count_b)[leaf_a]
+    start_b = (np.cumsum(count_b) - count_b).astype(np.int32)[leaf_a]
+    del leaf_a  # the sorted copy ends once each membership's B range is known
     n_b = int(tri_b.max()) + 1
     heads = np.flatnonzero(np.concatenate(([True], tri_a[1:] != tri_a[:-1])))
-    bucket = (np.cumsum(reps) - reps)[heads] // PAIR_CHUNK
+    bucket = (np.cumsum(reps)[heads] - reps[heads]) // PAIR_CHUNK
     cuts = [*heads[np.concatenate(([True], bucket[1:] != bucket[:-1]))], len(tri_a)]
+    del heads, bucket
     runs = [
         _run_pairs(tri_a[first:stop], reps[first:stop], start_b[first:stop], tri_b, n_b, tree.boxes)
         for first, stop in zip(cuts[:-1], cuts[1:]) if reps[first:stop].any()
@@ -193,7 +205,7 @@ def _run_pairs(tri_a, reps, start_b, tri_b, n_b, boxes) -> np.ndarray:
     end when it returns, before the next run is built."""
     (lo_a, hi_a), (lo_b, hi_b) = boxes
     rows = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps - start_b, reps)
-    keys = np.repeat(tri_a, reps) * n_b + tri_b[rows]
+    keys = np.repeat(tri_a.astype(np.int64), reps) * n_b + tri_b[rows]  # int64: tri * n_b overflows int32
     del rows
     keys.sort()
     ia, ib = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], n_b)
@@ -209,4 +221,6 @@ def find_candidates(a: TriMesh, b: TriMesh, cfg: OctreeConfig | None = None) -> 
     ids_a, ids_b, cube, boxes = clip_to_shared_region(a, b)
     if len(ids_a) == 0 or len(ids_b) == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    return candidate_pairs(build_octree(ids_a, ids_b, *boxes, cube, cfg))
+    tree = build_octree(ids_a, ids_b, *boxes, cube, cfg)
+    del ids_a, ids_b, boxes  # the tree holds what the pair pass reads
+    return candidate_pairs(tree)

@@ -152,8 +152,9 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
     pairs = np.zeros((0, 2), dtype=np.int64)
     if len(ids_a) and len(ids_b):
         tree = build_octree(ids_a, ids_b, *boxes, cube, options.octree)
+        del ids_a, ids_b, boxes  # the tree holds the boxes for the pair pass
         pairs = candidate_pairs(tree)
-        del tree, boxes  # the tree holds the boxes for the pair pass; both end with it
+        del tree
     state.timings.append((STAGES[0], time.perf_counter() - t0))
 
     scale = scale0 if cube.is_empty else scene_scale(a, b, cube)  # an empty cube falls back to the boxes
@@ -162,7 +163,7 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
 
     t0 = time.perf_counter()
     state.segments, state.narrow_report = intersect_all(pairs, a, b, plane_tol, strict=options.strict)
-    del pairs, ids_a, ids_b  # stage 1's arrays end here, before the trivial repeat
+    del pairs  # stage 1's pairs end here, before the trivial repeat
     state.timings.append((STAGES[1], time.perf_counter() - t0))
 
     if not state.segments:

@@ -144,24 +144,41 @@ def icosphere_arrays(subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
     return verts, faces
 
 
-def spheres_fine_pair(seed: int = 1) -> tuple[TriMesh, TriMesh]:
-    """The spheres-fine benchmark workload's two inputs for a seed: a
-    20,480-face icosphere and a turned copy moved by (0.5, 0.31, 0.17), its
-    rotation a normalised quaternion of the seeded generator. Saved as binary
-    STL they give the benchmark's files, up to the unread facet normals."""
-    rng = np.random.default_rng([seed & (2**64 - 1), 0])
+def _bench_rotation(rng) -> np.ndarray:
+    """The benchmark's random rotation: a normalised quaternion of rng."""
     w, x, y, z = rng.normal(size=4)
     n = (w * w + x * x + y * y + z * z) ** 0.5
     w, x, y, z = w / n, x / n, y / n, z / n
-    turn = np.array(
+    return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
             [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
             [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+def spheres_fine_pair(seed: int = 1) -> tuple[TriMesh, TriMesh]:
+    """The spheres-fine benchmark workload's two inputs for a seed: a
+    20,480-face icosphere and a turned copy moved by (0.5, 0.31, 0.17), its
+    rotation a normalised quaternion of the seeded generator. Saved as binary
+    STL they give the benchmark's files, up to the unread facet normals."""
+    turn = _bench_rotation(np.random.default_rng([seed & (2**64 - 1), 0]))
     v, f = icosphere_arrays(5)
     return TriMesh(v, f, name="a"), TriMesh(v @ turn.T + np.array([0.5, 0.31, 0.17]), f, source="B", name="b")
+
+
+def nested_shell_pair(seed: int = 1) -> tuple[TriMesh, TriMesh]:
+    """The nested-shell benchmark workload's two inputs for a seed: a
+    20,480-face icosphere and, inside it, a turned copy scaled by 0.97 and
+    moved by less than 1e-3 (the benchmark's third generator stream). Saved
+    as binary STL they give the benchmark's files."""
+    rng = np.random.default_rng([seed & (2**64 - 1), 2])
+    turn = _bench_rotation(rng)
+    d = rng.normal(size=3)
+    offset = d / np.linalg.norm(d) * rng.uniform(0.0, 1e-3)
+    v, f = icosphere_arrays(5)
+    return TriMesh(v, f, name="a"), TriMesh(0.97 * v @ turn.T + offset, f, source="B", name="b")
 
 
 def closed_cylinder(radius=1.0, half_height=2.0, n_theta=24, n_rings=9,

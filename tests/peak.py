@@ -7,8 +7,13 @@ what the test built before does not count.
 stage_peaks does the same per function: it wraps named module functions and
 records, for every call, the traced memory at entry, the call's peak and the
 memory at exit. A nested call's peak counts towards its caller's.
+
+line_peaks goes one level finer: it runs one call under sys.settrace and
+gives, per line of the called function, the highest traced memory reached
+while that line ran, calls it makes included.
 """
 import importlib
+import sys
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -92,3 +97,42 @@ def stage_peaks(*names):
             setattr(module, attr, fn)
         if started:
             tracemalloc.stop()
+
+
+def line_peaks(fn, *args, **kwargs) -> dict[int, int]:
+    """Runs fn(*args, **kwargs) once and returns {line number: bytes}, for
+    each line of fn's own body that ran, the highest traced memory while it
+    ran (the functions it calls included), above the memory traced at the
+    call. A line that runs more than once keeps its highest peak."""
+    code, peaks = fn.__code__, {}
+    current = []  # the fn frame's line running now
+
+    def close(line):
+        peak = tracemalloc.get_traced_memory()[1] - base
+        peaks[line] = max(peaks.get(line, peak), peak)
+        tracemalloc.reset_peak()
+
+    def local(frame, event, arg):
+        if event in ("line", "return"):
+            if current:
+                close(current.pop())
+            if event == "line":
+                current.append(frame.f_lineno)
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    started, previous = not tracemalloc.is_tracing(), sys.gettrace()
+    if started:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    sys.settrace(calls)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.settrace(previous)
+        if started:
+            tracemalloc.stop()
+    return peaks

@@ -7,17 +7,25 @@ several times at 81,920 faces (see tests/oracle_geometry.py). The CLI run on
 the spheres-fine benchmark inputs bounds the run's traced peak about 25%
 above what the blocked passes measure; the whole-array passes peaked near
 15.6 MB there.
+
+On the nested-shell benchmark inputs, where nothing crosses, the STL load,
+the octree build, the pair pass and the containment test are bounded about
+20% above what they measure in bounded working sets, and so is the CLI run;
+the whole-array forms peaked at 1.8-3x these bounds.
 """
 import numpy as np
 import pytest
 
 from meshbool import cli, geometry
+from meshbool.blocks import point_in_closed_mesh
+from meshbool.io import load_mesh
+from meshbool.octree import build_octree, candidate_pairs, clip_to_shared_region
 from meshbool.geometry import BLOCK, TriMesh, signed_volume, triangle_areas, triangle_normals, unit_normals
 from meshbool.intersect import SegmentTable
 from meshbool.io import save_mesh
 from meshbool.merge import build_merged_state
-from meshes import icosphere_arrays, spheres_fine_pair
-from peak import stage_peaks, traced_peak
+from meshes import icosphere_arrays, nested_shell_pair, spheres_fine_pair
+from peak import line_peaks, stage_peaks, traced_peak
 
 MB = 1e6
 # One block's temporaries: ~150 bytes per face of the block in the helpers,
@@ -108,3 +116,82 @@ def test_spheres_fine_run_traced_peak(tmp_path):
     assert len(calls["meshbool.cli.save_mesh"]) == 4
     peaks = {name.rsplit(".", 1)[1]: [round(c.peak / MB, 2) for c in cs] for name, cs in calls.items()}
     assert run.peak < 12.5 * MB, peaks
+
+
+@pytest.fixture(scope="module")
+def nested_shell(tmp_path_factory):
+    """The nested-shell inputs (seed 1) as meshes and as saved STL paths."""
+    pair, out = nested_shell_pair(1), tmp_path_factory.mktemp("nested")
+    paths = [str(out / f"{mesh.name}.stl") for mesh in pair]
+    for mesh, path in zip(pair, paths):
+        save_mesh(mesh, path)
+    return pair, paths
+
+
+def test_stl_load_holds_no_whole_soup_copies(nested_shell):
+    """Loading 20,480 facets peaks at 126 bytes a facet: the float32 corners,
+    the sort order and the faces, not the file bytes, a float64 soup and its
+    sorted copy (329 bytes a facet)."""
+    _, (_, path) = nested_shell
+    with traced_peak() as peak:
+        mesh = load_mesh(path)
+    assert peak.bytes < 150 * mesh.num_faces
+
+
+def test_broad_phase_calls_on_nested_shell(nested_shell):
+    """The octree build (measured 2.90 MB) and the pair pass (1.73 MB) on
+    the nested-shell pair; the whole-level build and the 65,536-row pair
+    runs peaked at 5.61 and 4.44 MB."""
+    a, b = nested_shell[0]
+    ids_a, ids_b, cube, boxes = clip_to_shared_region(a, b)
+    with traced_peak() as build:
+        tree = build_octree(ids_a, ids_b, *boxes, cube)
+    del ids_a, ids_b, boxes
+    with traced_peak() as pairs:
+        assert len(candidate_pairs(tree)) == 16_638
+    assert build.bytes < 3.5 * MB
+    assert pairs.bytes < 2.1 * MB
+
+
+def test_containment_holds_one_block_of_corners(sphere6):
+    """One ray test over 81,920 faces holds one block's corners and ray
+    temporaries (measured 277 B x BLOCK), not every face's (22.4 MB)."""
+    with traced_peak() as peak:
+        assert point_in_closed_mesh([0.01, 0.02, 0.03], sphere6)
+    assert peak.bytes < 320 * BLOCK
+
+
+def test_nested_shell_run_traced_peak(nested_shell, tmp_path):
+    """`meshbool all` on the nested-shell inputs: the run, measured at
+    6.86 MB, stays below 8.2 MB (10.64 MB before the broad phase, the load
+    and the containment test worked in bounded sets)."""
+    with stage_peaks(*STAGES[:3], "meshbool.pipeline.build_octree", "meshbool.pipeline.candidate_pairs",
+                     "meshbool.blocks.point_in_closed_mesh") as calls:
+        assert cli.main(["all", *nested_shell[1], "-o", str(tmp_path / "out")]) == 0
+    (run,) = calls["meshbool.cli.main"]
+    peaks = {name.rsplit(".", 1)[1]: [round(c.peak / MB, 2) for c in cs] for name, cs in calls.items()}
+    assert len(calls["meshbool.cli.save_mesh"]) == 3
+    assert run.peak < 8.2 * MB, peaks
+
+
+def test_line_peaks_charges_each_line_its_own_arrays():
+    """line_peaks gives each line of the traced function the highest memory
+    while it ran, above the memory at the call, calls it makes included; a
+    line run in a loop keeps its highest peak, and lines that did not run
+    are absent."""
+    def work(n):
+        first = np.ones(n)  # n * 8 bytes held from here on
+        for k in range(1, 3):
+            scratch = np.ones(k * n)  # a temporary of k * n * 8 bytes
+            del scratch
+        return np.zeros(n)  # peaks with first: 2 * n * 8
+        never = 1  # noqa: F841
+
+    n = 100_000
+    peaks = line_peaks(work, n)
+    start = work.__code__.co_firstlineno
+    body = {line - start: peak for line, peak in peaks.items()}
+    assert set(body) == {1, 2, 3, 4, 5}
+    assert 8 * n <= body[1] < 8 * n + 4096
+    assert 3 * 8 * n <= body[3] < 3 * 8 * n + 4096  # first and the larger scratch
+    assert 2 * 8 * n <= body[5] < 2 * 8 * n + 4096

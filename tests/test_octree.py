@@ -357,3 +357,26 @@ def test_pair_runs_match_oracle(name, pair_chunk, monkeypatch):
     to more rows than a run holds."""
     monkeypatch.setattr(octree_mod, "PAIR_CHUNK", pair_chunk)
     assert_meshes_match_oracle(*FIXTURE_PAIRS[name]())
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+@pytest.mark.parametrize("name", ["cube_sphere", "icosphere3_pair", "torus_pair", "identical_cubes"])
+def test_build_blocks_match_oracle(name, block, monkeypatch):
+    """build_octree splits each level's memberships in blocks of whole
+    nodes; blocks of every size, down to one node each, join into the
+    oracle's tree."""
+    monkeypatch.setattr(octree_mod, "BLOCK", block)
+    assert_meshes_match_oracle(*FIXTURE_PAIRS[name]())
+
+
+def test_pair_keys_do_not_overflow_int32_ids():
+    """Memberships are int32, but a pair key tri_a * n_b + tri_b passes
+    2**31 once both sides have ~46k triangles: the keys stay int64."""
+    n = 70_000
+    lo, hi = np.full((n, 3), 5.0), np.full((n, 3), 6.0)
+    lo[-3:], hi[-3:] = 0.0, 1.0  # three triangles at the top ids share the unit box
+    ids = np.array([n - 3, n - 2, n - 1])
+    tree = build_octree(ids, ids[:2], (lo, hi), (lo, hi), Aabb(np.zeros(3), np.ones(3)))
+    pairs = candidate_pairs(tree)
+    assert pairs.dtype == np.int64
+    assert pairs.tolist() == [[a, b] for a in ids.tolist() for b in ids[:2].tolist()]
