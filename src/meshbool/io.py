@@ -90,9 +90,9 @@ def _load_stl_binary(path, source) -> TriMesh:
     raw = np.frombuffer(data, dtype=np.uint8, count=50 * count, offset=84)
     rec = raw.reshape(count, 50)[:, 12:48].copy().view("<f4").reshape(count, 3, 3)
     del data, raw  # the file's bytes end once the corners are copied
-    bad = np.flatnonzero(~np.isfinite(rec).all(axis=(1, 2)))
-    if len(bad):
-        raise ParseError(f"{path}: facet {bad[0]} (0-based): non-finite coordinate")
+    if not np.isfinite(rec).all():  # one flat test; the facet search runs only on failure
+        bad = np.flatnonzero(~np.isfinite(rec).all(axis=(1, 2)))[0]
+        raise ParseError(f"{path}: facet {bad} (0-based): non-finite coordinate")
     return _index_soup(rec, source, str(path))
 
 

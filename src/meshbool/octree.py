@@ -2,12 +2,15 @@
 
 Triangles are placed in every node their bounding box touches, so any two
 whose boxes overlap share a leaf, and the pair pass keeps exactly the pairs
-whose closed boxes overlap. Triangle boxes are computed from the corner
-columns by the clip and handed to the tree build, which keeps them for the
-pair pass; both read them one axis at a time. Besides the boxes, the build
-holds int32 (node or leaf, triangle) columns of the level and of the leaves
-found, and one block's temporaries; the pair pass the tree, an int32 id,
-repeat count and B offset per A membership, and one run's int64 keys.
+whose closed boxes overlap. Triangle boxes are computed by the clip and
+handed to the tree build, which keeps them for the pair pass. Every mask,
+reduction and gather over the triangles' (m, 3) coordinates works one axis
+column at a time: numpy's axis-0 min/max and axis-1 all on (m, 3) rows run
+~10x slower than the same work on three columns. Besides the boxes, the build holds
+int32 (node or leaf, triangle) columns of the level and of the leaves found,
+and one block's temporaries; the pair pass the tree, an int32 repeat count
+per A membership, one run of whole leaves' rows, and the int64 keys of the
+box-overlapping rows, sorted once at the end.
 """
 from __future__ import annotations
 
@@ -50,10 +53,14 @@ _OCTANT_BITS = ((np.arange(8)[:, None] >> np.arange(3)) & 1).astype(bool)
 
 
 def triangle_boxes(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Per-triangle AABB corners, (m, 3) lo and (m, 3) hi."""
+    """Per-triangle AABB corners, (m, 3) lo and (m, 3) hi, one axis at a time."""
     v, f = mesh.vertices, mesh.faces
-    p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-    return np.minimum(np.minimum(p0, p1), p2), np.maximum(np.maximum(p0, p1), p2)
+    lo, hi = np.empty((2, 3, len(f)))
+    for k in range(3):
+        p0, p1, p2 = (v[:, k][f[:, c]] for c in range(3))
+        np.minimum(np.minimum(p0, p1), p2, out=lo[k])
+        np.maximum(np.maximum(p0, p1), p2, out=hi[k])
+    return lo.T, hi.T  # (m, 3) views whose axis columns are contiguous
 
 
 def clip_to_shared_region(a: TriMesh, b: TriMesh):
@@ -71,8 +78,8 @@ def clip_to_shared_region(a: TriMesh, b: TriMesh):
 
     def inside(mesh):
         lo, hi = triangle_boxes(mesh)
-        mask = ((lo <= box_ab.hi) & (hi >= box_ab.lo)).all(axis=1)
-        return np.nonzero(mask)[0], lo, hi
+        touch = [(lo[:, k] <= box_ab.hi[k]) & (hi[:, k] >= box_ab.lo[k]) for k in range(3)]
+        return np.flatnonzero(np.logical_and.reduce(touch)), lo, hi
 
     ids_a, lo_a, hi_a = inside(a)
     ids_b, lo_b, hi_b = inside(b)
@@ -80,15 +87,13 @@ def clip_to_shared_region(a: TriMesh, b: TriMesh):
         return ids_a, ids_b, Aabb.empty(), None
 
     # Cube extension: center-preserving, grown to cover every clipped
-    # triangle box, then inflated to dodge boundary-exact misses.
-    all_lo = np.minimum(lo_a[ids_a].min(axis=0), lo_b[ids_b].min(axis=0))
-    all_hi = np.maximum(hi_a[ids_a].max(axis=0), hi_b[ids_b].max(axis=0))
+    # triangle box, then inflated to dodge boundary-exact misses. Only
+    # |corner - center| is read, so which zero a column's min or max gives does not matter.
+    all_lo = np.array([min(lo_a[:, k][ids_a].min(), lo_b[:, k][ids_b].min()) for k in range(3)])
+    all_hi = np.array([max(hi_a[:, k][ids_a].max(), hi_b[:, k][ids_b].max()) for k in range(3)])
     center = box_ab.center
-    half = max(
-        float(box_ab.extent.max()) * 0.5,
-        float(np.abs(all_lo - center).max()),
-        float(np.abs(all_hi - center).max()),
-    )
+    half = max(float(box_ab.extent.max()) * 0.5, float(np.abs(all_lo - center).max()),
+               float(np.abs(all_hi - center).max()))
     half *= 1.0 + CUBE_INFLATE
     if half == 0.0:
         half = CUBE_INFLATE
@@ -98,16 +103,16 @@ def clip_to_shared_region(a: TriMesh, b: TriMesh):
 
 def _children(node, tri, t_lo, t_hi, lo, hi, mid, child_base):
     """Split nodes' (node, triangle) memberships as their children's, by child."""
-    # Per axis, whether the box touches the lower and the upper half;
-    # touch[z, y, x] flattens to octant 4z + 2y + x, as in _OCTANT_BITS.
+    # Per axis, whether the box touches the lower and the upper half; the
+    # mask [z, y, x] flattens to octant 4z + 2y + x, as in _OCTANT_BITS.
     at_tri = tri.astype(np.intp)  # gathers index fastest by intp
     halves = []
     for k in range(3):
         b_lo, b_hi, n_mid = t_lo[:, k][at_tri], t_hi[:, k][at_tri], mid[:, k][node]
         halves.append(np.stack(((b_lo <= n_mid) & (b_hi >= lo[:, k][node]),
                                 (b_lo <= hi[:, k][node]) & (b_hi >= n_mid))))
-    x, y, z = halves
-    octant, row = np.nonzero((z[:, None, None] & y[None, :, None] & x[None, None, :]).reshape(8, -1))
+    x, y, z = halves  # a flat nonzero split by divmod: np.nonzero's (8, n) order, ~3x faster
+    octant, row = np.divmod(np.flatnonzero(z[:, None, None] & y[None, :, None] & x[None, None, :]), len(tri))
     child = child_base[node[row]] + octant
     # Octant-major rows are eight runs sorted by child; a stable merge
     # groups them by child and keeps triangle ids ascending.
@@ -141,6 +146,10 @@ def build_octree(
         leaf_id = (n_leaves + np.cumsum(leaf) - 1).astype(np.int32)
         leaves.append((lo[leaf], hi[leaf], np.full(int(leaf.sum()), depth)))
         n_leaves += len(leaves[-1][2])
+        if leaf.all():  # the last level: its memberships join the leaves' without a mask copy
+            for side, (node, tri) in enumerate(members):
+                found[side].append((leaf_id[node], tri))
+            break
         split = ~leaf
         child_base, mid = 8 * (np.cumsum(split) - 1), 0.5 * (lo + hi)
         for side, boxes in enumerate((boxes_a, boxes_b)):
@@ -156,64 +165,55 @@ def build_octree(
                      for i, j in zip(cuts[:-1], cuts[1:]) if i < j]
             members[side] = tuple(np.concatenate(col) for col in zip(*parts))
         del node, tri, done, parts  # the split memberships end with their children built
-        if leaf.all():
-            break
         plo, phi, pmid = lo[split][:, None], hi[split][:, None], mid[split][:, None]
         lo = np.where(_OCTANT_BITS, pmid, plo).reshape(-1, 3)
         hi = np.where(_OCTANT_BITS, phi, pmid).reshape(-1, 3)
     del members
-    found = [tuple(np.concatenate(col) for col in zip(*parts)) for parts in found]  # the parts end here
+    for parts in found:  # each side's parts end as soon as the side is joined
+        parts[:] = [np.concatenate(col) for col in zip(*parts)]
     lo, hi, depth = (np.concatenate(col) for col in zip(*leaves))
-    return Octree(lo, hi, depth, *found, (boxes_a, boxes_b))
+    return Octree(lo, hi, depth, *map(tuple, found), (boxes_a, boxes_b))
 
 
 def candidate_pairs(tree: Octree) -> np.ndarray:
     """The A x B pairs sharing a leaf whose closed boxes overlap, sorted, unique.
 
-    A memberships are taken by triangle, in runs of whole triangles that
-    expand to about PAIR_CHUNK cross-product rows. Every copy of a pair has
-    the same A triangle, so each run is deduplicated and box-tested on its
-    own and the runs' pairs are disjoint and ascending: the transient arrays
-    are bounded by the run, and only the overlapping pairs are kept.
+    A memberships come grouped by leaf and are taken in runs of whole leaves
+    that expand to about PAIR_CHUNK cross-product rows. A run gathers its A
+    boxes once per axis and its rows' B boxes (a B slice would also span the
+    B-only leaves between its leaves), and box-tests every row before any
+    sort: the transient arrays are bounded by the run, and only overlapping
+    rows' keys are kept. One in-place sort and a neighbour compare then drop
+    the copies of pairs that share several leaves.
     """
     (leaf_a, tri_a), (leaf_b, tri_b) = tree.a, tree.b
+    (lo_a, hi_a), (lo_b, hi_b) = tree.boxes
     count_b = np.bincount(leaf_b, minlength=len(tree.depth)).astype(np.int32)
-    order = np.argsort(tri_a)
-    leaf_a, tri_a = leaf_a[order], tri_a[order]
-    del order
+    start_b = np.cumsum(count_b) - count_b
     reps = count_b[leaf_a]
     if not reps.any():
         return np.zeros((0, 2), dtype=np.int64)
-    # Each A membership meets every B membership of its leaf: row r of the
-    # cross product reads B membership start_b + (r - first) of that leaf.
-    start_b = (np.cumsum(count_b) - count_b).astype(np.int32)[leaf_a]
-    del leaf_a  # the sorted copy ends once each membership's B range is known
     n_b = int(tri_b.max()) + 1
-    heads = np.flatnonzero(np.concatenate(([True], tri_a[1:] != tri_a[:-1])))
+    heads = np.flatnonzero(np.concatenate(([True], leaf_a[1:] != leaf_a[:-1])))
     bucket = (np.cumsum(reps)[heads] - reps[heads]) // PAIR_CHUNK
-    cuts = [*heads[np.concatenate(([True], bucket[1:] != bucket[:-1]))], len(tri_a)]
-    del heads, bucket
-    runs = [
-        _run_pairs(tri_a[first:stop], reps[first:stop], start_b[first:stop], tri_b, n_b, tree.boxes)
-        for first, stop in zip(cuts[:-1], cuts[1:]) if reps[first:stop].any()
-    ]
-    return np.concatenate(runs)
-
-
-def _run_pairs(tri_a, reps, start_b, tri_b, n_b, boxes) -> np.ndarray:
-    """One run's overlapping pairs, sorted and unique; the run's temporaries
-    end when it returns, before the next run is built."""
-    (lo_a, hi_a), (lo_b, hi_b) = boxes
-    rows = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps - start_b, reps)
-    keys = np.repeat(tri_a.astype(np.int64), reps) * n_b + tri_b[rows]  # int64: tri * n_b overflows int32
-    del rows
+    cuts = [*heads[np.concatenate(([True], bucket[1:] != bucket[:-1]))], len(leaf_a)]
+    keys = []
+    for first, stop in zip(cuts[:-1], cuts[1:]):
+        run, ta = reps[first:stop], tri_a[first:stop].astype(np.intp)
+        # An A membership's row r meets B membership start_b + r of its leaf.
+        at_b = np.arange(int(run.sum())) - np.repeat(np.cumsum(run) - run - start_b[leaf_a[first:stop]], run)
+        tb = tri_b[at_b].astype(np.intp)
+        hit = np.ones(len(tb), dtype=bool)
+        for k in range(3):
+            a_lo, a_hi = lo_a[:, k][ta], hi_a[:, k][ta]
+            hit &= (np.repeat(a_lo, run) <= hi_b[:, k][tb]) & (lo_b[:, k][tb] <= np.repeat(a_hi, run))
+        keys.append(np.repeat(ta, run)[hit] * n_b + tb[hit])  # int64: tri * n_b overflows int32
+        del at_b, tb, hit  # the run's rows end before the next run's are built
+    keys = np.concatenate(keys)
     keys.sort()
-    ia, ib = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], n_b)
-    del keys
-    for k in range(3):
-        hit = (lo_a[:, k][ia] <= hi_b[:, k][ib]) & (lo_b[:, k][ib] <= hi_a[:, k][ia])
-        ia, ib = ia[hit], ib[hit]
-    return np.stack((ia, ib), axis=1)
+    new = np.ones(len(keys), dtype=bool)  # no np.unique: its first call imports numpy.ma
+    new[1:] = keys[1:] != keys[:-1]
+    return np.stack(np.divmod(keys[new], n_b), axis=1)
 
 
 def find_candidates(a: TriMesh, b: TriMesh, cfg: OctreeConfig | None = None) -> np.ndarray:

@@ -105,15 +105,15 @@ def _propagate_edge_points(mesh: TriMesh, face: np.ndarray, ends: np.ndarray, to
         length = np.float_power(length2, 0.5)
         off = p[:, None, :] - (va + t[..., None] * ab)
         hit = (tol < t * length) & (t * length < length - tol) & (np.sqrt(row_dots(off, off)) < tol)
-    rows, ks = np.nonzero(hit & (length2 != 0.0))
+    rows, ks = np.divmod(np.flatnonzero(hit & (length2 != 0.0)), 3)  # np.nonzero's row-major order
     u, v = tri[rows, ks], tri[rows, (ks + 1) % 3]
     # Every use of a hit edge by a face holding two hit ends, from one search
     # of the hit edges' undirected keys among those faces' edge keys. Both
     # sides take n from the whole mesh, so the keys agree. The stable sort
     # keeps each key's uses in face order.
-    on_edge = np.zeros(len(mesh.vertices), dtype=bool)
-    on_edge[u] = on_edge[v] = True
-    near = np.nonzero(on_edge[mesh.faces].sum(axis=1) >= 2)[0]
+    on_edge = np.zeros(len(mesh.vertices), dtype=np.uint8)
+    on_edge[u] = on_edge[v] = 1
+    near = np.flatnonzero(sum(on_edge[mesh.faces[:, c]] for c in range(3)) >= 2)  # by corner column
     n = int(mesh.faces.max()) + 1
     near_faces = mesh.faces[near]
     keys = pair_key(near_faces, near_faces[:, [1, 2, 0]], n).ravel() >> 1

@@ -13,9 +13,16 @@ the octree build, the pair pass and the containment test are bounded about
 20% above what they measure in bounded working sets, and so is the CLI run;
 the whole-array forms peaked at 1.8-3x these bounds.
 """
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import meshbool
 from meshbool import cli, geometry
 from meshbool.blocks import point_in_closed_mesh
 from meshbool.io import load_mesh
@@ -172,6 +179,34 @@ def test_nested_shell_run_traced_peak(nested_shell, tmp_path):
     peaks = {name.rsplit(".", 1)[1]: [round(c.peak / MB, 2) for c in cs] for name, cs in calls.items()}
     assert len(calls["meshbool.cli.save_mesh"]) == 3
     assert run.peak < 8.2 * MB, peaks
+
+
+NUMPY_MA_PROBE = """
+import json, sys
+from meshbool import cli
+from meshbool.io import load_mesh
+from meshbool.octree import find_candidates
+a, b, out = sys.argv[1:]
+seen = ["numpy.ma" in sys.modules]
+find_candidates(load_mesh(a), load_mesh(b, source="B"))
+seen.append("numpy.ma" in sys.modules)
+assert cli.main(["all", a, b, "-o", out]) == 0
+seen.append("numpy.ma" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_nested_shell_does_not_import_numpy_ma(nested_shell, tmp_path):
+    """numpy 2.4's first np.unique call in a process imports numpy.ma
+    (1.09 MB traced), so a np.unique in the broad phase or the trivial path
+    would land inside nested-shell's first op, whose growth peak_rss_mb
+    measures. In a fresh interpreter, neither find_candidates nor a nested
+    `meshbool all` run (trivial path included) imports it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(meshbool.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE, *nested_shell[1], str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [False, False, False]
 
 
 def test_line_peaks_charges_each_line_its_own_arrays():
