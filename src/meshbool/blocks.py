@@ -22,6 +22,7 @@ import numpy as np
 from .errors import AssemblyError, ClassificationError, CoincidentInput, TopologyError
 from .geometry import (BLOCK, MERGE_TOL_REL, PLANE_TOL_REL, TriMesh, compact_submesh, is_closed_manifold,
                        scene_scale, signed_volume)
+from .halfedge import sort_runs
 from .merge import MergedState, merge_vertices
 
 log = logging.getLogger(__name__)
@@ -163,8 +164,10 @@ def pick_union(candidates, state: MergedState, surfs) -> tuple[SubBlock, list[Su
     by_id = {s.id: s for s in surfs}
 
     def attains(blk):
-        faces = np.concatenate([state.faces[by_id[sid].triangles] for sid in blk.surfaces])
-        return bool(np.isin(state.extrema, faces).all())
+        used = np.zeros(len(state.vertices), dtype=bool)
+        for sid in blk.surfaces:
+            used[state.faces[by_id[sid].triangles]] = True
+        return bool(used[state.extrema].all())
 
     attaining = [blk for blk in candidates if attains(blk)]
     if len(attaining) == 1:
@@ -267,7 +270,9 @@ def meshes_coincident(a: TriMesh, b: TriMesh, tol: float) -> bool:
         """Welded faces rotated to start at their smallest index, as a set."""
         t = remap[faces + offset]
         turn = (np.argmin(t, axis=1)[:, None] + np.arange(3)) % 3
-        return np.unique(np.take_along_axis(t, turn, axis=1), axis=0)
+        t = np.take_along_axis(t, turn, axis=1)
+        order, new = sort_runs(*t.T)
+        return t[order[new]]
 
     return np.array_equal(canon(a.faces, 0), canon(b.faces, a.num_vertices))
 

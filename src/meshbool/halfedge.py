@@ -40,6 +40,11 @@ lowest face id), and the boundary cycles of every region of a labelling at
 once. The successor of every region-boundary edge is found in one numpy
 pass; the only Python loop emits the cycles and visits each boundary edge
 once.
+
+sort_runs is the one sort-and-runs pass behind every dedup, grouping and
+set operation in meshbool. None calls np.unique, np.union1d or np.isin: in
+numpy 2.4 the first of those that sorts imports numpy.ma (about 1 MB), inside
+the process's first Boolean op.
 """
 from __future__ import annotations
 
@@ -72,6 +77,22 @@ def min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 break
             label = jumped
     return label
+
+
+def sort_runs(*cols) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexicographic order of the rows whose columns are cols, the
+    first column most significant, and the mask of sorted rows that start a
+    run of equal rows. Columns compare by value, so -0.0 equals 0.0, and are
+    gathered in sorted order one at a time. order[new] are the first rows of
+    the runs in sorted order; np.cumsum(new) - 1 is each sorted row's run.
+    """
+    order = np.lexsort(cols[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for col in cols:
+        col = col[order]
+        new[1:] |= col[1:] != col[:-1]
+    return order, new
 
 
 def pair_key(u, v, n: int):
@@ -115,13 +136,11 @@ def repeated_edges(faces: np.ndarray) -> dict[tuple[int, int], list[int]]:
     srt = np.sort(key)
     if not (srt[1:] == srt[:-1]).any():
         return {}
-    order = np.argsort(key, kind="stable")
-    srt = key[order]
-    again = np.r_[False, srt[1:] == srt[:-1]]
+    order, new = sort_runs(key)
     lead = np.empty_like(order)
-    lead[order] = order[np.maximum.accumulate(np.where(again, 0, np.arange(len(order))))]
+    lead[order] = order[np.maximum.accumulate(np.where(new, np.arange(len(order)), 0))]
     bad: dict[tuple[int, int], list[int]] = {}
-    for e in np.sort(order[again]).tolist():
+    for e in np.sort(order[~new]).tolist():
         edge = (int(faces.flat[e]), int(faces[e // 3, (e + 1) % 3]))
         bad.setdefault(edge, [int(lead[e]) // 3]).append(e // 3)
     return bad

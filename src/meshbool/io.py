@@ -4,6 +4,8 @@ STL carries no indexing, so loading welds duplicate vertices at exact bit
 equality; tolerance-based welding happens later in the merge stage. The
 binary STL reader holds the float32 corners, their sort order and the faces
 once the file's bytes end, and only the distinct vertices become float64.
+The weld's sort and runs are halfedge.sort_runs, which compares one column
+at a time in sorted order.
 The binary STL writer builds and writes its records one block of
 geometry.BLOCK faces at a time, so it holds no whole-mesh record array.
 """
@@ -19,6 +21,7 @@ import numpy as np
 
 from .errors import EmptyInput, IoError, ParseError
 from .geometry import BLOCK, TriMesh, unit_normals
+from .halfedge import sort_runs
 
 log = logging.getLogger(__name__)
 
@@ -53,15 +56,9 @@ def _index_soup(tris: np.ndarray, source: str, name: str) -> TriMesh:
         raise EmptyInput(f"{name}: no facets")
     flat = tris.reshape(-1, 3)
     # Equal rows form runs in a stable lexicographic sort, so the first of
-    # them (say -0.0 before 0.0) becomes the vertex. The runs are found one
-    # column at a time in sorted order, and only their first rows gathered.
-    order = np.lexsort(flat.T[::-1])
-    new = np.zeros(len(flat), dtype=bool)
-    new[0] = True
-    for k in range(3):
-        col = flat[:, k][order]
-        new[1:] |= col[1:] != col[:-1]
-    del col
+    # them (say -0.0 before 0.0) becomes the vertex. Only the runs' first
+    # rows are gathered.
+    order, new = sort_runs(*flat.T)
     verts = flat[order[new]].astype(np.float64, copy=False)
     rank = np.cumsum(new)
     rank -= 1

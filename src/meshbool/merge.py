@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import GeometryError, TopologyError
 from .geometry import TriMesh, is_closed_manifold, triangle_areas, triangle_normals
-from .halfedge import repeated_edges
+from .halfedge import repeated_edges, sort_runs
 
 log = logging.getLogger(__name__)
 
@@ -299,11 +299,12 @@ def _merged_arrays(a: TriMesh, b: TriMesh, splits, segments, tol: float) -> Merg
     ends = remap[seg_base:].reshape(-1, 2)
     live = ends[:, 0] != ends[:, 1]
     if live.any():
-        uniq, first = np.unique(np.sort(ends[live], axis=1), axis=0, return_index=True)
-        order = np.argsort(first)
-        edges = uniq[order]
+        rows = np.sort(ends[live], axis=1)
+        order, new = sort_runs(*rows.T)
+        first = np.sort(order[new])  # each distinct edge's first segment
+        edges = rows[first]
         witnesses = list(zip(segments.tri_a[live].tolist(), segments.tri_b[live].tolist()))
-        pairs = [witnesses[first[i]] for i in order]
+        pairs = [witnesses[i] for i in first.tolist()]
     else:
         edges = np.zeros((0, 2), dtype=np.int64)
         pairs = []

@@ -11,6 +11,8 @@ order; _propagate_edge_points adds the points a neighbour's split puts on a
 shared edge as (face, point) columns, in an order that does not depend on
 the scale; and prepare_splits prepares and walks all split faces in one
 numpy pass, which gives one point table per surface and one record per face.
+The distinct segment ends and the split-face ids come from
+halfedge.sort_runs; numpy's set routines import numpy.ma on first use.
 Each record is triangulated on its own into children as rows of that table,
 and build_merged_state gathers, welds and clears both surfaces at once. The
 Python loops of the stage run over split faces and their points only.
@@ -30,7 +32,7 @@ from . import subsurfaces as ssf
 from .errors import CoincidentInput, GeometryError, NotClosed, TopologyError
 from .geometry import (MERGE_TOL_REL, PLANE_TOL_REL, TriMesh, compact_submesh, row_dots, scene_scale,
                        signed_volume)
-from .halfedge import pair_key
+from .halfedge import pair_key, sort_runs
 from .intersect import SegmentTable, intersect_all
 from .merge import build_merged_state
 from .octree import OctreeConfig, build_octree, candidate_pairs, clip_to_shared_region
@@ -92,7 +94,8 @@ def _propagate_edge_points(mesh: TriMesh, face: np.ndarray, ends: np.ndarray, to
     stably sorted by neighbour: by owner, point, edge and neighbour id.
     """
     owner, p = np.repeat(face, 2), ends.reshape(-1, 3)
-    first = np.sort(np.unique(np.column_stack((owner, p)), axis=0, return_index=True)[1])
+    order, new = sort_runs(owner, *p.T)
+    first = np.sort(order[new])
     owner, p = owner[first], p[first]
     # Project every (point, edge of its face) pair at once.
     tri = mesh.faces[owner]
@@ -182,7 +185,9 @@ def run_pipeline(mesh_a: TriMesh, mesh_b: TriMesh, options: PipelineOptions | No
         by_face = np.argsort(tri, kind="stable")  # each face's segments in table order
         seg_face, seg_ends = tri[by_face], ends[by_face]
         pt_face, pts = _propagate_edge_points(mesh, seg_face, seg_ends, merge_tol)
-        fids = np.union1d(seg_face, pt_face)
+        fids = np.concatenate((seg_face, pt_face))
+        order, new = sort_runs(fids)
+        fids = fids[order[new]]  # the split faces, ascending
         points, setups = prepare_splits(mesh.vertices[mesh.faces[fids]], fids.searchsorted(seg_face), seg_ends,
                                         fids.searchsorted(pt_face), pts, merge_tol)
         kids = [split_and_triangulate(setup, fid) for fid, setup in zip(fids.tolist(), setups)]

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DegeneratePolygon, DegenerateTriangle, GeometryError, NotSimple
 from .geometry import row_dots
-from .halfedge import min_labels
+from .halfedge import min_labels, sort_runs
 
 
 def _pairs(ring) -> list:
@@ -532,7 +532,9 @@ def _subdivisions(walked, corners2, firsts, size, nb, points, tol):
     a = np.concatenate([node[end0], cnode[o][:-1][link]])
     b = np.concatenate([node[end0 + 1], cnode[o][1:][link]])
     a, b = a[a != b], b[a != b]
-    pair = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    pair = np.minimum(a, b) * n + np.maximum(a, b)
+    order, new = sort_runs(pair)
+    pair = pair[order[new]]
     a, b = pair // n, pair % n
 
     # Prune dangling tails: interior nodes of degree one, until none is left.
@@ -590,7 +592,9 @@ def _cycles(xy, face, a, b, nw):
         if np.array_equal(low, label):
             break
         label, jump = low, jump[jump]
-    starts, length = np.unique(label, return_counts=True)
+    order, new = sort_runs(label)
+    run = np.flatnonzero(new)
+    starts, length = label[order[run]], np.diff(run, append=len(label))
     at = np.empty(2 * ne, dtype=np.int64)
     at[place] = i
     cur = at[starts]

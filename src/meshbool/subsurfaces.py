@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TopologyError
-from .halfedge import SurfaceTopology, min_labels
+from .halfedge import SurfaceTopology, min_labels, sort_runs
 from .merge import MergedState
 
 
@@ -87,9 +87,12 @@ def _check_region_count(topo: SurfaceTopology, tag: str, surfs: list[SubSurface]
     a, b = np.asarray(links, dtype=np.int64).reshape(-1, 2).T
     if min_labels(len(surfs), a, b).any():  # the regions do not join into one surface
         return
-    verts, pairs = np.unique(ends, return_inverse=True)
-    joined = min_labels(len(verts), *pairs.reshape(-1, 2).T)
-    expect = 1 + len(ends) - len(verts) + int((joined == np.arange(len(verts))).sum())
+    order, new = sort_runs(ends.ravel())
+    pairs = np.empty_like(order)
+    pairs[order] = np.cumsum(new) - 1  # each end's rank among the distinct vertices
+    n_verts = int(new.sum())
+    joined = min_labels(n_verts, *pairs.reshape(-1, 2).T)
+    expect = 1 + len(ends) - n_verts + int((joined == np.arange(n_verts)).sum())
     if len(surfs) != expect:
         raise TopologyError(
             f"surface {tag}: {len(surfs)} sub-surfaces where its loops cut a sphere into {expect}"

@@ -13,6 +13,7 @@ the octree build, the pair pass and the containment test are bounded about
 20% above what they measure in bounded working sets, and so is the CLI run;
 the whole-array forms peaked at 1.8-3x these bounds.
 """
+import ast
 import json
 import os
 import subprocess
@@ -207,6 +208,59 @@ def test_nested_shell_does_not_import_numpy_ma(nested_shell, tmp_path):
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1]) == [False, False, False]
+
+
+CROSSING_PROBE = """
+import json, sys
+import numpy as np
+from meshbool import cli
+from meshbool.blocks import meshes_coincident
+from meshbool.geometry import TriMesh
+from meshbool.io import load_mesh
+a, b, out = sys.argv[1:]
+seen = ["numpy.ma" in sys.modules]
+mesh = load_mesh(a)
+turned = TriMesh(mesh.vertices, np.roll(mesh.faces, 1, axis=1), source="B")
+assert meshes_coincident(mesh, turned, 1e-9)  # the boxes agree: the weld and the face sets run
+seen.append("numpy.ma" in sys.modules)
+assert cli.main(["all", a, b, "-o", out]) == 0
+seen.append("numpy.ma" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_crossing_run_does_not_import_numpy_ma(tmp_path):
+    """In a fresh interpreter, neither meshes_coincident on a mesh and a copy
+    whose boxes agree nor a crossing `meshbool all` on the spheres-fine
+    inputs (seed 1) imports numpy.ma: every dedup and set operation of
+    stages 3-6 goes through halfedge.sort_runs."""
+    paths = []
+    for mesh in spheres_fine_pair(1):
+        paths.append(str(tmp_path / f"{mesh.name}.stl"))
+        save_mesh(mesh, paths[-1])
+    env = {**os.environ, "PYTHONPATH": str(Path(meshbool.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", CROSSING_PROBE, *paths, str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [False, False, False]
+
+
+SET_ROUTINES = {"unique", "unique_all", "unique_counts", "unique_inverse", "unique_values", "union1d", "isin",
+                "in1d", "intersect1d", "setdiff1d", "setxor1d"}
+
+
+def test_src_calls_no_numpy_set_routine():
+    """No module of meshbool calls a numpy set routine, by attribute
+    (np.unique) or by name (from numpy import unique); a sorting one imports
+    numpy.ma on its first call. Failures name the file and line."""
+    calls = []
+    for path in sorted(Path(meshbool.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in SET_ROUTINES:
+                    calls.append(f"{path.name}:{node.lineno}: {name}")
+    assert calls == []
 
 
 def test_line_peaks_charges_each_line_its_own_arrays():

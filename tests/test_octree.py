@@ -351,10 +351,10 @@ def test_dyadic_ties_match_oracle(tris_a, tris_b, depth, cap, swap, pair_chunk):
 @pytest.mark.parametrize("pair_chunk", [1, 5, 64, 1000])
 @pytest.mark.parametrize("name", ["cube_sphere", "icosphere3_pair", "torus_pair", "identical_cubes"])
 def test_pair_runs_match_oracle(name, pair_chunk, monkeypatch):
-    """candidate_pairs expands the cross product in runs of whole A
-    triangles and box-tests each run; runs of every size, down to one
-    triangle each, give the oracle's overlapping pairs. A triangle can expand
-    to more rows than a run holds."""
+    """candidate_pairs expands the cross product in runs of whole leaves
+    and box-tests each run; runs of every size, down to one leaf each, give
+    the oracle's overlapping pairs. A leaf can expand to more rows than a run
+    holds."""
     monkeypatch.setattr(octree_mod, "PAIR_CHUNK", pair_chunk)
     assert_meshes_match_oracle(*FIXTURE_PAIRS[name]())
 

@@ -10,16 +10,19 @@ bit-equal. The swap is pinned for torus_pair, whose weld pool still holds
 distinct points within tol of each other; such a group's vertex is the
 pool's first point, which is A's. A rigid motion of both inputs (a rotation
 and a translation of about 10) keeps every output a closed manifold of
-positive volume, and the volume identities within 1e-10 relative.
+positive volume, and the volume identities within 1e-10 relative. On open
+inputs (run without classification) a rigid motion keeps each side's
+sub-surfaces a partition of its merged faces whose area is the input's.
 """
 import pytest
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshbool.geometry import TriMesh, is_closed_manifold, signed_volume
-from meshbool.pipeline import run_pipeline
-from meshes import bumpy_pair, cube, icosphere, random_convex_pair, torus_pair
+from meshbool.geometry import TriMesh, is_closed_manifold, signed_volume, triangle_areas
+from meshbool.pipeline import PipelineOptions, run_pipeline
+from meshes import (blob_and_plane, bumpy_pair, cube, grid_plane, icosphere, random_convex_pair, torus_pair,
+                    vw_pair)
 
 PAIRS = {
     "cube_sphere": lambda: (cube((-1, -1, -1), 2.0, "A"), icosphere(1.3, subdivisions=2, source="B")),
@@ -126,3 +129,39 @@ def test_rigid_motions_keep_closed_outputs_and_volume_identities(pair, seed):
     assert abs(vol["union"] + vi - (va + vb)) <= 1e-10 * (va + vb)
     assert abs(vol["a_minus_b"] - (va - vi)) <= 1e-10 * va
     assert abs(vol["b_minus_a"] - (vb - vi)) <= 1e-10 * vb
+
+
+def turned(mesh, axis, angle, shift=(0.0, 0.0, 0.0)):
+    """mesh rotated by angle about a coordinate axis, then shifted."""
+    c, s = np.cos(angle), np.sin(angle)
+    i, j = [k for k in range(3) if k != axis]
+    rotation = np.eye(3)
+    rotation[[i, i, j, j], [i, j, i, j]] = c, -s, s, c
+    return moved(mesh, rotation, np.asarray(shift))
+
+
+# Open inputs: at least one side has a boundary, so nothing is classified.
+OPEN_PAIRS = {
+    "sphere_plane": lambda: (icosphere(1.0, subdivisions=3, source="A"), grid_plane(z=0.1234, n=12)),
+    "vw": vw_pair,
+    "blob_plane": blob_and_plane,
+    "tilted_planes": lambda: (turned(grid_plane(n=8, source="A"), 0, 0.3),
+                              turned(grid_plane(n=8, source="B"), 1, -0.4, (0.013, 0.021, 0.007))),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(OPEN_PAIRS)), st.integers(0, 2**32 - 1))
+def test_rigid_motions_of_open_inputs_tile_each_side(pair, seed):
+    """Each side's sub-surfaces hold every merged face of that side exactly
+    once, and their areas add up to the input's within 1e-9 relative."""
+    inputs = [moved(m, *motion(seed)) for m in OPEN_PAIRS[pair]()]
+    state = run_pipeline(*inputs, PipelineOptions(classify=False))
+    assert state.segments and state.result is None
+    merged = state.merged
+    for source, (tag, mesh) in enumerate(zip("AB", inputs)):
+        faces = np.concatenate([s.triangles for s in state.subsurfaces if s.source == tag])
+        assert np.array_equal(np.sort(faces), merged.surface_face_ids(source)), tag
+        area = triangle_areas(merged.vertices, merged.faces[faces]).sum()
+        want = triangle_areas(mesh.vertices, mesh.faces).sum()
+        assert abs(area - want) <= 1e-9 * want, tag
